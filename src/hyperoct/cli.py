@@ -326,6 +326,8 @@ def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int, store):
         payload["betti"]["total"] = [a + b for a, b in zip(
             results["ideal"].betti, results["unit"].betti)]
     timing["homology_s"] = round(time.monotonic() - t1, 3)
+    timing["rank"] = {tag: res.rank_stats for tag, res in results.items()
+                      if res.rank_stats}
 
     if job.coefficients is not None:
         module = parse_coefficients(job.coefficients)
@@ -347,6 +349,21 @@ def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int, store):
         payload["coefficients"] = coeff_payload
 
     return payload, verifications, timing
+
+
+def stabilization(ns: list, values: list) -> dict:
+    """Stabilization entry of one degree, from its values over the sorted
+    truncations ``ns``.
+
+    Only the final run of equal values counts, since a later disagreement
+    voids an earlier agreement.  A run of two or more values is stable at
+    its second truncation; a single truncation proves nothing."""
+    start = len(values) - 1
+    while start > 0 and values[start - 1] == values[-1]:
+        start -= 1
+    if start >= len(values) - 1:
+        return {"stable": False}
+    return {"stable": True, "at_max_object": ns[start + 1]}
 
 
 def run(job: JobSpec) -> tuple:
@@ -422,16 +439,9 @@ def run(job: JobSpec) -> tuple:
             exit_code = max(exit_code, 1)
     if store is not None:
         report["timing"]["cache"] = {"hits": store.hits, "misses": store.misses}
-    # stabilization: a degree is stable once two consecutive truncations agree
-    stab = {}
     ns = sorted(betti_by_n)
-    for d in range(job.max_degree + 1):
-        entry = {"stable": False}
-        for a, b in zip(ns, ns[1:]):
-            if betti_by_n[a][d] == betti_by_n[b][d]:
-                entry = {"stable": True, "at_max_object": b}
-                break
-        stab[f"degree {d}"] = entry
+    stab = {f"degree {d}": stabilization(ns, [betti_by_n[n][d] for n in ns])
+            for d in range(job.max_degree + 1)}
     report["stabilization"] = stab
     return report, exit_code
 

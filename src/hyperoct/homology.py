@@ -1,14 +1,20 @@
 """Exact homology of truncated complexes.
 
-Field coefficients go through sparse column echelon (rank-nullity); integer
-coefficients go through Smith normal form with smallest-pivot selection to
-restrain entry growth.  Also hosts the is-a-boundary solver used by the
-chain-homotopy verification and the universal-coefficient dimension check.
+Every rank, field solve and kernel sample runs through one streaming column
+elimination, ``_eliminate``, on integer columns: residues mod p over F_p,
+fraction-free over Z and over Q (each rational column scaled to integers).
+A reduced column pivots on its largest row index.  The stream stops once
+the rank reaches a caller's bound; ``homology_over_field`` bounds rank d_n
+by dim ker d_{n-1}, which it certifies first by checking d_{n-1} d_n = 0
+exactly on the same integer columns.  Integer homology goes through Smith
+normal form, whose diagonal gives both rank and torsion.  Also hosts the
+is-a-boundary solver used by the chain-homotopy verification and the
+universal-coefficient dimension check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 from .matrices import SparseMatrix
 from .rings import QQ, ZZ, GF
@@ -19,108 +25,121 @@ class HomologyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# field elimination
+# the elimination kernel
 # ---------------------------------------------------------------------------
 
-def _int_columns_rank(cols, normalize_every: int = 1) -> int:
-    """Echelon rank of integer columns with gcd-normalized pivot rows."""
-    pivots: dict = {}
-    rank = 0
+def _modulus(ring) -> int:
+    """p for the prime field F_p, 0 for the fraction-free rings Q and Z."""
+    if ring == QQ or ring == ZZ:
+        return 0
+    if ring.is_field and ring.characteristic > 0:
+        return ring.characteristic
+    raise HomologyError(f"no elimination routine for {ring.name}")
+
+
+def _columns(cols, p: int, scales: list | None = None):
+    """Fresh integer copies of ``cols``: residues mod p, or else each column
+    times the lcm of its denominators, which is appended to ``scales``."""
     for col in cols:
-        vec = {k: v for k, v in col.items() if v}
+        if p:
+            s, vec = 1, {k: v % p for k, v in col.items() if v % p}
+        else:
+            s = lcm(*[v.denominator for v in col.values()])
+            vec = {k: v.numerator * (s // v.denominator)
+                   for k, v in col.items() if v}
+        if scales is not None:
+            scales.append(s)
+        yield vec
+
+
+def _eliminate(cols, p: int = 0, bound: int | None = None,
+               track: bool = False):
+    """Stream integer columns through one column echelon form.
+
+    Yields ``(j, vec, expr)`` per streamed column ``j``: ``vec`` is the
+    column reduced by the earlier pivots, empty when it depends on them and
+    else kept as the pivot of its largest row index; ``expr`` (with
+    ``track``) is the combination of streamed columns equal to ``vec``.
+    Mod ``p`` pivots are scaled to lead with 1; with ``p == 0`` elimination
+    is fraction-free, and a column scaled to cancel a pivot entry, or kept
+    as a pivot, is divided by the gcd of its entries (and of ``expr``'s).
+    Streaming stops once the rank reaches ``bound``."""
+    pivots: dict = {}
+    exprs: dict = {}
+    for j, vec in enumerate(cols):
+        if bound is not None and len(pivots) >= bound:
+            return
+        expr = {j: 1} if track else {}
         while vec:
-            r = min(vec)
+            r = max(vec)
             piv = pivots.get(r)
             if piv is None:
-                g = 0
-                for v in vec.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    vec = {k: v // g for k, v in vec.items()}
-                pivots[r] = vec
-                rank += 1
-                break
-            a = piv[r]
-            b = vec[r]
-            new = {k: a * v for k, v in vec.items()}
-            for k, v in piv.items():
-                w = new.get(k, 0) - b * v
-                if w:
-                    new[k] = w
+                if p:
+                    c = pow(vec[r], -1, p)
                 else:
-                    new.pop(k, None)
-            new.pop(r, None)
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    new = {k: v // g for k, v in new.items()}
-            vec = new
-    return rank
-
-
-def _modp_columns_rank(cols, p: int) -> int:
-    pivots: dict = {}
-    rank = 0
-    for col in cols:
-        vec = {k: v % p for k, v in col.items() if v % p}
-        while vec:
-            r = min(vec)
-            piv = pivots.get(r)
-            if piv is None:
-                inv = pow(vec[r], p - 2, p)
-                pivots[r] = {k: (inv * v) % p for k, v in vec.items()}
-                rank += 1
+                    c = gcd(*vec.values(), *expr.values())
+                    c = c if vec[r] > 0 else -c
+                if c != 1:
+                    vec, expr = ({k: v * c % p if p else v // c
+                                  for k, v in d.items()} for d in (vec, expr))
+                pivots[r], exprs[r] = vec, expr
                 break
-            b = vec[r]
-            for k, v in piv.items():
-                w = (vec.get(k, 0) - b * v) % p
-                if w:
-                    vec[k] = w
-                else:
-                    vec.pop(k, None)
-        # loop exits when vec reduces to zero or a pivot is recorded
-    return rank
+            a, b = piv[r], vec[r]
+            for target, source in ((vec, piv), (expr, exprs[r])):
+                if a != 1:
+                    for k in target:
+                        target[k] *= a
+                for k, v in source.items():
+                    w = target.get(k, 0) - b * v
+                    if p:
+                        w %= p
+                    if w:
+                        target[k] = w
+                    else:
+                        del target[k]
+            if a != 1 and vec:
+                g = gcd(*vec.values(), *expr.values())
+                if g != 1:
+                    vec, expr = ({k: v // g for k, v in d.items()}
+                                 for d in (vec, expr))
+        yield j, vec, expr if track else None
 
 
-def field_rank(M: SparseMatrix) -> int:
-    """Exact rank over a field.
+def _rank(M: SparseMatrix, bound: int | None = None,
+          stats: dict | None = None) -> int:
+    """Rank through the kernel, streaming the longer side.
 
-    The elimination is oriented so the row space is the small side: fill-in
-    and pivot count stay bounded by the number of rows while the many columns
-    stream through once.  Rational matrices are column-scaled to integers and
-    eliminated fraction-free."""
-    ring = M.ring
-    if not ring.is_field:
-        raise HomologyError("field_rank needs a field")
+    Fill-in and pivot count stay bounded by the short side, which also caps
+    the rank, so the stream always stops once the rank reaches it."""
+    p = _modulus(M.ring)
     if M.nrows > M.ncols:
         M = M.transpose()
-    if ring == QQ:
-        def int_cols():
-            for col in M.cols:
-                if not col:
-                    yield col
-                    continue
-                denom = 1
-                for v in col.values():
-                    denom = denom * v.denominator // gcd(denom, v.denominator)
-                yield {k: int(v * denom) for k, v in col.items()}
-        return _int_columns_rank(int_cols())
-    if ring.characteristic > 0:
-        return _modp_columns_rank(M.cols, ring.characteristic)
-    raise HomologyError(f"no rank routine for {ring.name}")
+    limit = M.nrows if bound is None else min(bound, M.nrows)
+    rank = streamed = 0
+    for _, vec, _ in _eliminate(_columns(M.cols, p), p, limit):
+        streamed += 1
+        rank += bool(vec)
+    if stats is not None:
+        stats.update(cols=streamed, of=M.ncols, early_exit=streamed < M.ncols)
+    return rank
+
+
+def field_rank(M: SparseMatrix, bound: int | None = None,
+               stats: dict | None = None) -> int:
+    """Exact rank over a field.
+
+    ``bound`` is an upper bound on the rank known to the caller; the column
+    stream stops once the rank reaches it.  ``stats``, when given, receives
+    the columns streamed (``cols``) out of the total (``of``) and whether
+    the stream stopped early (``early_exit``)."""
+    if not M.ring.is_field:
+        raise HomologyError("field_rank needs a field")
+    return _rank(M, bound, stats)
 
 
 def integer_rank(M: SparseMatrix) -> int:
     """Rank of an integer matrix (= its rank over the rationals)."""
-    if M.nrows > M.ncols:
-        M = M.transpose()
-    return _int_columns_rank(M.cols)
+    return _rank(M)
 
 
 def matrix_rank(M: SparseMatrix) -> int:
@@ -130,110 +149,67 @@ def matrix_rank(M: SparseMatrix) -> int:
 def field_solve(A: SparseMatrix, b: dict):
     """Solve ``A x = b`` over a field.
 
-    Returns a sparse solution dict or None when the system is inconsistent
+    ``b`` streams through the kernel after the columns of ``A``; it reduces
+    to zero exactly when the system is consistent, and then its tracked
+    combination gives the solution.  Returns a sparse solution dict or None
     (callers certify refusals with the rank criterion)."""
     ring = A.ring
-    pivots: dict = {}
-    exprs: dict = {}
-    for j, col in enumerate(A.cols):
-        vec = dict(col)
-        expr = {j: ring.one()}
-        while vec:
-            r = min(vec)
-            piv = pivots.get(r)
-            if piv is None:
-                inv = ring.div(ring.one(), vec[r])
-                pivots[r] = {rr: ring.mul(inv, vv) for rr, vv in vec.items()}
-                exprs[r] = {jj: ring.mul(inv, cc) for jj, cc in expr.items()}
-                break
-            c = vec[r]
-            for rr, vv in piv.items():
-                cur = vec.get(rr)
-                s = ring.sub(cur if cur is not None else ring.zero(), ring.mul(c, vv))
-                if ring.is_zero(s):
-                    vec.pop(rr, None)
-                else:
-                    vec[rr] = s
-            for jj, cc in exprs[r].items():
-                cur = expr.get(jj)
-                s = ring.sub(cur if cur is not None else ring.zero(), ring.mul(c, cc))
-                if ring.is_zero(s):
-                    expr.pop(jj, None)
-                else:
-                    expr[jj] = s
-    # reduce b, collecting the combination of pivot expressions
-    vec = dict(b)
-    combo: dict = {}
-    while vec:
-        r = min(vec)
-        piv = pivots.get(r)
-        if piv is None:
-            return None
-        c = vec[r]
-        for rr, vv in piv.items():
-            cur = vec.get(rr)
-            s = ring.sub(cur if cur is not None else ring.zero(), ring.mul(c, vv))
-            if ring.is_zero(s):
-                vec.pop(rr, None)
-            else:
-                vec[rr] = s
-        for jj, cc in exprs[r].items():
-            cur = combo.get(jj)
-            s = ring.add(cur if cur is not None else ring.zero(), ring.mul(c, cc))
-            if ring.is_zero(s):
-                combo.pop(jj, None)
-            else:
-                combo[jj] = s
-    return combo
+    p = _modulus(ring)
+    scales: list = []
+    cols = _columns(A.cols + [b], p, scales)
+    *_, (_, vec, expr) = _eliminate(cols, p, track=True)
+    if vec:
+        return None
+    # sum_j expr[j] scales[j] A_j + expr[n] scales[n] b = 0
+    den = ring.from_int(-expr.pop(A.ncols) * scales[A.ncols])
+    return {j: ring.div(ring.from_int(c * scales[j]), den)
+            for j, c in expr.items()}
 
 
 def field_kernel_sample(complex_, degree: int, limit: int = 10):
     """Up to ``limit`` cycles in the given degree, as sparse vectors.
 
     Every degree-zero chain is a cycle; in higher degrees kernel vectors of
-    the boundary are collected from the columns that reduce to zero during
-    expression-tracked elimination."""
+    the boundary are the tracked combinations of the columns that reduce to
+    zero in the kernel."""
     ring = complex_.ring
     if degree == 0:
         dim = complex_.dimension(0)
         return [{i: ring.one()} for i in range(min(limit, dim))]
     A = complex_.boundary(degree)
-    pivots: dict = {}
-    exprs: dict = {}
+    p = _modulus(ring)
+    scales: list = []
     out = []
-    for j in range(A.ncols):
-        vec = dict(A.cols[j])
-        expr = {j: ring.one()}
-        while vec:
-            r = min(vec)
-            piv = pivots.get(r)
-            if piv is None:
-                inv = ring.div(ring.one(), vec[r])
-                pivots[r] = {k: ring.mul(inv, v) for k, v in vec.items()}
-                exprs[r] = {k: ring.mul(inv, v) for k, v in expr.items()}
-                break
-            c = vec[r]
-            for k, v in piv.items():
-                cur = vec.get(k)
-                s = ring.sub(cur if cur is not None else ring.zero(),
-                             ring.mul(c, v))
-                if ring.is_zero(s):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
-            for k, v in exprs[r].items():
-                cur = expr.get(k)
-                s = ring.sub(cur if cur is not None else ring.zero(),
-                             ring.mul(c, v))
-                if ring.is_zero(s):
-                    expr.pop(k, None)
-                else:
-                    expr[k] = s
-        if not vec and expr:
-            out.append(expr)
+    for _, vec, expr in _eliminate(_columns(A.cols, p, scales), p,
+                                   track=True):
+        if not vec:
+            out.append({j: ring.from_int(c * scales[j])
+                        for j, c in expr.items()})
             if len(out) >= limit:
                 break
     return out
+
+
+def _check_complex(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
+    """Raise unless d_prev d_n = 0, checked on the kernel's columns.
+
+    The columns of d_n are the kernel's integer (or mod p) columns; d_prev's
+    columns are brought to one common scale, so over Q the product checked
+    is an integer multiple of the true one, column by column."""
+    p = _modulus(d_n.ring)
+    scales: list = []
+    prev = list(_columns(d_prev.cols, p, scales))
+    common = lcm(*scales)
+    weight = [common // s for s in scales]
+    for col in _columns(d_n.cols, p):
+        acc: dict = {}
+        for k, v in col.items():
+            v *= weight[k]
+            for r, w in prev[k].items():
+                acc[r] = acc.get(r, 0) + w * v
+        if any(x % p if p else x for x in acc.values()):
+            raise HomologyError(
+                f"d{n - 1} d{n} is not zero: not a chain complex")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +317,11 @@ def diagonalize_integer_matrix(M: SparseMatrix, transforms: bool = False):
 
 def invariant_factors(M: SparseMatrix):
     """Nontrivial invariant factors (each dividing the next, all > 1)."""
-    diag = [abs(d) for d in diagonalize_integer_matrix(M)[0] if d != 0]
+    return _invariant_factors(diagonalize_integer_matrix(M)[0])
+
+
+def _invariant_factors(diagonal):
+    diag = [abs(d) for d in diagonal if d != 0]
     changed = True
     while changed:
         changed = False
@@ -396,6 +376,9 @@ class HomologyResult:
     ring_name: str
     betti: list
     torsion: list = field(default_factory=list)
+    # per boundary "d<n>": the kernel's columns streamed, of how many, and
+    # whether the rank bound stopped the stream early (field ranks only)
+    rank_stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if any(b < 0 for b in self.betti):
@@ -413,43 +396,55 @@ class HomologyResult:
 def homology_over_field(complex_, up_to: int | None = None) -> HomologyResult:
     """Betti numbers via rank-nullity; needs the boundary one degree above
     the last reported degree.  ``up_to`` caps the reported degrees (and the
-    ranks computed) below the policy's maximum."""
+    ranks computed) below the policy's maximum.
+
+    rank d_n is bounded by dim ker d_{n-1} = dim C_{n-1} - rank d_{n-1}
+    once d_{n-1} d_n = 0 has been checked; for d_1 it is dim C_0, the row
+    count, which caps the rank without any check."""
     ring = complex_.ring
     if not ring.is_field:
         raise HomologyError("homology_over_field needs a field")
     D = complex_.policy.max_degree
     if up_to is not None:
         D = min(D, up_to)
-    ranks = {}
+    ranks = {0: 0}
+    stats = {}
     for n in range(1, D + 2):
-        ranks[n] = field_rank(complex_.boundary(n))
+        d_n = complex_.boundary(n)
+        bound = None
+        if n >= 2:
+            _check_complex(complex_.boundary(n - 1), d_n, n)
+            bound = complex_.dimension(n - 1) - ranks[n - 1]
+        ranks[n] = field_rank(d_n, bound=bound,
+                              stats=stats.setdefault(f"d{n}", {}))
     betti = []
     for n in range(D + 1):
-        b = complex_.dimension(n) - ranks.get(n, 0) - ranks[n + 1]
+        b = complex_.dimension(n) - ranks[n] - ranks[n + 1]
         betti.append(b)
-    return HomologyResult(ring.name, betti)
+    return HomologyResult(ring.name, betti, rank_stats=stats)
 
 
 def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
     """Free rank and invariant factors per degree via Smith normal form.
 
     The kernel of an integer matrix is a direct summand, so the torsion of
-    degree n is read off the normal form of the boundary from degree n+1."""
+    degree n is read off the normal form of the boundary from degree n+1;
+    the same diagonal gives the boundary's rank as its nonzero count."""
     if complex_.ring != ZZ:
         raise HomologyError("homology_over_Z needs the integer ring")
     D = complex_.policy.max_degree
     if up_to is not None:
         D = min(D, up_to)
-    ranks = {}
+    ranks = {0: 0}
     torsions = {}
     for n in range(1, D + 2):
-        M = complex_.boundary(n)
-        ranks[n] = integer_rank(M)
-        torsions[n] = invariant_factors(M)
+        diag = diagonalize_integer_matrix(complex_.boundary(n))[0]
+        ranks[n] = sum(1 for d in diag if d != 0)
+        torsions[n] = _invariant_factors(diag)
     betti = []
     torsion = []
     for n in range(D + 1):
-        betti.append(complex_.dimension(n) - ranks.get(n, 0) - ranks[n + 1])
+        betti.append(complex_.dimension(n) - ranks[n] - ranks[n + 1])
         torsion.append(torsions[n + 1])
     return HomologyResult("Z", betti, torsion)
 

@@ -179,3 +179,34 @@ def test_parse_coefficients():
     assert m.free_rank == 1 and m.torsion == (2,)
     with pytest.raises(cli.SpecError):
         cli.parse_coefficients("z/x")
+
+
+def test_stabilization_needs_every_later_value_to_agree():
+    ns = [0, 1, 2]
+    assert cli.stabilization(ns, [1, 1, 2]) == {"stable": False}
+    assert cli.stabilization(ns, [3, 1, 1]) == {"stable": True,
+                                                "at_max_object": 2}
+    assert cli.stabilization(ns, [1, 1, 1]) == {"stable": True,
+                                                "at_max_object": 1}
+    assert cli.stabilization(ns, [1, 2, 1]) == {"stable": False}
+    assert cli.stabilization([3], [5]) == {"stable": False}
+    assert cli.stabilization([], []) == {"stable": False}
+
+
+def test_timing_records_streamed_columns_per_degree(tmp_path):
+    out = tmp_path / "r.json"
+    code = run_cli(["compute", "--algebra", "c2", "--ring", "q",
+                    "--pipeline", "epi", "--max-object", "1",
+                    "--max-degree", "2", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    sizes = report["sizes"]["epi"]["N=1"]
+    rank = report["timing"]["N=1"]["rank"]["epi"]
+    assert sorted(rank) == ["d1", "d2", "d3"]
+    for n in (1, 2, 3):
+        entry = rank[f"d{n}"]
+        assert entry["of"] == max(sizes[n - 1], sizes[n])
+        assert 0 < entry["cols"] <= entry["of"]
+        assert entry["early_exit"] == (entry["cols"] < entry["of"])
+    # rank d3 <= dim ker d2 stops the d3 stream well before its end
+    assert rank["d3"]["early_exit"]

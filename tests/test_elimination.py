@@ -1,0 +1,185 @@
+"""Property tests of the elimination kernel against brute-force oracles on
+small random integer matrices."""
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from hyperoct.rings import QQ, ZZ, GF
+from hyperoct.matrices import SparseMatrix
+from hyperoct.complexes import TruncationPolicy, TruncatedComplex
+from hyperoct import homology as hom
+
+PRIMES = (2, 3, 5, 2147483647)
+
+entries = st.integers(-4, 4)
+
+
+@st.composite
+def int_matrices(draw, max_rows=6, max_cols=7):
+    nr = draw(st.integers(1, max_rows))
+    nc = draw(st.integers(1, max_cols))
+    return [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+
+
+def oracle_rank(rows, p=None):
+    """Dense Gauss-Jordan rank over Q, or over F_p when p is given."""
+    if p is None:
+        dense = [[Fraction(v) for v in r] for r in rows]
+    else:
+        dense = [[v % p for v in r] for r in rows]
+    nr, nc = len(dense), len(dense[0])
+    rank = 0
+    for col in range(nc):
+        piv = next((r for r in range(rank, nr) if dense[r][col]), None)
+        if piv is None:
+            continue
+        dense[rank], dense[piv] = dense[piv], dense[rank]
+        inv = 1 / dense[rank][col] if p is None \
+            else pow(dense[rank][col], -1, p)
+        dense[rank] = [v * inv if p is None else v * inv % p
+                       for v in dense[rank]]
+        for r in range(nr):
+            f = dense[r][col]
+            if r != rank and f:
+                dense[r] = [a - f * b if p is None else (a - f * b) % p
+                            for a, b in zip(dense[r], dense[rank])]
+        rank += 1
+    return rank
+
+
+def over(ring, rows):
+    if ring == QQ:
+        return SparseMatrix.from_dense(QQ, [[Fraction(v) for v in r]
+                                            for r in rows])
+    if ring == ZZ:
+        return SparseMatrix.from_dense(ZZ, rows)
+    return SparseMatrix.from_dense(ring, [[v % ring.p for v in r]
+                                          for r in rows])
+
+
+def toy_complex(ring, dims, boundaries):
+    """Complex with the given dense boundaries d_n: C_n -> C_{n-1}; a zero
+    top boundary is appended so every listed degree is reported."""
+    policy = TruncationPolicy(0, len(dims) - 1)
+    mats = {n: over(ring, rows) for n, rows in boundaries.items()}
+    mats[len(dims)] = SparseMatrix(ring, dims[-1], 0)
+    return TruncatedComplex(ring, policy, list(dims) + [0], mats, label="toy")
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(), st.randoms(use_true_random=False))
+def test_rank_is_invariant_under_permutations(rows, rnd):
+    rank = oracle_rank(rows)
+    perm_rows = list(rows)
+    rnd.shuffle(perm_rows)
+    cols = list(range(len(rows[0])))
+    rnd.shuffle(cols)
+    permuted = [[r[c] for c in cols] for r in perm_rows]
+    for ring in (QQ, GF(3)):
+        assert hom.field_rank(over(ring, permuted)) == \
+            hom.field_rank(over(ring, rows))
+    assert hom.integer_rank(over(ZZ, permuted)) == rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices())
+def test_rational_integer_and_prime_ranks(rows):
+    rank = oracle_rank(rows)
+    assert hom.field_rank(over(QQ, rows)) == rank
+    assert hom.integer_rank(over(ZZ, rows)) == rank
+    for p in PRIMES:
+        rp = hom.field_rank(over(GF(p), rows))
+        assert rp == oracle_rank(rows, p)
+        assert rp <= rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(), st.integers(0, 3))
+def test_bounded_rank_stops_at_a_true_bound(rows, slack):
+    rank = oracle_rank(rows)
+    for ring in (QQ, GF(5)):
+        M = over(ring, rows)
+        stats = {}
+        assert hom.field_rank(M, bound=rank + slack, stats=stats) == \
+            hom.field_rank(M)
+        assert stats["of"] == max(M.nrows, M.ncols)
+        assert stats["cols"] <= stats["of"]
+        assert stats["early_exit"] == (stats["cols"] < stats["of"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(), st.lists(entries, min_size=7, max_size=7),
+       st.lists(entries, min_size=6, max_size=6))
+def test_solve_witnesses_satisfy_the_system(rows, x0, b_free):
+    nr, nc = len(rows), len(rows[0])
+    for ring in (QQ, GF(3), GF(2147483647)):
+        A = over(ring, rows)
+        b = A.apply({j: ring.from_int(v) for j, v in enumerate(x0[:nc]) if v})
+        x = hom.field_solve(A, b)
+        assert x is not None and A.apply(x) == b
+        # an arbitrary right-hand side is solved exactly when it adds no rank
+        b = {i: ring.from_int(v) for i, v in enumerate(b_free[:nr])
+             if not ring.is_zero(ring.from_int(v))}
+        x = hom.field_solve(A, b)
+        p = None if ring == QQ else ring.p
+        aug = [r + [b_free[i]] for i, r in enumerate(rows)]
+        if x is None:
+            assert oracle_rank(aug, p) > oracle_rank(rows, p)
+        else:
+            assert A.apply(x) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(), st.integers(1, 8))
+def test_kernel_samples_are_cycles(rows, limit):
+    nr, nc = len(rows), len(rows[0])
+    for ring in (QQ, GF(2)):
+        C = toy_complex(ring, [nr, nc], {1: rows})
+        sample = hom.field_kernel_sample(C, 1, limit)
+        p = None if ring == QQ else ring.p
+        assert len(sample) == min(limit, nc - oracle_rank(rows, p))
+        for z in sample:
+            assert z and C.boundary(1).apply(z) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(max_rows=4, max_cols=5), int_matrices(max_rows=5))
+def test_non_complex_is_rejected(d1, d2):
+    # make the shapes compose: d2 maps into the domain of d1
+    k = len(d1[0])
+    d2 = [(d2[i] if i < len(d2) else d2[0]) for i in range(k)]
+    assume(any(any(row) for row in matmul(d1, d2)))
+    for ring in (QQ, GF(2147483647)):
+        C = toy_complex(ring, [len(d1), k, len(d2[0])], {1: d1, 2: d2})
+        with pytest.raises(hom.HomologyError):
+            hom.homology_over_field(C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(max_rows=4, max_cols=6), st.randoms(use_true_random=False))
+def test_bounded_homology_of_a_complex_matches_the_oracle(d1, rnd):
+    # d2 is built from integer kernel vectors of d1, so d1 d2 = 0 over Z
+    nc = len(d1[0])
+    cols = []
+    for z in hom.field_kernel_sample(toy_complex(QQ, [len(d1), nc], {1: d1}),
+                                     1, nc):
+        scale = lcm(*(v.denominator for v in z.values()))
+        cols.append([int(z.get(i, 0) * scale) for i in range(nc)])
+    cols += [[0] * nc] * rnd.randrange(2)
+    for c in list(cols[:rnd.randrange(3)]):
+        m = rnd.randrange(-2, 3)
+        cols.append([m * a + b for a, b in zip(cols[0], c)])
+    assume(cols)
+    d2 = [list(r) for r in zip(*cols)]
+    dims = [len(d1), nc, len(cols)]
+    for ring, p in ((QQ, None), (GF(3), 3), (ZZ, None)):
+        r1, r2 = oracle_rank(d1, p), oracle_rank(d2, p)
+        res = hom.compute_homology(toy_complex(ring, dims, {1: d1, 2: d2}))
+        assert res.betti == [dims[0] - r1, dims[1] - r1 - r2, dims[2] - r2]
