@@ -37,6 +37,7 @@ from . import croscat
 from .barfun import BarFunctor, FULL, IDEAL, EXTENDED
 from .croscat import (EMPTY_OBJECT, IFasMorphism, DeltaMorphism, delta_to_ifas,
                       factorize_ifas, ifas_compose, ifas_identity)
+from .homology import HomologyError, check_dsquared_pair
 from .invalg import InvolutiveAlgebra, adapt_basis_to_augmentation, AlgebraError
 from .matrices import SparseMatrix
 from .rings import Ring, GF, ZZ
@@ -196,9 +197,12 @@ class TruncatedComplex:
         return list(self.dims)
 
     def check_dsquared(self) -> bool:
-        for n in range(2, self.policy.max_degree + 2):
-            if not self.boundary(n - 1).matmul(self.boundary(n)).is_zero_matrix():
-                return False
+        """d_{n-1} d_n = 0 for every built pair, on integer columns."""
+        try:
+            for n in range(2, self.policy.max_degree + 2):
+                check_dsquared_pair(self.boundary(n - 1), self.boundary(n), n)
+        except HomologyError:
+            return False
         return True
 
     def generator_label(self, n: int, index: int) -> str:

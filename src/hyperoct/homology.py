@@ -6,13 +6,19 @@ fraction-free over Z and over Q (each rational column scaled to integers).
 A reduced column pivots on its largest row index.  The stream stops once
 the rank reaches a caller's bound; ``homology_over_field`` bounds rank d_n
 by dim ker d_{n-1}, which it certifies first by checking d_{n-1} d_n = 0
-exactly on the same integer columns.  Integer homology goes through Smith
-normal form, whose diagonal gives both rank and torsion.  Also hosts the
-is-a-boundary solver used by the chain-homotopy verification and the
-universal-coefficient dimension check.
+exactly on the same integer columns.
+
+Integer homology goes through a Smith form, whose diagonal gives both rank
+and torsion.  A sparse front, ``_unit_front``, first cancels every pivot it
+can find equal to +-1 by unimodular column operations (exact over Z, so
+torsion is kept); only the small block left over is copied dense for
+``diagonalize_integer_matrix``.  Also hosts the is-a-boundary solver used
+by the chain-homotopy verification and the universal-coefficient dimension
+check.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
@@ -190,7 +196,7 @@ def field_kernel_sample(complex_, degree: int, limit: int = 10):
     return out
 
 
-def _check_complex(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
+def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
     """Raise unless d_prev d_n = 0, checked on the kernel's columns.
 
     The columns of d_n are the kernel's integer (or mod p) columns; d_prev's
@@ -213,8 +219,83 @@ def _check_complex(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (dense, arbitrary-precision integers)
+# Smith normal form: a sparse unit-pivot front and a dense finisher
 # ---------------------------------------------------------------------------
+
+def _unit_front(M: SparseMatrix):
+    """Cancel the +-1 pivots of an integer matrix by unimodular operations.
+
+    A column with an entry +-1 pivots on it, at the row with the fewest
+    entries among its +-1 rows.  Column operations clear the pivot row from
+    the other columns; the pivot row is then zero outside the pivot column,
+    so the row operations that clear the pivot column touch nothing else
+    and are not carried out.  Pivot row and column drop with one diagonal 1,
+    which is exact over Z.  A column changed by a step is looked at again,
+    and empty rows and columns drop.
+
+    Returns ``(units, left)``: the number of pivots and the leftover block
+    as a ``SparseMatrix`` on the kept rows and columns, in their order."""
+    if M.ring != ZZ:
+        raise HomologyError("integer diagonalization needs the integer ring")
+    cols = {j: dict(c) for j, c in enumerate(M.cols) if c}
+    where = [set() for _ in range(M.nrows)]
+    for j, col in cols.items():
+        for r in col:
+            where[r].add(j)
+    todo = deque(cols)
+    queued = set(cols)
+    units = 0
+    while todo:
+        j = todo.popleft()
+        queued.discard(j)
+        col = cols.get(j)
+        if col is None:
+            continue
+        r = min((i for i, v in col.items() if v == 1 or v == -1),
+                key=lambda i: len(where[i]), default=None)
+        if r is None:
+            continue
+        s = col[r]
+        del cols[j]
+        for i in col:
+            where[i].discard(j)
+        others, where[r] = where[r], set()
+        for k in others:
+            other = cols[k]
+            f = other[r] * s
+            for i, v in col.items():
+                w = other.get(i, 0) - f * v
+                if w:
+                    if i not in other:
+                        where[i].add(k)
+                    other[i] = w
+                else:
+                    del other[i]
+                    where[i].discard(k)
+            if not other:
+                del cols[k]
+            elif k not in queued:
+                todo.append(k)
+                queued.add(k)
+        units += 1
+    keep = sorted(cols)
+    rows = [i for i, js in enumerate(where) if js]
+    index = {i: a for a, i in enumerate(rows)}
+    left = SparseMatrix(ZZ, len(rows), len(keep),
+                        [{index[i]: v for i, v in cols[j].items()}
+                         for j in keep])
+    return units, left
+
+
+def _smith_diagonal(M: SparseMatrix, stats: dict | None = None) -> list:
+    """A diagonal equivalent to ``M`` over Z: the unit front's 1s, then the
+    dense finisher's diagonal of the leftover block.  ``stats``, when
+    given, receives the unit count and the leftover shape."""
+    units, left = _unit_front(M)
+    if stats is not None:
+        stats.update(units=units, left=[left.nrows, left.ncols])
+    return [1] * units + diagonalize_integer_matrix(left)[0]
+
 
 def _xgcd(a, b):
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -317,7 +398,7 @@ def diagonalize_integer_matrix(M: SparseMatrix, transforms: bool = False):
 
 def invariant_factors(M: SparseMatrix):
     """Nontrivial invariant factors (each dividing the next, all > 1)."""
-    return _invariant_factors(diagonalize_integer_matrix(M)[0])
+    return _invariant_factors(_smith_diagonal(M))
 
 
 def _invariant_factors(diagonal):
@@ -376,8 +457,9 @@ class HomologyResult:
     ring_name: str
     betti: list
     torsion: list = field(default_factory=list)
-    # per boundary "d<n>": the kernel's columns streamed, of how many, and
-    # whether the rank bound stopped the stream early (field ranks only)
+    # per boundary "d<n>": over a field, the kernel's columns streamed, of
+    # how many, and whether the rank bound stopped the stream early; over Z,
+    # the +-1 pivots of the Smith front and the leftover block's shape
     rank_stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -413,7 +495,7 @@ def homology_over_field(complex_, up_to: int | None = None) -> HomologyResult:
         d_n = complex_.boundary(n)
         bound = None
         if n >= 2:
-            _check_complex(complex_.boundary(n - 1), d_n, n)
+            check_dsquared_pair(complex_.boundary(n - 1), d_n, n)
             bound = complex_.dimension(n - 1) - ranks[n - 1]
         ranks[n] = field_rank(d_n, bound=bound,
                               stats=stats.setdefault(f"d{n}", {}))
@@ -429,7 +511,9 @@ def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
 
     The kernel of an integer matrix is a direct summand, so the torsion of
     degree n is read off the normal form of the boundary from degree n+1;
-    the same diagonal gives the boundary's rank as its nonzero count."""
+    the same diagonal gives the boundary's rank as its nonzero count.  Each
+    diagonal is the sparse front's units followed by the dense finisher's
+    diagonal of the leftover block."""
     if complex_.ring != ZZ:
         raise HomologyError("homology_over_Z needs the integer ring")
     D = complex_.policy.max_degree
@@ -437,8 +521,10 @@ def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
         D = min(D, up_to)
     ranks = {0: 0}
     torsions = {}
+    stats = {}
     for n in range(1, D + 2):
-        diag = diagonalize_integer_matrix(complex_.boundary(n))[0]
+        diag = _smith_diagonal(complex_.boundary(n),
+                               stats.setdefault(f"d{n}", {}))
         ranks[n] = sum(1 for d in diag if d != 0)
         torsions[n] = _invariant_factors(diag)
     betti = []
@@ -446,7 +532,7 @@ def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
     for n in range(D + 1):
         betti.append(complex_.dimension(n) - ranks[n] - ranks[n + 1])
         torsion.append(torsions[n + 1])
-    return HomologyResult("Z", betti, torsion)
+    return HomologyResult("Z", betti, torsion, rank_stats=stats)
 
 
 def compute_homology(complex_, up_to: int | None = None) -> HomologyResult:

@@ -210,3 +210,22 @@ def test_timing_records_streamed_columns_per_degree(tmp_path):
         assert entry["early_exit"] == (entry["cols"] < entry["of"])
     # rank d3 <= dim ker d2 stops the d3 stream well before its end
     assert rank["d3"]["early_exit"]
+
+
+def test_timing_records_unit_pivots_over_the_integers(tmp_path):
+    out = tmp_path / "r.json"
+    code = run_cli(["compute", "--algebra", "c2", "--ring", "z",
+                    "--pipeline", "epi", "--max-object", "1",
+                    "--max-degree", "2", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    sizes = report["sizes"]["epi"]["N=1"]
+    rank = report["timing"]["N=1"]["rank"]["epi"]
+    assert sorted(rank) == ["d1", "d2", "d3"]
+    for n in (1, 2, 3):
+        units, (rows, cols) = rank[f"d{n}"]["units"], rank[f"d{n}"]["left"]
+        assert units + rows <= sizes[n - 1] and units + cols <= sizes[n]
+    # the dense finisher sees a small block of the boundary d3
+    rows, cols = rank["d3"]["left"]
+    assert rank["d3"]["units"] > 100
+    assert rows * cols < sizes[2] * sizes[3] // 50

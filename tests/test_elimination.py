@@ -1,5 +1,7 @@
-"""Property tests of the elimination kernel against brute-force oracles on
-small random integer matrices."""
+"""Property tests of the elimination kernel and the integral Smith path
+against brute-force oracles on small random integer matrices and
+complexes."""
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -160,6 +162,9 @@ def test_non_complex_is_rejected(d1, d2):
         C = toy_complex(ring, [len(d1), k, len(d2[0])], {1: d1, 2: d2})
         with pytest.raises(hom.HomologyError):
             hom.homology_over_field(C)
+    for ring in (QQ, ZZ):
+        C = toy_complex(ring, [len(d1), k, len(d2[0])], {1: d1, 2: d2})
+        assert not C.check_dsquared()
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,3 +188,143 @@ def test_bounded_homology_of_a_complex_matches_the_oracle(d1, rnd):
         r1, r2 = oracle_rank(d1, p), oracle_rank(d2, p)
         res = hom.compute_homology(toy_complex(ring, dims, {1: d1, 2: d2}))
         assert res.betti == [dims[0] - r1, dims[1] - r1 - r2, dims[2] - r2]
+
+
+# -- the integral Smith path: unit-pivot front and dense finisher -----------
+
+def permuted(rows, rnd):
+    rows = list(rows)
+    rnd.shuffle(rows)
+    cols = list(range(len(rows[0])))
+    rnd.shuffle(cols)
+    return [[r[c] for c in cols] for r in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices(max_rows=8, max_cols=9), st.randoms(use_true_random=False))
+def test_unit_front_agrees_with_the_dense_smith_form(rows, rnd):
+    M = over(ZZ, rows)
+    dense = hom.diagonalize_integer_matrix(M)[0]
+    rank = sum(1 for d in dense if d)
+    factors = hom._invariant_factors(dense)
+    assert rank == oracle_rank(rows)
+    for mat in (M, over(ZZ, permuted(rows, rnd))):
+        stats = {}
+        diag = hom._smith_diagonal(mat, stats)
+        assert sum(1 for d in diag if d) == rank
+        assert hom._invariant_factors(diag) == factors
+        assert hom.invariant_factors(mat) == factors
+        nr, nc = stats["left"]
+        assert stats["units"] + nr <= mat.nrows
+        assert stats["units"] + nc <= mat.ncols
+
+
+def unimodular(rnd, n):
+    """A random integer matrix of determinant +-1 and its inverse."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [list(r) for r in U]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rnd.sample(range(n), 2)
+        c = rnd.choice((-2, -1, 1, 2))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]  # row i += c row j
+        for r in V:                                      # column j -= c col i
+            r[j] -= c * r[i]
+    for i in range(n):
+        if rnd.random() < 0.5:
+            U[i] = [-a for a in U[i]]
+            for r in V:
+                r[i] = -r[i]
+    return U, V
+
+
+def group_factors(orders):
+    """Invariant factors of the sum of the cyclic groups Z/k, k in ``orders``,
+    from the prime powers of each k (no Smith form involved)."""
+    powers = {}
+    for k in orders:
+        p = 2
+        while k > 1:
+            q = 1
+            while k % p == 0:
+                k, q = k // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    width = max((len(qs) for qs in powers.values()), default=0)
+    out = [1] * width
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            out[width - 1 - i] *= q
+    return out
+
+
+@st.composite
+def elementary_complexes(draw):
+    """Direct sums of Z in one degree and of Z --k--> Z (k = 1 is acyclic,
+    k > 1 leaves Z/k one degree down), conjugated by random unimodular
+    changes of basis; returns the complex with its exact homology."""
+    top = draw(st.integers(1, 3))
+    free = draw(st.lists(st.integers(0, top), max_size=4))
+    arrows = draw(st.lists(st.tuples(st.integers(1, top),
+                                     st.sampled_from((1, 1, 2, 3, 4, 6, 9))),
+                           max_size=6))
+    rnd = draw(st.randoms(use_true_random=False))
+    dims = [0] * (top + 1)
+    entries = {n: [] for n in range(1, top + 1)}
+    for n in free:
+        dims[n] += 1
+    for n, k in arrows:
+        entries[n].append((dims[n - 1], dims[n], k))
+        dims[n - 1] += 1
+        dims[n] += 1
+    bases = [unimodular(rnd, d) for d in dims]
+    mats = {}
+    for n in range(1, top + 1):
+        d = [[0] * dims[n] for _ in range(dims[n - 1])]
+        for r, c, k in entries[n]:
+            d[r][c] = k
+        U, V = bases[n - 1][0], bases[n][1]
+        d = matmul(matmul(U, d), V) if dims[n] and dims[n - 1] else d
+        mats[n] = SparseMatrix.from_entries(
+            ZZ, dims[n - 1], dims[n],
+            [(i, j, v) for i, row in enumerate(d) for j, v in enumerate(row)
+             if v])
+    mats[top + 1] = SparseMatrix(ZZ, dims[top], 0)
+    C = TruncatedComplex(ZZ, TruncationPolicy(0, top), dims + [0], mats,
+                         label="elementary")
+    betti = [free.count(n) for n in range(top + 1)]
+    torsion = [group_factors([k for m, k in arrows if m == n + 1 and k > 1])
+               for n in range(top + 1)]
+    return C, betti, torsion
+
+
+@settings(max_examples=60, deadline=None)
+@given(elementary_complexes())
+def test_integral_homology_of_elementary_complexes(data):
+    C, betti, torsion = data
+    assert C.check_dsquared()
+    res = hom.homology_over_Z(C)
+    assert res.betti == betti
+    assert res.torsion == torsion
+    for p in (2, 3):
+        assert hom.uct_check(C, p)["ok"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_matrices(max_rows=5, max_cols=4),
+       st.lists(entries, min_size=4, max_size=4),
+       st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+def test_integer_solve_witnesses_and_refusals(rows, x0, b_free):
+    nr, nc = len(rows), len(rows[0])
+    A = over(ZZ, rows)
+    b = A.apply({j: v for j, v in enumerate(x0[:nc]) if v})
+    x = hom.integer_solve(A, b)
+    assert x is not None and A.apply(x) == b
+    b = {i: v for i, v in enumerate(b_free[:nr]) if v}
+    x = hom.integer_solve(A, b)
+    if x is not None:
+        assert A.apply(x) == b
+    else:
+        box = itertools.product(range(-4, 5), repeat=nc)
+        assert all(A.apply({j: v for j, v in enumerate(y) if v}) != b
+                   for y in box)
