@@ -606,9 +606,12 @@ def factorize_ifas(f: IFasMorphism):
     """Image factorization in the labeled-preimage presentation:
     ``f = mono o epi`` with the mono carrying canonical trivial labels."""
     nonempty = [i for i, fiber in enumerate(f.preimages) if fiber]
-    epi = IFasMorphism(f.source, len(nonempty) - 1,
-                       tuple(f.preimages[i] for i in nonempty))
-    mono = delta_to_ifas(DeltaMorphism(len(nonempty) - 1, f.target, tuple(nonempty)))
+    epi = _make_ifas(f.source, len(nonempty) - 1,
+                     tuple(f.preimages[i] for i in nonempty))
+    mono_fibers = [()] * (f.target + 1)
+    for k, i in enumerate(nonempty):
+        mono_fibers[i] = ((k, 0),)
+    mono = _make_ifas(len(nonempty) - 1, f.target, tuple(mono_fibers))
     return mono, epi
 
 

@@ -13,7 +13,6 @@ ideal-tensor construction downstream assumes.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .rings import Ring, QQ, ZZ
 
@@ -360,12 +359,9 @@ def _dot(ring, row, vec):
 def _invert_matrix(ring, rows):
     """Exact inverse of a square matrix given as a list of rows."""
     d = len(rows)
-    work = [[Fraction(v) if isinstance(v, int) else v for v in row] +
-            [Fraction(1) if i == j else Fraction(0) for j in range(d)]
-            if ring == ZZ else
-            list(row) + [ring.one() if i == j else ring.zero() for j in range(d)]
-            for i, row in enumerate(rows)]
     base = QQ if ring == ZZ else ring
+    work = [list(row) + [base.one() if i == j else base.zero() for j in range(d)]
+            for i, row in enumerate(rows)]
     for col in range(d):
         piv = next((r for r in range(col, d) if not base.is_zero(work[r][col])), None)
         if piv is None:

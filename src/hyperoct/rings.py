@@ -1,8 +1,9 @@
 """Exact coefficient rings: the rationals, the integers and prime fields.
 
-Every scalar in the system is either a ``fractions.Fraction`` (rationals) or a
-plain ``int`` (integers, or a canonical residue 0..p-1 for a prime field).
-There is no floating point anywhere.
+Every scalar in the system is a plain ``int`` (an integer, an integral
+rational, or a canonical residue 0..p-1 for a prime field) or a
+``fractions.Fraction`` (a rational from a division that left a remainder,
+or computed from one).  There is no floating point anywhere.
 """
 from __future__ import annotations
 
@@ -65,15 +66,26 @@ class Ring:
 
 
 class Rationals(Ring):
+    """The rationals, as ``int`` where integral and ``Fraction`` otherwise.
+
+    Boundaries, chain maps and homotopies of group algebras have integer
+    entries, so most scalars stay ints and their products skip the gcd of
+    ``Fraction`` arithmetic.  Only ``div`` and ``from_pair`` make a
+    ``Fraction``, and only for a quotient that is not integral; ``add``,
+    ``sub``, ``mul`` and ``neg`` are the plain operators, so an int with an
+    int stays an int and a ``Fraction`` operand gives a ``Fraction`` (which
+    may be integral: results are not normalised).  ``div`` is the one
+    division of scalars, since ``/`` between two ints would give a float."""
+
     name = "Q"
     is_field = True
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
         return a + b
@@ -90,18 +102,19 @@ class Rationals(Ring):
     def div(self, a, b):
         if b == 0:
             raise RingError("division by zero")
-        return a / b
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def is_zero(self, a):
         return a == 0
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def from_pair(self, num, den):
         if den == 0:
             raise RingError("zero denominator")
-        return Fraction(num, den)
+        return self.div(num, den)
 
 
 class Integers(Ring):

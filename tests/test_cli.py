@@ -1,9 +1,13 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from hyperoct import cli
+from hyperoct import cli, complexes, homology
+from hyperoct.barfun import BarFunctor, FULL
+from hyperoct.croscat import enumerate_hom
+from hyperoct.invalg import builtin_algebra
 from hyperoct.rings import QQ
 
 
@@ -71,6 +75,63 @@ def test_cache_gives_identical_results(tmp_path):
     assert outs[0] == outs[1] == outs[2]
     cache_dir = tmp_path / "cache"
     assert any(name.endswith(".json") for name in os.listdir(cache_dir))
+
+
+def typed_cols(M):
+    return [{r: (v, type(v)) for r, v in col.items()} for col in M.cols]
+
+
+def test_cache_reads_keep_the_scalar_types_of_a_cold_build(tmp_path):
+    algebra = builtin_algebra("klein", QQ)
+    morphisms = [f for n in range(2) for m in range(2)
+                 for f in enumerate_hom(n, m)]
+    cold = BarFunctor(algebra, FULL, store=cli.CacheStore(str(tmp_path)))
+    built = [cold.evaluate(f) for f in morphisms]
+    warm = BarFunctor(algebra, FULL, store=cli.CacheStore(str(tmp_path)))
+    for f, M in zip(morphisms, built):
+        assert typed_cols(warm.evaluate(f)) == typed_cols(M)
+    assert warm.store.hits == len(morphisms)
+    assert QQ.from_pair(1, 2) == cli._scalar_from_str(QQ, "1/2")
+
+
+@pytest.mark.parametrize("algebra", ["c3", "klein"])
+def test_rational_boundaries_hold_ints_outside_slominska(algebra, monkeypatch):
+    # only the coinvariant complex divides (by group orders); everywhere
+    # else the rationals of a group algebra stay on the int fast path
+    seen = []
+    real = cli.compute_homology
+    monkeypatch.setattr(cli, "compute_homology",
+                        lambda cpx: seen.append(cpx) or real(cpx))
+    for pipeline in cli.PIPELINES:
+        seen.clear()
+        cli.run(cli.JobSpec(algebra, "q", pipeline, [1], 1))
+        assert seen
+        for cpx in seen:
+            types = {type(v) for M in cpx.boundaries.values()
+                     for col in M.cols for v in col.values()}
+            assert types <= {int, Fraction}
+            if pipeline != "slominska":
+                assert types == {int}
+
+
+def test_verify_certifies_each_dsquared_pair_once(monkeypatch):
+    pairs = []
+    real = homology.check_dsquared_pair
+
+    def counting(d_prev, d_n, n):
+        pairs.append((d_prev, d_n))
+        return real(d_prev, d_n, n)
+
+    monkeypatch.setattr(homology, "check_dsquared_pair", counting)
+    monkeypatch.setattr(complexes, "check_dsquared_pair", counting)
+    report, code = cli.run(cli.JobSpec("c3", "q", "reduced", [1], 1,
+                                       verify=True))
+    assert code == 0
+    assert report["verifications"]["N=1/dsquared[ideal]"] == "pass"
+    assert report["verifications"]["N=1/dsquared[unit]"] == "pass"
+    # the pair (d1, d2) of the ideal and of the unit summand
+    assert len(pairs) == 2
+    assert len({(id(a), id(b)) for a, b in pairs}) == 2
 
 
 def test_custom_algebra_spec(tmp_path):

@@ -155,6 +155,21 @@ def test_epi_mono_factorization_examples():
     assert epi == g
 
 
+def test_factorize_ifas_matches_the_pair_route():
+    # the former construction, through a delta morphism and the pair
+    # presentation, is the oracle for the direct one
+    for n in range(3):
+        for m in range(3):
+            for f in cc.enumerate_hom(n, m):
+                nonempty = [i for i, fiber in enumerate(f.preimages) if fiber]
+                epi = cc.IFasMorphism(f.source, len(nonempty) - 1,
+                                      tuple(f.preimages[i] for i in nonempty))
+                mono = cc.delta_to_ifas(cc.DeltaMorphism(
+                    len(nonempty) - 1, f.target, tuple(nonempty)))
+                assert cc.factorize_ifas(f) == (mono, epi)
+                assert cc.ifas_compose(mono, epi) == f
+
+
 def test_epi_mono_uniqueness_random():
     # recomposition and uniqueness against exhaustive search over
     # factorizations at the image rank (other ranks cannot compose back)

@@ -1,6 +1,8 @@
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hyperoct.rings import QQ, ZZ, GF, RingError, ring_by_name
 from hyperoct.matrices import SparseMatrix
@@ -54,3 +56,41 @@ def test_submatrix_and_block_support():
     assert sub.to_dense() == [[1, 5], [0, 3]]
     assert m.restrict_rows_complement_is_zero([0, 2], [2])
     assert not m.restrict_rows_complement_is_zero([0], [1])
+
+
+rationals = st.one_of(st.integers(-60, 60), st.fractions(max_denominator=12))
+
+
+@given(rationals, rationals)
+def test_rational_ops_are_exact_and_stay_ints(a, b):
+    both_int = type(a) is int and type(b) is int
+    for name, op in (("add", operator.add), ("sub", operator.sub),
+                     ("mul", operator.mul)):
+        got = getattr(QQ, name)(a, b)
+        assert got == op(Fraction(a), Fraction(b))
+        assert type(got) is (int if both_int else Fraction)
+    assert QQ.neg(a) == -Fraction(a) and type(QQ.neg(a)) is type(a)
+    if b == 0:
+        with pytest.raises(RingError):
+            QQ.div(a, b)
+        return
+    q = Fraction(a) / Fraction(b)
+    got = QQ.div(a, b)
+    assert got == q
+    assert type(got) is (int if q.denominator == 1 else Fraction)
+
+
+@given(st.integers(-60, 60), st.integers(-12, 12))
+def test_rational_pairs_are_ints_when_integral(num, den):
+    if den == 0:
+        with pytest.raises(RingError):
+            QQ.from_pair(num, den)
+        return
+    got = QQ.from_pair(num, den)
+    assert got == Fraction(num, den)
+    assert type(got) is (int if num % den == 0 else Fraction)
+
+
+def test_rational_constants_are_ints():
+    for v in (QQ.zero(), QQ.one(), QQ.from_int(-7)):
+        assert type(v) is int
