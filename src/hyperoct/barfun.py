@@ -37,8 +37,7 @@ class BarFunctor:
     Evaluation is memoized per morphism; the memo table is insert-once.
     """
 
-    def __init__(self, algebra: InvolutiveAlgebra, variant: str = FULL,
-                 store=None):
+    def __init__(self, algebra: InvolutiveAlgebra, variant: str = FULL):
         if variant not in (FULL, IDEAL, EXTENDED):
             raise FunctorError(f"unknown variant {variant!r}")
         if variant == IDEAL and not algebra.is_adapted():
@@ -46,7 +45,6 @@ class BarFunctor:
         self.algebra = algebra
         self.ring = algebra.ring
         self.variant = variant
-        self.store = store  # optional persistent matrix cache (get/put)
         self._bases: dict = {}
         self._memo: dict = {}
         # involution images of basis vectors, reused in every slot product
@@ -81,11 +79,6 @@ class BarFunctor:
         if self.variant != EXTENDED and (f.source == EMPTY_OBJECT or
                                          f.target == EMPTY_OBJECT):
             raise FunctorError("empty-object morphism passed to a plain variant")
-        if self.store is not None:
-            hit = self.store.get_matrix(self, f)
-            if hit is not None:
-                self._memo.setdefault(f, hit)
-                return hit
         src = self.basis(f.source)
         tgt = self.basis(f.target)
         algebra = self.algebra
@@ -130,15 +123,4 @@ class BarFunctor:
             for row in [r for r, v in col.items() if ring.is_zero(v)]:
                 del col[row]
         self._memo.setdefault(f, mat)
-        if self.store is not None:
-            self.store.put_matrix(self, f, mat)
         return mat
-
-    def evaluate_extended(self, f: IFasMorphism) -> SparseMatrix:
-        """Alias making the unit-inclusion case explicit in the API."""
-        if self.variant != EXTENDED:
-            raise FunctorError("extended evaluation needs the extended variant")
-        return self.evaluate(f)
-
-    def identity_matrix(self, obj: int) -> SparseMatrix:
-        return SparseMatrix.identity(self.ring, self.dim(obj))

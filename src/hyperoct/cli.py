@@ -1,6 +1,6 @@
 """Command line orchestration: algebra ingestion, pipeline runs, truncation
-sweeps with stabilization reporting, verification toggles, caching and
-machine-readable reports.
+sweeps with stabilization reporting, verification toggles and machine-readable
+reports.
 
 Reports are deterministic: the canonical section (everything except the
 "timing" key) is byte-stable across runs for equal inputs.
@@ -8,21 +8,17 @@ Reports are deterministic: the canonical section (everything except the
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
-from .rings import Ring, QQ, ZZ, ring_by_name, RingError
+from .rings import Ring, ZZ, ring_by_name, RingError
 from .invalg import (InvolutiveAlgebra, AlgebraError, builtin_algebra,
                      BUILTIN_ALGEBRAS)
 from .barfun import BarFunctor, FULL
-from .matrices import SparseMatrix
 from .complexes import (TruncationPolicy, ResourceCapExceeded, ComplexError,
                         DEFAULT_MAX_GENERATORS, ReducedMachinery,
                         build_full_complex, build_extended_complex,
@@ -69,11 +65,12 @@ def algebra_from_spec(spec: dict, ring: Ring) -> InvolutiveAlgebra:
         dim = spec["dim"]
     except KeyError:
         raise SpecError("dim: missing")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise SpecError("dim: must be a positive integer")
     basis = spec.get("basis", [f"b{i}" for i in range(dim)])
-    if len(basis) != dim:
-        raise SpecError("basis: expected exactly 'dim' names")
+    if not isinstance(basis, list) or len(basis) != dim or \
+            any(not isinstance(name, str) for name in basis):
+        raise SpecError("basis: expected a list of exactly 'dim' names")
     zero = ring.zero()
     structure = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     entries = spec.get("structure")
@@ -130,71 +127,6 @@ def load_algebra(source: str, ring: Ring) -> InvolutiveAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# persistent evaluation cache
-# ---------------------------------------------------------------------------
-
-class CacheStore:
-    """Content-addressed file cache for evaluated functor matrices.
-
-    Purely an optimization: results are identical with the cache disabled.
-    Writes are atomic (temp file + rename)."""
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, functor, f):
-        key = json.dumps({
-            "kind": "eval",
-            "algebra": functor.algebra.content_key(),
-            "variant": functor.variant,
-            "morphism": str(f),
-        }, sort_keys=True)
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        return os.path.join(self.directory, digest + ".json")
-
-    def get_matrix(self, functor, f):
-        path = self._path(functor, f)
-        if not os.path.exists(path):
-            self.misses += 1
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        ring = functor.ring
-        cols = []
-        for col in payload["cols"]:
-            cols.append({int(r): _scalar_from_str(ring, v) for r, v in col})
-        self.hits += 1
-        return SparseMatrix(ring, payload["nrows"], payload["ncols"], cols)
-
-    def put_matrix(self, functor, f, mat):
-        path = self._path(functor, f)
-        payload = {
-            "nrows": mat.nrows,
-            "ncols": mat.ncols,
-            "cols": [sorted([r, str(v)] for r, v in col.items())
-                     for col in mat.cols],
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
-def _scalar_from_str(ring: Ring, text: str):
-    if ring == QQ:
-        return QQ.from_pair(*Fraction(text).as_integer_ratio())
-    return ring.from_int(int(text))
-
-
-# ---------------------------------------------------------------------------
 # jobs
 # ---------------------------------------------------------------------------
 
@@ -207,7 +139,6 @@ class JobSpec:
     max_degree: int
     coefficients: str | None = None
     verify: bool = False
-    cache_dir: str | None = None
     max_generators: int = DEFAULT_MAX_GENERATORS
 
     def __post_init__(self):
@@ -244,7 +175,7 @@ def parse_coefficients(text: str) -> CoefficientModule:
         raise SpecError(f"coefficients: {exc}")
 
 
-def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int, store):
+def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int):
     """One pipeline at one truncation; returns (payload, verifications)."""
     policy = TruncationPolicy(n_value, job.max_degree)
     verifications = {}
@@ -252,41 +183,34 @@ def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int, store):
     timing = {}
     t0 = time.monotonic()
 
-    def functor(variant):
-        return BarFunctor(algebra, variant, store=store)
-
     if job.pipeline == "full":
-        cpx = build_full_complex(algebra, policy, job.max_generators,
-                                 store=store)
+        cpx = build_full_complex(algebra, policy, job.max_generators)
         complexes = {"full": cpx}
     elif job.pipeline == "extended":
-        cpx = build_extended_complex(algebra, policy, job.max_generators,
-                                     store=store)
+        cpx = build_extended_complex(algebra, policy, job.max_generators)
         complexes = {"extended": cpx}
     elif job.pipeline == "nerve":
         cpx, cert = build_nerve_variant(
-            DeltaHCategory(), BarFunctorView(functor(FULL)), policy,
-            job.max_generators, label="nerve")
+            DeltaHCategory(), BarFunctorView(BarFunctor(algebra, FULL)),
+            policy, job.max_generators, label="nerve")
         verifications["relation_certificate"] = "pass" if cert.ok else "fail"
         if job.verify:
-            gz = build_gz_complex(DeltaHCategory(),
-                                  BarFunctorView(functor(FULL)), policy,
-                                  job.max_generators, label="gz")
+            gz = build_gz_complex(
+                DeltaHCategory(), BarFunctorView(BarFunctor(algebra, FULL)),
+                policy, job.max_generators, label="gz")
             # raises ComplexError unless the map commutes with the boundaries
             gz_nerve_iso(cpx, gz)
             verifications["nerve_iso_chain_map"] = "pass"
         complexes = {"nerve": cpx}
     elif job.pipeline == "epi":
-        cpx = build_epi_complex(algebra, policy, job.max_generators,
-                                store=store)
+        cpx = build_epi_complex(algebra, policy, job.max_generators)
         complexes = {"epi": cpx}
     elif job.pipeline == "slominska":
-        cpx = slominska_complex(algebra, policy, job.max_generators,
-                                store=store)
+        cpx = slominska_complex(algebra, policy, job.max_generators)
         complexes = {"slominska": cpx}
     elif job.pipeline == "reduced":
         machinery = ReducedMachinery(algebra, policy, job.max_generators,
-                                     certificate=job.verify, store=store)
+                                     certificate=job.verify)
         complexes = {"ideal": machinery.c_ideal, "unit": machinery.c_unit}
         verifications["split_block_diagonal"] = "pass"
         if job.verify:
@@ -379,7 +303,6 @@ def run(job: JobSpec) -> tuple:
     timing section."""
     ring = ring_by_name(job.ring_name)
     algebra = load_algebra(job.algebra_source, ring)
-    store = CacheStore(job.cache_dir) if job.cache_dir else None
     report = {
         "parameters": {
             "algebra": job.algebra_source,
@@ -412,7 +335,7 @@ def run(job: JobSpec) -> tuple:
         key = f"N={n_value}"
         try:
             payload, verifications, timing = _run_pipeline_once(
-                job, algebra, ring, n_value, store)
+                job, algebra, ring, n_value)
         except ResourceCapExceeded as exc:
             report["errors"][key] = {
                 "error": "resource cap exceeded",
@@ -441,8 +364,6 @@ def run(job: JobSpec) -> tuple:
         betti_by_n[n_value] = payload["betti"][main_tag]
         if any(v == "fail" for v in verifications.values()):
             exit_code = max(exit_code, 1)
-    if store is not None:
-        report["timing"]["cache"] = {"hits": store.hits, "misses": store.misses}
     ns = sorted(betti_by_n)
     stab = {f"degree {d}": stabilization(ns, [betti_by_n[n][d] for n in ns])
             for d in range(job.max_degree + 1)}
@@ -505,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="coefficient module over z, e.g. z/2 or z+z/2")
     comp.add_argument("--verify", action="store_true",
                       help="run the chain-level verification battery")
-    comp.add_argument("--cache-dir", default=None)
     comp.add_argument("--max-generators", type=int,
                       default=DEFAULT_MAX_GENERATORS)
     comp.add_argument("--out", required=True, help="report path (JSON)")
@@ -537,7 +457,6 @@ def main(argv=None) -> int:
             max_degree=args.max_degree,
             coefficients=args.coefficients,
             verify=args.verify,
-            cache_dir=args.cache_dir,
             max_generators=args.max_generators,
         )
         report, code = run(job)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 from . import croscat
 from .barfun import BarFunctor, FULL, IDEAL, EXTENDED
-from .croscat import (EMPTY_OBJECT, IFasMorphism, DeltaMorphism, delta_to_ifas,
-                      factorize_ifas, ifas_compose, ifas_identity)
+from .croscat import (EMPTY_OBJECT, IFasMorphism, factorize_ifas, ifas_compose,
+                      ifas_identity, ifas_injection)
 from .homology import HomologyError, check_dsquared_pair
 from .invalg import InvolutiveAlgebra, adapt_basis_to_augmentation, AlgebraError
 from .matrices import SparseMatrix
@@ -376,11 +376,6 @@ class RelationCertificate:
         return self.pairs_failed == 0 and self.sampled_columns_failed == 0
 
 
-def _retraction_image(functor, base_morphism, coeff_index):
-    """Normal form of an ambient generator with the given base morphism."""
-    return functor.matrix(base_morphism).cols[coeff_index]
-
-
 def relation_certificate(category, functor, policy: TruncationPolicy,
                          exhaustive_pair_limit: int = 200_000,
                          tail_samples: int = 50, seed: int = 11) -> RelationCertificate:
@@ -441,7 +436,7 @@ def relation_certificate(category, functor, policy: TruncationPolicy,
                 continue
             for x in range(functor.dim(alpha.source)):
                 # pi((tail, g o alpha) (x) e_x) - pi((tail, g) (x) F(alpha) e_x)
-                left = _retraction_image(functor, category.compose(g, alpha), x)
+                left = functor.matrix(category.compose(g, alpha)).cols[x]
                 right: dict = {}
                 for r, v in functor.matrix(alpha).cols[x].items():
                     for rr, vv in functor.matrix(g).cols[r].items():
@@ -582,11 +577,6 @@ def tensor_with_coefficients(complex_: TruncatedComplex,
 # epimorphism construction
 # ---------------------------------------------------------------------------
 
-def epimorphism_construction(f: IFasMorphism) -> IFasMorphism:
-    """Epimorphism part of the unique image factorization."""
-    return factorize_ifas(f)[1]
-
-
 def induced_epi_morphism(psi: IFasMorphism, under: IFasMorphism) -> IFasMorphism:
     """The unique epimorphism completing the image-factorization square.
 
@@ -614,7 +604,7 @@ class ReducedMachinery:
 
     def __init__(self, algebra: InvolutiveAlgebra, policy: TruncationPolicy,
                  max_generators: int = DEFAULT_MAX_GENERATORS,
-                 certificate: bool = True, store=None):
+                 certificate: bool = True):
         if algebra.augmentation is None:
             raise AlgebraError("the reduced machinery needs an augmented algebra")
         self.algebra = adapt_basis_to_augmentation(algebra)
@@ -622,8 +612,8 @@ class ReducedMachinery:
         self.policy = policy
         self.category = DeltaHCategory()
         self.epi_category = EpiDeltaHCategory()
-        self.full_functor = BarFunctor(self.algebra, FULL, store=store)
-        self.ideal_functor = BarFunctor(self.algebra, IDEAL, store=store)
+        self.full_functor = BarFunctor(self.algebra, FULL)
+        self.ideal_functor = BarFunctor(self.algebra, IDEAL)
         self.nerve, self.certificate = build_nerve_variant(
             self.category, BarFunctorView(self.full_functor), policy,
             max_generators, label="nerve[deltaH]", certificate=certificate)
@@ -693,7 +683,7 @@ class ReducedMachinery:
         tpl = self.full_functor.basis(src).tuples[t]
         positions = tuple(p for p, letter in enumerate(tpl) if letter != 0)
         letters = tuple(tpl[p] for p in positions)
-        iota = delta_to_ifas(DeltaMorphism(len(positions) - 1, src, positions))
+        iota = ifas_injection(positions, src)
         return src, morphs, iota, positions, letters
 
     def _ci_lookup(self, n, src, morphs, letters):
@@ -864,7 +854,7 @@ class ReducedMachinery:
             for ck in range(self.c_unit.dimension(n)):
                 si, _ = self.ck_gens[n][ck]
                 src, morphs = self.nerve.strings[n][si]
-                u = delta_to_ifas(DeltaMorphism(0, src, (0,)))
+                u = ifas_injection((0,), src)
                 out = (u,) + morphs
                 si_out = self.nerve.string_index[n + 1].get((0, out))
                 if si_out is None:
@@ -961,53 +951,30 @@ def zero_anchored_contraction(policy: TruncationPolicy, ring: Ring,
 
 
 # ---------------------------------------------------------------------------
-# convenience wrappers over the machinery
+# builders of the single-complex pipelines
 # ---------------------------------------------------------------------------
 
-def build_reduced_split(algebra: InvolutiveAlgebra, policy: TruncationPolicy,
-                        max_generators: int = DEFAULT_MAX_GENERATORS):
-    m = ReducedMachinery(algebra, policy, max_generators)
-    return m.c_ideal, m.c_unit
-
-
 def build_epi_complex(algebra: InvolutiveAlgebra, policy: TruncationPolicy,
-                      max_generators: int = DEFAULT_MAX_GENERATORS,
-                      store=None) -> TruncatedComplex:
+                      max_generators: int = DEFAULT_MAX_GENERATORS
+                      ) -> TruncatedComplex:
     adapted = adapt_basis_to_augmentation(algebra)
-    functor = BarFunctor(adapted, IDEAL, store=store)
+    functor = BarFunctor(adapted, IDEAL)
     cpx, _ = build_nerve_variant(EpiDeltaHCategory(), BarFunctorView(functor),
                                  policy, max_generators, label="epi")
     return cpx
 
 
 def build_full_complex(algebra: InvolutiveAlgebra, policy: TruncationPolicy,
-                       max_generators: int = DEFAULT_MAX_GENERATORS,
-                       store=None) -> TruncatedComplex:
-    functor = BarFunctor(algebra, FULL, store=store)
+                       max_generators: int = DEFAULT_MAX_GENERATORS
+                       ) -> TruncatedComplex:
+    functor = BarFunctor(algebra, FULL)
     return build_gz_complex(DeltaHCategory(), BarFunctorView(functor), policy,
                             max_generators, label="full")
 
 
 def build_extended_complex(algebra: InvolutiveAlgebra, policy: TruncationPolicy,
-                           max_generators: int = DEFAULT_MAX_GENERATORS,
-                           store=None) -> TruncatedComplex:
-    functor = BarFunctor(algebra, EXTENDED, store=store)
+                           max_generators: int = DEFAULT_MAX_GENERATORS
+                           ) -> TruncatedComplex:
+    functor = BarFunctor(algebra, EXTENDED)
     return build_gz_complex(ExtendedDeltaHCategory(), BarFunctorView(functor),
                             policy, max_generators, label="extended")
-
-
-def chi_chain_map(algebra, policy, **kw) -> ChainMap:
-    return ReducedMachinery(algebra, policy, **kw).chi()
-
-
-def inclusion_chain_map(algebra, policy, **kw) -> ChainMap:
-    return ReducedMachinery(algebra, policy, **kw).inclusion()
-
-
-def presimplicial_homotopy(algebra, policy, **kw):
-    m = ReducedMachinery(algebra, policy, **kw)
-    return m.homotopy(), m.homotopy_identity_sign()
-
-
-def contracting_homotopy_Ck(algebra, policy, **kw):
-    return ReducedMachinery(algebra, policy, **kw).unit_summand_contraction()

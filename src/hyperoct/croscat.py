@@ -440,10 +440,6 @@ class IFasMorphism:
     def is_epi(self) -> bool:
         return all(self.preimages)
 
-    def is_identity(self) -> bool:
-        return (self.source == self.target and
-                all(fiber == ((i, 0),) for i, fiber in enumerate(self.preimages)))
-
     def __str__(self):
         fibers = "|".join(
             ",".join(f"{p}t" if lab else f"{p}" for p, lab in fiber)
@@ -459,6 +455,15 @@ def _make_ifas(source: int, target: int, preimages: tuple) -> IFasMorphism:
     object.__setattr__(out, "target", target)
     object.__setattr__(out, "preimages", preimages)
     return out
+
+
+def ifas_injection(positions: tuple, target: int) -> IFasMorphism:
+    """The order-preserving injection ``k -> positions[k]`` with trivial
+    labels, for a strictly increasing tuple of points of ``[target]``."""
+    fibers = [()] * (target + 1)
+    for k, i in enumerate(positions):
+        fibers[i] = ((k, 0),)
+    return _make_ifas(len(positions) - 1, target, tuple(fibers))
 
 
 def label_flip(fiber: tuple) -> tuple:
@@ -608,11 +613,7 @@ def factorize_ifas(f: IFasMorphism):
     nonempty = [i for i, fiber in enumerate(f.preimages) if fiber]
     epi = _make_ifas(f.source, len(nonempty) - 1,
                      tuple(f.preimages[i] for i in nonempty))
-    mono_fibers = [()] * (f.target + 1)
-    for k, i in enumerate(nonempty):
-        mono_fibers[i] = ((k, 0),)
-    mono = _make_ifas(len(nonempty) - 1, f.target, tuple(mono_fibers))
-    return mono, epi
+    return ifas_injection(nonempty, f.target), epi
 
 
 # ---------------------------------------------------------------------------

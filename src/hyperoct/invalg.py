@@ -160,26 +160,6 @@ class InvolutiveAlgebra:
         want = [ring.one()] + [ring.zero()] * (self.dim - 1)
         return list(self.augmentation) == want
 
-    def ideal_dim(self) -> int:
-        if not self.is_adapted():
-            raise AlgebraError("ideal basis requires an adapted presentation")
-        return self.dim - 1
-
-    def content_key(self):
-        """Deterministic serializable fingerprint, used for cache keys."""
-        def enc(v):
-            return str(v)
-        return {
-            "ring": self.ring.name,
-            "basis": list(self.basis_names),
-            "structure": [[[enc(c) for c in row] for row in plane]
-                          for plane in self.structure],
-            "unit": [enc(c) for c in self.unit],
-            "involution": [[enc(c) for c in row] for row in self.involution],
-            "augmentation": None if self.augmentation is None
-            else [enc(c) for c in self.augmentation],
-        }
-
     def __repr__(self):
         return f"InvolutiveAlgebra({self.name}, dim={self.dim}, ring={self.ring.name})"
 

@@ -26,10 +26,6 @@ class SparseMatrix:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, ring, nrows, ncols):
-        return cls(ring, nrows, ncols)
-
-    @classmethod
     def identity(cls, ring, n):
         one = ring.one()
         return cls(ring, n, n, [{i: one} for i in range(n)])

@@ -52,9 +52,6 @@ class Ring:
         """Exact scalar from an integer pair numerator/denominator."""
         raise NotImplementedError
 
-    def to_str(self, a) -> str:
-        return str(a)
-
     def __repr__(self):
         return self.name
 

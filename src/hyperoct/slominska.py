@@ -293,12 +293,12 @@ def coinvariants(X: tuple, algebra: InvolutiveAlgebra) -> CoinvariantModule:
 class CoinvariantFunctorView:
     """Functor view over the subset poset for the generic assembler."""
 
-    def __init__(self, algebra: InvolutiveAlgebra, store=None):
+    def __init__(self, algebra: InvolutiveAlgebra):
         self.algebra = adapt_basis_to_augmentation(algebra)
         self.ring = self.algebra.ring
         if self.ring.characteristic != 0 or not self.ring.is_field:
             raise SlominskaError("the pipeline needs a characteristic-zero field")
-        self.bar = BarFunctor(self.algebra, IDEAL, store=store)
+        self.bar = BarFunctor(self.algebra, IDEAL)
         self._modules = {}
         self._matrices = {}
 
@@ -350,12 +350,12 @@ class CoinvariantFunctorView:
 
 
 def slominska_complex(algebra: InvolutiveAlgebra, policy: TruncationPolicy,
-                      max_generators: int = DEFAULT_MAX_GENERATORS,
-                      store=None) -> TruncatedComplex:
+                      max_generators: int = DEFAULT_MAX_GENERATORS
+                      ) -> TruncatedComplex:
     """Standard complex of the coinvariants functor over the truncated
     subset poset; its homology is the reduced invariant of the algebra."""
     poset = SubsetPoset(policy.max_object)
-    functor = CoinvariantFunctorView(algebra, store=store)
+    functor = CoinvariantFunctorView(algebra)
     return build_gz_complex(poset, functor, policy, max_generators,
                             label="slominska")
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -168,6 +169,11 @@ def test_factorize_ifas_matches_the_pair_route():
                     len(nonempty) - 1, f.target, tuple(nonempty)))
                 assert cc.factorize_ifas(f) == (mono, epi)
                 assert cc.ifas_compose(mono, epi) == f
+    for m in range(4):
+        for r in range(m + 1):
+            for positions in itertools.combinations(range(m + 1), r + 1):
+                assert cc.ifas_injection(positions, m) == cc.delta_to_ifas(
+                    cc.DeltaMorphism(r, m, positions))
 
 
 def test_epi_mono_uniqueness_random():
