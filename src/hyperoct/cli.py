@@ -49,6 +49,8 @@ def _scalar(ring: Ring, value, where: str):
             return ring.from_int(value)
         if isinstance(value, (list, tuple)) and len(value) == 2 and \
                 all(isinstance(v, int) for v in value):
+            if any(isinstance(v, bool) for v in value):
+                raise SpecError(f"{where}: booleans are not scalars")
             return ring.from_pair(value[0], value[1])
     except RingError as exc:
         raise SpecError(f"{where}: {exc}") from exc
@@ -82,6 +84,9 @@ def algebra_from_spec(spec: dict, ring: Ring) -> InvolutiveAlgebra:
                             f"numerator, denominator]")
         i, j, k, num, den = entry
         for name, idx in (("i", i), ("j", j), ("k", k)):
+            if isinstance(idx, bool):
+                raise SpecError(f"structure[{pos}].{name}: booleans are not "
+                                f"indices")
             if not isinstance(idx, int) or not 0 <= idx < dim:
                 raise SpecError(f"structure[{pos}].{name}: index out of range")
         structure[i][j][k] = _scalar(ring, [num, den], f"structure[{pos}]")
@@ -156,6 +161,8 @@ class JobSpec:
             raise SpecError("coefficients: coefficient modules need --ring z")
         if self.max_degree < 0 or any(n < 0 for n in self.n_values):
             raise SpecError("truncation: negative parameter")
+        if self.max_generators < 1:
+            raise SpecError("max-generators: must be a positive integer")
 
 
 def parse_coefficients(text: str) -> CoefficientModule:

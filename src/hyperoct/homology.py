@@ -6,7 +6,13 @@ fraction-free over Z and over Q (each rational column scaled to integers).
 A reduced column pivots on its largest row index.  The stream stops once
 the rank reaches a caller's bound; ``homology_over_field`` bounds rank d_n
 by dim ker d_{n-1}, which it certifies first by checking d_{n-1} d_n = 0
-exactly on the same integer columns.
+exactly on the same integer columns.  Ranks stream their columns
+echelon-first: every column whose largest row index no earlier column has
+goes first, as a pivot that needs no reduction, and the rest follow in
+their original order.  Rank does not depend on column order, so only the
+count of columns streamed before the bound stops the stream changes.
+Solves and kernel samples keep the natural order, because their tracked
+combinations index the original columns.
 
 Integer homology goes through a Smith form, whose diagonal gives both rank
 and torsion.  A sparse front, ``_unit_front``, first cancels every pivot it
@@ -111,18 +117,43 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
         yield j, vec, expr if track else None
 
 
+def _fresh_first(cols):
+    """The columns in echelon-first order: first every column whose largest
+    row index no earlier column has, then the rest in their original order,
+    zero columns included.
+
+    Each column of the first group leads on a row no other column of the
+    group has, so it becomes a pivot with no reduction step."""
+    seen: set = set()
+    rest = []
+    for col in cols:
+        if col:
+            r = max(col)
+            if r not in seen:
+                seen.add(r)
+                yield col
+                continue
+        rest.append(col)
+    yield from rest
+
+
 def _rank(M: SparseMatrix, bound: int | None = None,
           stats: dict | None = None) -> int:
-    """Rank through the kernel, streaming the longer side.
+    """Rank through the kernel, streaming the longer side in echelon-first
+    order (``_fresh_first``).
 
     Fill-in and pivot count stay bounded by the short side, which also caps
-    the rank, so the stream always stops once the rank reaches it."""
+    the rank, so the stream always stops once the rank reaches it.  The
+    rank of a set of columns does not depend on their order.  The first
+    group's columns are independent and cost no arithmetic, so when most
+    of the rank lies in that group, as for the epi boundaries, a bounded
+    stream reduces far fewer dependent columns before it stops."""
     p = _modulus(M.ring)
     if M.nrows > M.ncols:
         M = M.transpose()
     limit = M.nrows if bound is None else min(bound, M.nrows)
     rank = streamed = 0
-    for _, vec, _ in _eliminate(_columns(M.cols, p), p, limit):
+    for _, vec, _ in _eliminate(_columns(_fresh_first(M.cols), p), p, limit):
         streamed += 1
         rank += bool(vec)
     if stats is not None:

@@ -172,6 +172,23 @@ def test_malformed_specs_name_the_field(tmp_path):
     with pytest.raises(cli.SpecError, match="unit"):
         cli.algebra_from_spec(
             {"dim": 1, "structure": [[0, 0, 0, 1, 1]], "involution": [[1]]}, QQ)
+    # booleans are ints to Python, but neither scalars nor indices in a spec
+    with pytest.raises(cli.SpecError, match=r"structure\[0\]: booleans"):
+        cli.algebra_from_spec(
+            {"dim": 1, "structure": [[0, 0, 0, True, True]], "unit": [1],
+             "involution": [[1]]}, QQ)
+    with pytest.raises(cli.SpecError, match=r"unit\[0\]: booleans"):
+        cli.algebra_from_spec(
+            {"dim": 1, "structure": [[0, 0, 0, 1, 1]], "unit": [[1, True]],
+             "involution": [[1]]}, QQ)
+    for pos, name in enumerate("ijk"):
+        entry = [0, 0, 0, 1, 1]
+        entry[pos] = True
+        with pytest.raises(cli.SpecError,
+                           match=rf"structure\[0\]\.{name}: booleans"):
+            cli.algebra_from_spec(
+                {"dim": 2, "structure": [entry], "unit": [1, 0],
+                 "involution": [[1, 0], [0, 1]]}, QQ)
     with pytest.raises(cli.SpecError, match="ring"):
         cli.JobSpec("ground", "f6", "full", [0], 0)
     with pytest.raises(cli.SpecError, match="pipeline"):
@@ -187,6 +204,20 @@ def test_non_prime_ring_exits_with_error(tmp_path, capsys):
                     "--max-degree", "0", "--out", str(out)])
     assert code == 2
     assert "not prime" in capsys.readouterr().err
+
+
+def test_non_positive_generator_cap_exits_with_error(tmp_path, capsys):
+    for cap in (0, -5):
+        with pytest.raises(cli.SpecError, match="max-generators"):
+            cli.JobSpec("ground", "q", "full", [0], 0, max_generators=cap)
+    out = tmp_path / "r.json"
+    code = run_cli(["compute", "--algebra", "ground", "--ring", "q",
+                    "--pipeline", "full", "--max-object", "0",
+                    "--max-degree", "0", "--max-generators", "-5",
+                    "--out", str(out)])
+    assert code == 2
+    assert "error: max-generators: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resource_cap_produces_partial_report(tmp_path):
@@ -272,8 +303,10 @@ def test_timing_records_streamed_columns_per_degree(tmp_path):
         assert entry["of"] == max(sizes[n - 1], sizes[n])
         assert 0 < entry["cols"] <= entry["of"]
         assert entry["early_exit"] == (entry["cols"] < entry["of"])
-    # rank d3 <= dim ker d2 stops the d3 stream well before its end
+    # rank d3 <= dim ker d2 stops the d3 stream well before its end, and
+    # echelon-first order reaches that bound within half of d3's columns
     assert rank["d3"]["early_exit"]
+    assert 2 * rank["d3"]["cols"] < rank["d3"]["of"]
 
 
 def test_timing_records_unit_pivots_over_the_integers(tmp_path):

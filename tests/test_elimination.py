@@ -117,6 +117,45 @@ def test_bounded_rank_stops_at_a_true_bound(rows, slack):
 
 
 @settings(max_examples=60, deadline=None)
+@given(int_matrices(), st.lists(st.integers(0, 6), max_size=3),
+       st.integers(0, 2), st.integers(0, 3))
+def test_echelon_first_stream_matches_the_oracle(rows, dups, zeros, slack):
+    # duplicate and zero columns: dependent columns the order must defer
+    nc = len(rows[0])
+    rows = [r + [r[d % nc] for d in dups] + [0] * zeros for r in rows]
+    nr, nc = len(rows), len(rows[0])
+    cols = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(nc)]
+    order = list(hom._fresh_first(iter(cols)))
+    assert sorted(map(id, order)) == sorted(map(id, cols))
+    first = order[:len({max(c) for c in cols if c})]
+    assert all(first) and len({max(c) for c in first}) == len(first)
+    assert order[len(first):] == [c for c in cols
+                                  if not any(c is f for f in first)]
+    for ring, p in ((QQ, None), (GF(2), 2), (GF(5), 5),
+                    (GF(2147483647), 2147483647)):
+        rank = oracle_rank(rows, p)
+        M = over(ring, rows)
+        # the kernel streams the longer side: rows when there are more rows
+        side = rows if nr > nc else [list(c) for c in zip(*rows)]
+        vecs = [{k: w for k, v in enumerate(vec) if (w := v % p if p else v)}
+                for vec in side]
+        ordered = [[vec.get(k, 0) for k in range(len(side[0]))]
+                   for vec in hom._fresh_first(vecs)]
+        for bound in (None, rank + slack):
+            limit = min(nr, nc) if bound is None else min(bound, nr, nc)
+            # the stream takes columns until its prefix has rank ``limit``,
+            # or takes them all; zero columns count as streamed
+            expected = next((k for k in range(len(ordered) + 1)
+                             if (oracle_rank(ordered[:k], p) if k else 0)
+                             >= limit), len(ordered))
+            stats = {}
+            assert hom.field_rank(M, bound=bound, stats=stats) == rank
+            assert stats["of"] == len(ordered)
+            assert stats["cols"] == expected
+            assert stats["early_exit"] == (stats["cols"] < stats["of"])
+
+
+@settings(max_examples=60, deadline=None)
 @given(int_matrices(), st.lists(entries, min_size=7, max_size=7),
        st.lists(entries, min_size=6, max_size=6))
 def test_solve_witnesses_satisfy_the_system(rows, x0, b_free):
