@@ -64,7 +64,15 @@ class BarFunctor:
         return b
 
     def dim(self, obj: int) -> int:
-        return len(self.basis(obj))
+        """Dimension of the value at ``obj``, k^(obj+1) for k the dimension
+        of the algebra (of the ideal, for ``ideal``), without building the
+        basis."""
+        if obj == EMPTY_OBJECT and self.variant != EXTENDED:
+            raise FunctorError("empty object outside the extended variant")
+        if obj < EMPTY_OBJECT:
+            raise FunctorError(f"object {obj} below the empty object")
+        letters = self.algebra.dim - (self.variant == IDEAL)
+        return letters ** (obj + 1)
 
     # -- evaluation ----------------------------------------------------------
 

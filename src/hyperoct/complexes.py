@@ -26,6 +26,20 @@ A generator of the ideal summand decodes uniquely as (string, injection,
 ideal-only tuple), which is the form the epimorphism construction, the
 comparison chain map into the epimorphism complex and the presimplicial
 homotopy act on.
+
+Morphism ids
+------------
+
+Assembly runs on ints.  A ``MorphismTable`` numbers the morphisms among the
+objects of the truncated category once, in ``category.hom`` enumeration
+order, and fills composition into an int table on first use; a degree-n
+string is ``(source object, tuple of n morphism ids)`` and every complex
+built from a category carries its table as ``morphisms``.  The reduced
+machinery adds image factorization as an id table and runs the epimorphism
+construction once per (string, nonzero tensor positions), since the ideal
+letters only pick the tensor index.  Boundary columns accumulate plain
+scalars and are reduced, mod p over a prime field, once per entry when the
+column is complete.
 """
 from __future__ import annotations
 
@@ -84,9 +98,6 @@ class DeltaHCategory:
     name = "deltaH"
     variant = "all"
 
-    def __init__(self):
-        self._compose_cache = {}
-
     def objects(self, max_object):
         return list(range(max_object + 1))
 
@@ -100,12 +111,7 @@ class DeltaHCategory:
         return ifas_identity(obj)
 
     def compose(self, f2, f1):
-        key = (f2, f1)
-        out = self._compose_cache.get(key)
-        if out is None:
-            out = ifas_compose(f2, f1)
-            self._compose_cache.setdefault(key, out)
-        return out
+        return ifas_compose(f2, f1)
 
 
 class EpiDeltaHCategory(DeltaHCategory):
@@ -148,6 +154,48 @@ class BarFunctorView:
         return self.functor.basis(obj).label(idx)
 
 
+class MorphismTable:
+    """The morphisms among the objects of a truncated category, numbered once.
+
+    Ids follow ``category.hom`` enumeration order, object pairs taken in the
+    order of ``objects``, so ``hom[a, b]`` is a range of consecutive ids and
+    the generator-index contract carries over to strings of ids.
+    ``table[i]`` is the morphism with id ``i`` and ``id[f]`` the id of
+    ``f``.  Composition is an int table, filled on first use: ``composites``
+    maps ``i2 * len(table) + i1`` to the id of ``table[i2] o table[i1]``.
+    """
+
+    def __init__(self, category, objects):
+        self.category = category
+        self.objects = list(objects)
+        self.morphisms = []
+        self.hom = {}
+        for a in self.objects:
+            for b in self.objects:
+                start = len(self.morphisms)
+                self.morphisms.extend(category.hom(a, b))
+                self.hom[a, b] = range(start, len(self.morphisms))
+        self.id = {f: i for i, f in enumerate(self.morphisms)}
+        self.source = [f.source for f in self.morphisms]
+        self.target = [f.target for f in self.morphisms]
+        self.composites = {}
+
+    def __len__(self):
+        return len(self.morphisms)
+
+    def __getitem__(self, i):
+        return self.morphisms[i]
+
+    def compose(self, i2, i1):
+        """Id of ``table[i2] o table[i1]``."""
+        key = i2 * len(self.morphisms) + i1
+        out = self.composites.get(key)
+        if out is None:
+            out = self.composites[key] = self.id[self.category.compose(
+                self.morphisms[i2], self.morphisms[i1])]
+        return out
+
+
 # ---------------------------------------------------------------------------
 # truncated complexes
 # ---------------------------------------------------------------------------
@@ -157,22 +205,25 @@ class TruncatedComplex:
 
     dims[n] for n in 0..D+1; boundaries[n]: C_n -> C_{n-1} for n in 1..D+1.
     String metadata is attached when the complex comes from a category
-    assembly and is used by the reduction machinery and by reports.
+    assembly and is used by the reduction machinery and by reports: a
+    degree-n string is ``(source object, tuple of n morphism ids)``, ids of
+    the ``morphisms`` table, first morphism first; its generators start at
+    ``offsets[n][position]``, one per functor basis element at the source.
     """
 
     def __init__(self, ring: Ring, policy: TruncationPolicy, dims, boundaries,
                  label="complex", strings=None, string_index=None,
-                 offsets=None, functor=None, category=None):
+                 offsets=None, functor=None, morphisms=None):
         self.ring = ring
         self.policy = policy
         self.dims = list(dims)
         self.boundaries = dict(boundaries)
         self.label = label
         self.strings = strings
-        self.string_index = string_index
+        self._string_index = {} if string_index is None else string_index
         self.offsets = offsets
         self.functor = functor
-        self.category = category
+        self.morphisms = morphisms
         if len(self.dims) != policy.max_degree + 2:
             raise ComplexError("dims must cover degrees 0..D+1")
         for n in range(1, policy.max_degree + 2):
@@ -193,6 +244,13 @@ class TruncatedComplex:
             raise ComplexError(f"degree {n} boundary was not built")
         return M
 
+    def string_index(self, n: int) -> dict:
+        """Position of every degree-n string, built on first use."""
+        index = self._string_index.get(n)
+        if index is None:
+            index = self._string_index[n] = _positions(self.strings[n])
+        return index
+
     def generator_counts(self):
         return list(self.dims)
 
@@ -210,15 +268,20 @@ class TruncatedComplex:
             return f"g{n}:{index}"
         offs = self.offsets[n]
         si = _offset_bisect(offs, index)
-        src, morphs = self.strings[n][si]
+        src, ids = self.strings[n][si]
         tensor_idx = index - offs[si]
         tens = self.functor.label(src, tensor_idx) if self.functor else str(tensor_idx)
-        body = ",".join(str(m) for m in reversed(morphs)) if morphs else f"[{src}]"
+        body = (",".join(str(self.morphisms[i]) for i in reversed(ids))
+                if ids else f"[{src}]")
         return f"({body}; {tens})"
 
     def __repr__(self):
         return (f"TruncatedComplex({self.label}, {self.policy.tag()}, "
                 f"dims={self.dims})")
+
+
+def _positions(items) -> dict:
+    return {s: i for i, s in enumerate(items)}
 
 
 def _offset_bisect(offsets, index):
@@ -246,18 +309,29 @@ def projected_generator_counts(category, functor, policy: TruncationPolicy):
     return counts
 
 
-def _strings_for_degree(category, policy, degree):
-    objs = category.objects(policy.max_object)
+def _strings_for_degree(table: MorphismTable, degree: int):
+    """Degree-n strings ``(source, ids)``: object sequences in product
+    order, then the product of their hom-sets."""
+    objs = table.objects
     if degree == 0:
         return [(o, ()) for o in objs]
     out = []
     for objseq in itertools.product(objs, repeat=degree + 1):
-        homs = [category.hom(objseq[i], objseq[i + 1]) for i in range(degree)]
-        if any(not h for h in homs):
-            continue
-        for morphs in itertools.product(*homs):
-            out.append((objseq[0], morphs))
+        homs = [table.hom[objseq[i], objseq[i + 1]] for i in range(degree)]
+        if all(homs):
+            src = objseq[0]
+            out.extend((src, ids) for ids in itertools.product(*homs))
     return out
+
+
+def _reduced(col: dict, p: int) -> dict:
+    """A column accumulated in plain scalars, with zeros dropped and, for a
+    prime field of characteristic ``p``, entries reduced mod ``p``."""
+    if p:
+        return {r: v % p for r, v in col.items() if v % p}
+    if 0 in col.values():
+        return {r: v for r, v in col.items() if v}
+    return col
 
 
 def build_gz_complex(category, functor, policy: TruncationPolicy,
@@ -278,76 +352,67 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
 
     ring = functor.ring
     D = policy.max_degree
+    table = MorphismTable(category, category.objects(policy.max_object))
+    fdim = {o: functor.dim(o) for o in table.objects}
     strings = []
-    string_index = []
     offsets = []
     dims = []
     for n in range(D + 2):
-        sts = _strings_for_degree(category, policy, n)
+        sts = _strings_for_degree(table, n)
         strings.append(sts)
-        string_index.append({s: i for i, s in enumerate(sts)})
         offs = []
         total = 0
         for (src, _) in sts:
             offs.append(total)
-            total += functor.dim(src)
+            total += fdim[src]
         offsets.append(offs)
         dims.append(total)
         if dims[n] != projected[n]:
             raise ComplexError("projected and enumerated sizes disagree")
+    # strings of the top degree are never a face, so their index waits
+    # until something looks one up
+    string_index = {n: _positions(strings[n]) for n in range(D + 1)}
 
-    one = ring.one()
-    neg_one = ring.neg(one)
+    p = ring.characteristic
+    size = len(table)
+    composites = table.composites
+    compose = table.compose
+    target = table.target
+    face0 = [None] * size   # functor matrix columns of each first morphism
     boundaries = {}
     for n in range(1, D + 2):
-        cols = [dict() for _ in range(dims[n])]
+        cols = []
         idx_prev = string_index[n - 1]
         offs_prev = offsets[n - 1]
-        for si, (src, morphs) in enumerate(strings[n]):
-            face_specs = []
-            # face 0: push the coefficient through the first morphism
-            f1 = morphs[0]
-            tgt_string = (f1.target, morphs[1:])
-            face_specs.append((one, offs_prev[idx_prev[tgt_string]],
-                               functor.matrix(f1)))
-            sign = neg_one
+        for src, ids in strings[n]:
+            first = ids[0]
+            fcols = face0[first]
+            if fcols is None:
+                fcols = face0[first] = functor.matrix(table[first]).cols
+            # face 0 pushes the coefficient through the first morphism; the
+            # others compose adjacent morphisms or drop the last one
+            base0 = offs_prev[idx_prev[target[first], ids[1:]]]
+            faces = []
+            sign = -1
             for i in range(1, n):
-                composed = category.compose(morphs[i], morphs[i - 1])
-                mid_string = (src, morphs[:i - 1] + (composed,) + morphs[i + 1:])
-                face_specs.append((sign, offs_prev[idx_prev[mid_string]], None))
-                sign = one if sign is neg_one else neg_one
-            top_string = (src, morphs[:-1])
-            face_specs.append((sign, offs_prev[idx_prev[top_string]], None))
-
-            base = offsets[n][si]
-            for t in range(functor.dim(src)):
-                col = cols[base + t]
-                for fsign, tgt_base, fmat in face_specs:
-                    if fmat is None:
-                        _acc(ring, col, tgt_base + t, fsign)
-                    else:
-                        negate = fsign is neg_one
-                        for r, v in fmat.cols[t].items():
-                            _acc(ring, col, tgt_base + r,
-                                 ring.neg(v) if negate else v)
+                c = composites.get(ids[i] * size + ids[i - 1])
+                if c is None:
+                    c = compose(ids[i], ids[i - 1])
+                faces.append((sign, offs_prev[
+                    idx_prev[src, ids[:i - 1] + (c,) + ids[i + 1:]]]))
+                sign = -sign
+            faces.append((sign, offs_prev[idx_prev[src, ids[:-1]]]))
+            for t in range(fdim[src]):
+                col = {base0 + r: v for r, v in fcols[t].items()}
+                for fsign, tgt_base in faces:
+                    r = tgt_base + t
+                    col[r] = col.get(r, 0) + fsign
+                cols.append(_reduced(col, p))
         boundaries[n] = SparseMatrix(ring, dims[n - 1], dims[n], cols)
 
     return TruncatedComplex(ring, policy, dims, boundaries, label=label,
                             strings=strings, string_index=string_index,
-                            offsets=offsets, functor=functor, category=category)
-
-
-def _acc(ring, col, row, v):
-    cur = col.get(row)
-    if cur is None:
-        if not ring.is_zero(v):
-            col[row] = v
-    else:
-        s = ring.add(cur, v)
-        if ring.is_zero(s):
-            del col[row]
-        else:
-            col[row] = s
+                            offsets=offsets, functor=functor, morphisms=table)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +441,16 @@ class RelationCertificate:
         return self.pairs_failed == 0 and self.sampled_columns_failed == 0
 
 
-def relation_certificate(category, functor, policy: TruncationPolicy,
+def relation_certificate(table: MorphismTable, functor,
                          exhaustive_pair_limit: int = 200_000,
                          tail_samples: int = 50, seed: int = 11) -> RelationCertificate:
-    objs = category.objects(policy.max_object)
+    objs = table.objects
+    hom = table.hom
     pair_count = 0
     for a in objs:
         for b in objs:
             for c in objs:
-                pair_count += category.hom_size(a, b) * category.hom_size(b, c)
+                pair_count += len(hom[a, b]) * len(hom[b, c])
     rng = random.Random(seed)
     checked = failed = 0
     exhaustive = pair_count <= exhaustive_pair_limit
@@ -393,56 +459,62 @@ def relation_certificate(category, functor, policy: TruncationPolicy,
         for a in objs:
             for b in objs:
                 for c in objs:
-                    for alpha in category.hom(a, b):
-                        for g in category.hom(b, c):
+                    for alpha in hom[a, b]:
+                        for g in hom[b, c]:
                             triples.append((alpha, g))
     else:
-        flat = [(a, b) for a in objs for b in objs if category.hom_size(a, b)]
+        flat = [(a, b) for a in objs for b in objs if hom[a, b]]
         while len(triples) < 2000:
             a, b = rng.choice(flat)
             bc = [(x, y) for x, y in flat if x == b]
             if not bc:
                 continue
             _, c = rng.choice(bc)
-            alpha = rng.choice(category.hom(a, b))
-            g = rng.choice(category.hom(b, c))
+            alpha = rng.choice(hom[a, b])
+            g = rng.choice(hom[b, c])
             triples.append((alpha, g))
+    matrices = [None] * len(table)
+
+    def matrix(i):
+        if matrices[i] is None:
+            matrices[i] = functor.matrix(table[i])
+        return matrices[i]
+
     for alpha, g in triples:
-        composed = category.compose(g, alpha)
-        lhs = functor.matrix(composed)
-        rhs = functor.matrix(g).matmul(functor.matrix(alpha))
+        lhs = matrix(table.compose(g, alpha))
+        rhs = matrix(g).matmul(matrix(alpha))
         checked += 1
         if not lhs.equals(rhs):
             failed += 1
     # a sample of literal relation columns with non-trivial string tails
-    ring = functor.ring
+    p = functor.ring.characteristic
     tails_checked = tails_failed = 0
     if triples:
         for _ in range(tail_samples):
             alpha, g = rng.choice(triples)
             tail_len = rng.randrange(0, 2)
             tail = []
-            cur = g.target
+            cur = table.target[g]
             ok_tail = True
             for _ in range(tail_len):
-                cand = [o for o in objs if category.hom_size(cur, o)]
+                cand = [o for o in objs if hom[cur, o]]
                 if not cand:
                     ok_tail = False
                     break
                 nxt = rng.choice(cand)
-                tail.append(rng.choice(category.hom(cur, nxt)))
+                tail.append(rng.choice(hom[cur, nxt]))
                 cur = nxt
             if not ok_tail:
                 continue
-            for x in range(functor.dim(alpha.source)):
+            for x in range(functor.dim(table.source[alpha])):
                 # pi((tail, g o alpha) (x) e_x) - pi((tail, g) (x) F(alpha) e_x)
-                left = functor.matrix(category.compose(g, alpha)).cols[x]
+                left = matrix(table.compose(g, alpha)).cols[x]
                 right: dict = {}
-                for r, v in functor.matrix(alpha).cols[x].items():
-                    for rr, vv in functor.matrix(g).cols[r].items():
-                        _acc(ring, right, rr, ring.mul(vv, v))
+                for r, v in matrix(alpha).cols[x].items():
+                    for rr, vv in matrix(g).cols[r].items():
+                        right[rr] = right.get(rr, 0) + vv * v
                 tails_checked += 1
-                if left != right:
+                if left != _reduced(right, p):
                     tails_failed += 1
     return RelationCertificate(checked, failed, tails_checked, tails_failed)
 
@@ -459,7 +531,7 @@ def build_nerve_variant(category, functor, policy: TruncationPolicy,
     """
     label = label or f"nerve[{category.name}]"
     cpx = build_gz_complex(category, functor, policy, max_generators, label)
-    cert = relation_certificate(category, functor, policy) if certificate else None
+    cert = relation_certificate(cpx.morphisms, functor) if certificate else None
     if cert is not None and not cert.ok:
         raise ComplexError(f"{label}: tensor relations are not killed by the "
                            f"normal-form retraction")
@@ -552,10 +624,10 @@ def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
     return TruncatedComplex(field, complex_.policy, complex_.dims, boundaries,
                             label=f"{complex_.label} mod {p}",
                             strings=complex_.strings,
-                            string_index=complex_.string_index,
+                            string_index=complex_._string_index,
                             offsets=complex_.offsets,
                             functor=complex_.functor,
-                            category=complex_.category)
+                            morphisms=complex_.morphisms)
 
 
 def tensor_with_coefficients(complex_: TruncatedComplex,
@@ -621,6 +693,10 @@ class ReducedMachinery:
         self.epi, self.epi_certificate = build_nerve_variant(
             self.epi_category, BarFunctorView(self.ideal_functor), policy,
             max_generators, label="epi", certificate=certificate)
+        self._factors = [None] * len(self.nerve.morphisms)
+        self._injections = {}
+        self._decodings = {}
+        self._full_indices = {}
         self._chi = None
         self._inclusion = None
         self._homotopy = None
@@ -634,24 +710,16 @@ class ReducedMachinery:
         fa = self.full_functor
         self.ci_gens = []   # per degree: list of (string_idx, tensor_idx)
         self.ck_gens = []
-        self.ci_index = []  # per degree: nerve generator index -> block index
-        self.ck_index = []
         for n in range(D + 2):
             ci, ck = [], []
-            ci_map, ck_map = {}, {}
             for si, (src, _) in enumerate(nerve.strings[n]):
-                base = nerve.offsets[n][si]
-                dim_src = fa.dim(src)
-                # tensor index 0 is the all-units tuple in every degree
-                ck_map[base] = len(ck)
+                # tensor index 0 is the all-units tuple in every degree, so
+                # the unit generator of string si has block index si and
+                # (si, t) the ideal one offsets[n][si] - si + t - 1
                 ck.append((si, 0))
-                for t in range(1, dim_src):
-                    ci_map[base + t] = len(ci)
-                    ci.append((si, t))
+                ci.extend((si, t) for t in range(1, fa.dim(src)))
             self.ci_gens.append(ci)
             self.ck_gens.append(ck)
-            self.ci_index.append(ci_map)
-            self.ck_index.append(ck_map)
         ci_dims = [len(g) for g in self.ci_gens]
         ck_dims = [len(g) for g in self.ck_gens]
         ci_bound, ck_bound = {}, {}
@@ -674,45 +742,68 @@ class ReducedMachinery:
     def _nerve_index(self, n, string_idx, tensor_idx):
         return self.nerve.offsets[n][string_idx] + tensor_idx
 
-    # -- decoding ideal generators -------------------------------------------
+    # -- ideal generators on morphism ids --------------------------------------
 
-    def _decode_ci(self, n, block_index):
-        """(string, injection, ideal letters) for an ideal-summand generator."""
-        si, t = self.ci_gens[n][block_index]
-        src, morphs = self.nerve.strings[n][si]
-        tpl = self.full_functor.basis(src).tuples[t]
-        positions = tuple(p for p, letter in enumerate(tpl) if letter != 0)
-        letters = tuple(tpl[p] for p in positions)
-        iota = ifas_injection(positions, src)
-        return src, morphs, iota, positions, letters
+    def _ideal_decoding(self, src):
+        """Per full tensor index t >= 1 at ``src``: the nonzero positions of
+        its tuple and the index of its ideal letters in the ideal basis at
+        ``len(positions) - 1``."""
+        out = self._decodings.get(src)
+        if out is None:
+            out = []
+            for tpl in self.full_functor.basis(src).tuples[1:]:
+                positions = tuple(p for p, letter in enumerate(tpl) if letter)
+                letters = tuple(tpl[p] for p in positions)
+                ideal = self.ideal_functor.basis(len(positions) - 1)
+                out.append((positions, ideal.index[letters]))
+            self._decodings[src] = out
+        return out
 
-    def _ci_lookup(self, n, src, morphs, letters):
-        """Ideal-summand index of ((morphs based at src), ideal tuple)."""
-        si = self.nerve.string_index[n].get((src, morphs))
-        if si is None:
-            raise ComplexError("reduction left the truncation window")
-        t = self.full_functor.basis(src).index[letters]
-        return self.ci_index[n][self._nerve_index(n, si, t)]
+    def _full_index(self, obj):
+        """Full tensor index of every ideal tuple at ``obj``, in order."""
+        out = self._full_indices.get(obj)
+        if out is None:
+            index = self.full_functor.basis(obj).index
+            out = self._full_indices[obj] = [
+                index[letters] for letters in self.ideal_functor.basis(obj).tuples]
+        return out
 
-    def _epi_lookup(self, n, src, morphs, letters):
-        si = self.epi.string_index[n].get((src, morphs))
-        if si is None:
-            raise ComplexError("epimorphism string left the truncation window")
-        t = self.ideal_functor.basis(src).index[letters]
-        return self.epi.offsets[n][si] + t
+    def _injection(self, positions, target):
+        """Id of the order-preserving injection onto ``positions``."""
+        key = (positions, target)
+        out = self._injections.get(key)
+        if out is None:
+            out = self._injections[key] = self.nerve.morphisms.id[
+                ifas_injection(positions, target)]
+        return out
 
-    def _epi_walk(self, iota, morphs):
+    def _epi_walk(self, iota, ids):
         """Run the epimorphism construction along a string anchored at a
-        monomorphism: returns (epimorphism parts, monomorphism parts)."""
+        monomorphism: returns (epimorphism parts, monomorphism parts), as
+        ids of the nerve's morphism table."""
+        table = self.nerve.morphisms
+        factors = self._factors
         monos = [iota]
         epis = []
         m = iota
-        for f in morphs:
-            mono, epi = factorize_ifas(ifas_compose(f, m))
-            epis.append(epi)
-            monos.append(mono)
-            m = mono
+        for f in ids:
+            c = table.compose(f, m)
+            fac = factors[c]
+            if fac is None:
+                mono, epi = factorize_ifas(table[c])
+                fac = factors[c] = (table.id[mono], table.id[epi])
+            m, e = fac
+            epis.append(e)
+            monos.append(m)
         return epis, monos
+
+    def _ci_base(self, n, key):
+        """The ideal-summand generator (degree-n string ``key``, full tensor
+        index t) has block index ``_ci_base(n, key) + t``."""
+        si = self.nerve.string_index(n).get(key)
+        if si is None:
+            raise ComplexError("reduction left the truncation window")
+        return self.nerve.offsets[n][si] - si - 1
 
     # -- chain maps ------------------------------------------------------------
 
@@ -721,16 +812,29 @@ class ReducedMachinery:
         complex: apply the epimorphism construction to the whole string."""
         if self._chi is None:
             one = self.ring.one()
+            table, epi = self.nerve.morphisms, self.epi
+            to_epi = {table.id[f]: e for e, f in enumerate(epi.morphisms.morphisms)}
             mats = {}
             for n in range(self.policy.max_degree + 2):
-                M = SparseMatrix(self.ring, self.epi.dimension(n),
-                                 self.c_ideal.dimension(n))
-                for ci in range(self.c_ideal.dimension(n)):
-                    src, morphs, iota, positions, letters = self._decode_ci(n, ci)
-                    epis, _ = self._epi_walk(iota, morphs)
-                    anchor = len(positions) - 1
-                    M.cols[ci][self._epi_lookup(n, anchor, tuple(epis), letters)] = one
-                mats[n] = M
+                index, offs = epi.string_index(n), epi.offsets[n]
+                cols = []
+                for src, ids in self.nerve.strings[n]:
+                    # the walk depends on the positions, not on the letters
+                    bases = {}
+                    for positions, t in self._ideal_decoding(src):
+                        base = bases.get(positions)
+                        if base is None:
+                            epis, _ = self._epi_walk(
+                                self._injection(positions, src), ids)
+                            si = index.get((len(positions) - 1,
+                                            tuple(to_epi[e] for e in epis)))
+                            if si is None:
+                                raise ComplexError("epimorphism string left "
+                                                   "the truncation window")
+                            base = bases[positions] = offs[si]
+                        cols.append({base + t: one})
+                mats[n] = SparseMatrix(self.ring, epi.dimension(n),
+                                       self.c_ideal.dimension(n), cols)
             self._chi = ChainMap(self.c_ideal, self.epi, mats, label="chi")
         return self._chi
 
@@ -738,16 +842,16 @@ class ReducedMachinery:
         """Inclusion of the epimorphism complex into the ideal summand."""
         if self._inclusion is None:
             one = self.ring.one()
+            table = self.nerve.morphisms
+            to_full = [table.id[f] for f in self.epi.morphisms.morphisms]
             mats = {}
             for n in range(self.policy.max_degree + 2):
-                M = SparseMatrix(self.ring, self.c_ideal.dimension(n),
-                                 self.epi.dimension(n))
-                col = 0
-                for si, (src, morphs) in enumerate(self.epi.strings[n]):
-                    for letters in self.ideal_functor.basis(src).tuples:
-                        M.cols[col][self._ci_lookup(n, src, morphs, letters)] = one
-                        col += 1
-                mats[n] = M
+                cols = []
+                for src, ids in self.epi.strings[n]:
+                    base = self._ci_base(n, (src, tuple(to_full[e] for e in ids)))
+                    cols.extend({base + t: one} for t in self._full_index(src))
+                mats[n] = SparseMatrix(self.ring, self.c_ideal.dimension(n),
+                                       self.epi.dimension(n), cols)
             self._inclusion = ChainMap(self.epi, self.c_ideal, mats,
                                        label="inclusion")
         return self._inclusion
@@ -758,23 +862,33 @@ class ReducedMachinery:
         construction to the first j morphisms and inserts the j-th
         monomorphism part."""
         if self._homotopy is None:
-            one = self.ring.one()
-            neg = self.ring.neg(one)
+            p = self.ring.characteristic
             mats = {}
             for n in range(self.policy.max_degree + 1):
-                M = SparseMatrix(self.ring, self.c_ideal.dimension(n + 1),
-                                 self.c_ideal.dimension(n))
-                for ci in range(self.c_ideal.dimension(n)):
-                    src, morphs, iota, positions, letters = self._decode_ci(n, ci)
-                    epis, monos = self._epi_walk(iota, morphs)
-                    anchor = len(positions) - 1
-                    sign = one
-                    for j in range(n + 1):
-                        out = tuple(epis[:j]) + (monos[j],) + morphs[j:]
-                        row = self._ci_lookup(n + 1, anchor, out, letters)
-                        _acc(self.ring, M.cols[ci], row, sign)
-                        sign = neg if sign is one else one
-                mats[n] = M
+                cols = []
+                for src, ids in self.nerve.strings[n]:
+                    terms = {}
+                    for positions, t in self._ideal_decoding(src):
+                        hit = terms.get(positions)
+                        if hit is None:
+                            epis, monos = self._epi_walk(
+                                self._injection(positions, src), ids)
+                            anchor = len(positions) - 1
+                            hit = terms[positions] = (
+                                [self._ci_base(n + 1, (anchor, tuple(epis[:j])
+                                                       + (monos[j],) + ids[j:]))
+                                 for j in range(n + 1)],
+                                self._full_index(anchor))
+                        bases, full = hit
+                        col = {}
+                        sign = 1
+                        for base in bases:
+                            r = base + full[t]
+                            col[r] = col.get(r, 0) + sign
+                            sign = -sign
+                        cols.append(_reduced(col, p))
+                mats[n] = SparseMatrix(self.ring, self.c_ideal.dimension(n + 1),
+                                       self.c_ideal.dimension(n), cols)
             self._homotopy = mats
         return self._homotopy
 
@@ -849,24 +963,20 @@ class ReducedMachinery:
         D = self.policy.max_degree
         h = {}
         for n in range(D + 1):
-            M = SparseMatrix(ring, self.c_unit.dimension(n + 1),
-                             self.c_unit.dimension(n))
-            for ck in range(self.c_unit.dimension(n)):
-                si, _ = self.ck_gens[n][ck]
-                src, morphs = self.nerve.strings[n][si]
-                u = ifas_injection((0,), src)
-                out = (u,) + morphs
-                si_out = self.nerve.string_index[n + 1].get((0, out))
-                if si_out is None:
+            index = self.nerve.string_index(n + 1)
+            cols = []
+            for src, ids in self.nerve.strings[n]:
+                # the unit generator of a string has the string's position
+                row = index.get((0, (self._injection((0,), src),) + ids))
+                if row is None:
                     raise ComplexError("contraction left the truncation window")
-                row = self.ck_index[n + 1][self._nerve_index(n + 1, si_out, 0)]
-                M.cols[ck][row] = one
-            h[n] = M
+                cols.append({row: one})
+            h[n] = SparseMatrix(ring, self.c_unit.dimension(n + 1),
+                                self.c_unit.dimension(n), cols)
         # augmentation and its section
         eps = SparseMatrix(ring, 1, self.c_unit.dimension(0),
                            [{0: one} for _ in range(self.c_unit.dimension(0))])
-        si0 = self.nerve.string_index[0][(0, ())]
-        eta_row = self.ck_index[0][self._nerve_index(0, si0, 0)]
+        eta_row = self.nerve.string_index(0)[0, ()]
         eta = SparseMatrix(ring, self.c_unit.dimension(0), 1, [{eta_row: one}])
         identity_by_degree = {}
         iden0 = SparseMatrix.identity(ring, self.c_unit.dimension(0))
@@ -889,54 +999,52 @@ def zero_anchored_contraction(policy: TruncationPolicy, ring: Ring,
     morphism starts at object 0; prepending the identity of object 0 is an
     extra degeneracy and the contraction identities hold on the nose, inside
     the truncation, because only object 0 is inserted."""
-    cat = DeltaHCategory()
+    table = MorphismTable(DeltaHCategory(), range(policy.max_object + 1))
     D = policy.max_degree
     label = "zero-anchored"
-    # strings of length n+1 with source object fixed to 0
+    # strings of length n+1 ids with source object fixed to 0
     strings = []
     index = []
-    objs = cat.objects(policy.max_object)
     total_guard = 0
     for n in range(D + 2):
         sts = []
-        for objseq in itertools.product(objs, repeat=n + 1):
+        for objseq in itertools.product(table.objects, repeat=n + 1):
             seq = (0,) + objseq
-            homs = [cat.hom(seq[i], seq[i + 1]) for i in range(n + 1)]
-            if any(not hm for hm in homs):
-                continue
-            for morphs in itertools.product(*homs):
-                sts.append(morphs)
+            homs = [table.hom[seq[i], seq[i + 1]] for i in range(n + 1)]
+            if all(homs):
+                sts.extend(itertools.product(*homs))
         total_guard += len(sts)
         if total_guard > max_generators:
             raise ResourceCapExceeded(label, n, total_guard, max_generators)
         strings.append(sts)
-        index.append({s: i for i, s in enumerate(sts)})
+        index.append(_positions(sts))
+    p = ring.characteristic
     one = ring.one()
-    neg = ring.neg(one)
     boundaries = {}
     for n in range(1, D + 2):
         cols = []
-        for morphs in strings[n]:
+        for ids in strings[n]:
             col = {}
-            sign = one
+            sign = 1
             for i in range(n + 1):
                 if i < n:
-                    tgt = morphs[:i] + (ifas_compose(morphs[i + 1], morphs[i]),) \
-                        + morphs[i + 2:]
+                    tgt = ids[:i] + (table.compose(ids[i + 1], ids[i]),) \
+                        + ids[i + 2:]
                 else:
-                    tgt = morphs[:-1]
-                _acc(ring, col, index[n - 1][tgt], sign)
-                sign = neg if sign is one else one
-            cols.append(col)
+                    tgt = ids[:-1]
+                r = index[n - 1][tgt]
+                col[r] = col.get(r, 0) + sign
+                sign = -sign
+            cols.append(_reduced(col, p))
         boundaries[n] = SparseMatrix(ring, len(strings[n - 1]), len(strings[n]), cols)
     dims = [len(s) for s in strings]
     # extra degeneracy: prepend the identity of object 0
-    ident0 = ifas_identity(0)
+    ident0 = table.id[ifas_identity(0)]
     h = {}
     for n in range(D + 1):
         cols = []
-        for morphs in strings[n]:
-            cols.append({index[n + 1][(ident0,) + morphs]: one})
+        for ids in strings[n]:
+            cols.append({index[n + 1][(ident0,) + ids]: one})
         h[n] = SparseMatrix(ring, dims[n + 1], dims[n], cols)
     eps = SparseMatrix(ring, 1, dims[0], [{0: one} for _ in range(dims[0])])
     eta = SparseMatrix(ring, dims[0], 1, [{index[0][(ident0,)]: one}])

@@ -566,16 +566,17 @@ def enumerate_hom(n: int, m: int, variant: str = "all"):
 
 
 def hom_size(n: int, m: int, variant: str = "all") -> int:
-    """Hom-set cardinality without enumerating (used for projected sizes)."""
-    total = 0
-    for u in itertools.product(range(m + 1), repeat=n + 1):
-        if variant == "epi" and len(set(u)) != m + 1:
-            continue
-        prod = 1
-        for i in range(m + 1):
-            prod *= factorial(sum(1 for p in u if p == i))
-        total += prod
-    return total * (2 ** (n + 1))
+    """Hom-set cardinality without enumerating (used for projected sizes).
+
+    A morphism is an order-preserving map, an ordering of the source points
+    and a label per point: C(n+m+1, n+1) weakly increasing maps (C(n, m)
+    surjective ones for ``epi``) times (n+1)! orders times 2^(n+1) labels."""
+    if variant not in ("all", "epi"):
+        raise CategoryError(f"unknown variant {variant!r}")
+    if n < 0 or m < 0:
+        raise CategoryError("hom_size needs plain objects")
+    maps = comb(n, m) if variant == "epi" else comb(n + m + 1, n + 1)
+    return maps * hyp_group_order(n)
 
 
 def random_ifas(rng: random.Random, n: int, m: int, variant: str = "all") -> IFasMorphism:

@@ -49,14 +49,21 @@ def _modulus(ring) -> int:
     raise HomologyError(f"no elimination routine for {ring.name}")
 
 
+_INT = {int}
+
+
 def _columns(cols, p: int, scales: list | None = None):
-    """Fresh integer copies of ``cols``: residues mod p, or else each column
-    times the lcm of its denominators, which is appended to ``scales``."""
+    """Fresh integer copies of ``cols``: residues mod p, a plain copy of a
+    column of nonzero ints, or else each column times the lcm of its
+    denominators.  The scale of each column is appended to ``scales``."""
     for col in cols:
+        vals = col.values()
         if p:
             s, vec = 1, {k: v % p for k, v in col.items() if v % p}
+        elif set(map(type, vals)) == _INT and 0 not in vals:
+            s, vec = 1, dict(col)
         else:
-            s = lcm(*[v.denominator for v in col.values()])
+            s = lcm(*[v.denominator for v in vals])
             vec = {k: v.numerator * (s // v.denominator)
                    for k, v in col.items() if v}
         if scales is not None:

@@ -93,6 +93,17 @@ def test_plain_variant_rejects_the_empty_object():
         F.evaluate(cc.initial_morphism(0))
 
 
+def test_dimension_is_the_size_of_the_tensor_basis():
+    adapted = ia.adapt_basis_to_augmentation(ia.klein_four_algebra(QQ))
+    for variant in ("full", "ideal", "extended"):
+        F = BarFunctor(adapted, variant)
+        first = -1 if variant == "extended" else 0
+        for obj in range(first, 4):
+            assert F.dim(obj) == len(F.basis(obj))
+    with pytest.raises(FunctorError):
+        BarFunctor(adapted, "ideal").dim(cc.EMPTY_OBJECT)
+
+
 def test_extended_unit_inclusions():
     F = BarFunctor(_c3(), "extended")
     assert F.evaluate(cc.initial_morphism(0)).column(0) == {0: QQ.one()}

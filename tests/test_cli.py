@@ -56,6 +56,8 @@ PINNED_REPORTS = {
                                    "bd281046ebd07fccf0029351d8861761",
     ("klein", "z", "epi", "z/2"): "982d9e7f77e8fa6eb7001e68f4cce4a7"
                                   "f4b79bb09105fd01026d149a27bc3c38",
+    ("c2", "f3", "epi", None): "0be6a139c4433bf633d7e54b32950534"
+                               "dc138ee93dc2cf053bf6d39df3d9dd70",
 }
 
 
@@ -231,6 +233,31 @@ def test_resource_cap_produces_partial_report(tmp_path):
     entry = report["errors"]["N=2"]
     assert entry["error"] == "resource cap exceeded"
     assert entry["projected_generators"] > 100000
+
+
+@pytest.mark.parametrize("algebra,pipeline", [("c2", "epi"),
+                                              ("klein", "nerve")])
+def test_generator_cap_refuses_large_objects_without_enumerating(
+        tmp_path, algebra, pipeline):
+    # projected sizes come from closed forms for hom-sets and functor
+    # values, so a job far over the cap is refused at once; process CPU
+    # time is measured in a fresh interpreter
+    import subprocess
+    import sys
+    script = ("import sys, time\n"
+              "from hyperoct import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(code, time.process_time())\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "compute", "--algebra", algebra,
+         "--pipeline", pipeline, "--max-object", "12", "--max-degree", "1",
+         "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=60)
+    code, cpu = proc.stdout.split()[-2:]
+    assert int(code) == 3, proc.stderr
+    assert float(cpu) < 2.0
+    entry = json.loads((tmp_path / "r.json").read_text())["errors"]["N=12"]
+    assert entry["error"] == "resource cap exceeded"
 
 
 def test_coefficients_and_uct(tmp_path):

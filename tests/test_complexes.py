@@ -27,23 +27,27 @@ def test_ground_ring_complex_matches_the_category_nerve():
     # nerve: one generator per string, faces compose/truncate
     G = ia.ground_ring_algebra(QQ)
     C = cx.build_full_complex(G, cx.TruncationPolicy(1, 1))
-    cat = cx.DeltaHCategory()
+    table = cx.MorphismTable(cx.DeltaHCategory(), [0, 1])
     counts = []
     for n in range(3):
-        counts.append(len(cx._strings_for_degree(cat, cx.TruncationPolicy(1, 1), n)))
+        counts.append(len(cx._strings_for_degree(table, n)))
     assert C.dims == counts == [2, 38, 956]
-    # independent nerve boundary on a sample of strings
+    # independent nerve boundary on a sample of strings, with the morphisms
+    # read through the complex's id table
     rng = random.Random(0)
     strings = C.strings[2]
+    morphisms = C.morphisms
     for _ in range(50):
         si = rng.randrange(len(strings))
-        src, (f1, f2) = strings[si]
+        src, (i1, i2) = strings[si]
+        f1, f2 = morphisms[i1], morphisms[i2]
         col = C.boundary(2).column(C.offsets[2][si])
         expected = {}
         for tgt, sgn in (((f1.target, (f2,)), 1),
                          ((src, (cc.ifas_compose(f2, f1),)), -1),
                          ((src, (f1,)), 1)):
-            idx = C.offsets[1][C.string_index[1][tgt]]
+            key = (tgt[0], tuple(morphisms.id[f] for f in tgt[1]))
+            idx = C.offsets[1][C.string_index(1)[key]]
             expected[idx] = expected.get(idx, 0) + sgn
         expected = {k: QQ.from_int(v) for k, v in expected.items() if v}
         assert col == expected

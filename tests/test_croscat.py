@@ -136,6 +136,17 @@ def test_enumeration_counts():
                 monotone * cc.hyp_group_order(a) == cc.hom_size(a, b)
 
 
+def test_hom_size_closed_forms_match_enumeration():
+    for variant in ("all", "epi"):
+        for a in range(4):
+            for b in range(4):
+                assert cc.hom_size(a, b, variant) == \
+                    len(cc.enumerate_hom(a, b, variant))
+    assert cc.hom_size(1, 2, "epi") == 0
+    with pytest.raises(cc.CategoryError):
+        cc.hom_size(1, 1, "mono")
+
+
 def test_enumeration_is_deterministic_and_duplicate_free():
     homs = cc.enumerate_hom(2, 1)
     assert len(set(homs)) == len(homs)

@@ -75,6 +75,30 @@ def matmul(a, b):
             for row in a]
 
 
+rationals = st.one_of(st.integers(-4, 4),
+                      st.builds(Fraction, st.integers(-4, 4),
+                                st.integers(1, 3)),
+                      st.builds(Fraction, st.integers(-4, 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), rationals, max_size=4),
+                max_size=5))
+def test_integer_columns_are_scaled_fresh_copies(cols):
+    # over Q: a column of nonzero ints is copied at scale 1, any other is
+    # brought to ints by the lcm of its denominators; zeros never survive
+    scales = []
+    out = list(hom._columns(cols, 0, scales))
+    assert len(out) == len(scales) == len(cols)
+    for col, vec, s in zip(cols, out, scales):
+        assert vec is not col
+        assert all(type(v) is int and v for v in vec.values())
+        assert vec == {k: v * s for k, v in col.items() if v}
+        assert s == lcm(*[Fraction(v).denominator for v in col.values()])
+        if all(type(v) is int for v in col.values()):
+            assert s == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(int_matrices(), st.randoms(use_true_random=False))
 def test_rank_is_invariant_under_permutations(rows, rnd):
