@@ -157,8 +157,11 @@ class JobSpec:
                 (ring.characteristic != 0 or not ring.is_field):
             raise SpecError("pipeline: the coinvariants pipeline needs a "
                             "characteristic-zero field")
-        if self.coefficients is not None and ring != ZZ:
-            raise SpecError("coefficients: coefficient modules need --ring z")
+        if self.coefficients is not None:
+            if ring != ZZ:
+                raise SpecError("coefficients: coefficient modules need "
+                                "--ring z")
+            parse_coefficients(self.coefficients)
         if self.max_degree < 0 or any(n < 0 for n in self.n_values):
             raise SpecError("truncation: negative parameter")
         if self.max_generators < 1:
@@ -176,6 +179,8 @@ def parse_coefficients(text: str) -> CoefficientModule:
             torsion.append(int(part[2:]))
         else:
             raise SpecError(f"coefficients: cannot parse {part!r}")
+    if not parts:
+        raise SpecError("coefficients: empty module")
     try:
         return CoefficientModule(free, tuple(torsion))
     except ComplexError as exc:
@@ -448,13 +453,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify-category":
+        if args.depth < 0 or args.samples < 1:
+            print("error: verify-category needs --depth >= 0 and "
+                  "--samples >= 1", file=sys.stderr)
+            return 2
         results = croscat.run_invariant_suite(args.depth, args.samples)
-        failed_total = 0
+        code = 0
         for name, (checked, failed) in results.items():
-            status = "pass" if failed == 0 else "FAIL"
+            # a check that ran no case proves nothing
+            status = "FAIL" if failed else "pass" if checked else "EMPTY"
             print(f"{status}  {name}: {checked} checked, {failed} failed")
-            failed_total += failed
-        return 0 if failed_total == 0 else 1
+            if status != "pass":
+                code = 1
+        return code
     try:
         job = JobSpec(
             algebra_source=args.algebra,

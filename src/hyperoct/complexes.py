@@ -54,7 +54,7 @@ from .croscat import (EMPTY_OBJECT, IFasMorphism, factorize_ifas, ifas_compose,
 from .homology import HomologyError, check_dsquared_pair
 from .invalg import InvolutiveAlgebra, adapt_basis_to_augmentation, AlgebraError
 from .matrices import SparseMatrix
-from .rings import Ring, GF, ZZ
+from .rings import Ring, RingError, GF, ZZ
 
 DEFAULT_MAX_GENERATORS = 2_000_000
 
@@ -425,25 +425,23 @@ class RelationCertificate:
 
     A relation column is indexed by a composable pair (alpha, g) with a
     string tail and a coefficient basis element; its image under the
-    retraction vanishes iff the functor is functorial on (g, alpha) at that
-    coefficient, independently of the tail.  The certificate therefore
-    checks all pairs (exhaustively up to the configured bound, sampled
-    beyond) and additionally evaluates a sample of full relation columns
-    with tails, verbatim."""
+    retraction is F(g o alpha) e_x - F(g) F(alpha) e_x for that basis
+    element e_x, so it vanishes iff the functor is functorial on
+    (g, alpha), whatever the tail.  The
+    certificate therefore checks the pairs: all of them up to the
+    configured bound, a random sample beyond it."""
 
     pairs_checked: int
     pairs_failed: int
-    sampled_columns_checked: int
-    sampled_columns_failed: int
 
     @property
     def ok(self) -> bool:
-        return self.pairs_failed == 0 and self.sampled_columns_failed == 0
+        return self.pairs_failed == 0
 
 
 def relation_certificate(table: MorphismTable, functor,
                          exhaustive_pair_limit: int = 200_000,
-                         tail_samples: int = 50, seed: int = 11) -> RelationCertificate:
+                         seed: int = 11) -> RelationCertificate:
     objs = table.objects
     hom = table.hom
     pair_count = 0
@@ -486,37 +484,7 @@ def relation_certificate(table: MorphismTable, functor,
         checked += 1
         if not lhs.equals(rhs):
             failed += 1
-    # a sample of literal relation columns with non-trivial string tails
-    p = functor.ring.characteristic
-    tails_checked = tails_failed = 0
-    if triples:
-        for _ in range(tail_samples):
-            alpha, g = rng.choice(triples)
-            tail_len = rng.randrange(0, 2)
-            tail = []
-            cur = table.target[g]
-            ok_tail = True
-            for _ in range(tail_len):
-                cand = [o for o in objs if hom[cur, o]]
-                if not cand:
-                    ok_tail = False
-                    break
-                nxt = rng.choice(cand)
-                tail.append(rng.choice(hom[cur, nxt]))
-                cur = nxt
-            if not ok_tail:
-                continue
-            for x in range(functor.dim(table.source[alpha])):
-                # pi((tail, g o alpha) (x) e_x) - pi((tail, g) (x) F(alpha) e_x)
-                left = matrix(table.compose(g, alpha)).cols[x]
-                right: dict = {}
-                for r, v in matrix(alpha).cols[x].items():
-                    for rr, vv in matrix(g).cols[r].items():
-                        right[rr] = right.get(rr, 0) + vv * v
-                tails_checked += 1
-                if left != _reduced(right, p):
-                    tails_failed += 1
-    return RelationCertificate(checked, failed, tails_checked, tails_failed)
+    return RelationCertificate(checked, failed)
 
 
 def build_nerve_variant(category, functor, policy: TruncationPolicy,
@@ -592,8 +560,10 @@ class CoefficientModule:
         if self.free_rank < 0:
             raise ComplexError("negative free rank")
         for m in self.torsion:
-            if m < 2:
-                raise ComplexError("torsion order must be at least 2")
+            try:
+                GF(m)
+            except RingError:
+                raise ComplexError(f"torsion order {m} is not prime")
 
 
 @dataclass

@@ -6,7 +6,12 @@ fraction-free over Z and over Q (each rational column scaled to integers).
 A reduced column pivots on its largest row index.  The stream stops once
 the rank reaches a caller's bound; ``homology_over_field`` bounds rank d_n
 by dim ker d_{n-1}, which it certifies first by checking d_{n-1} d_n = 0
-exactly on the same integer columns.  Ranks stream their columns
+exactly, on integer columns scaled as the kernel's are.  The check,
+``check_dsquared_pair``, is Kronecker substitution: each column of d_{n-1}
+is packed into one Python int with a fixed-width slot per row, so a
+column of the product is a sum of one big-integer multiple per nonzero of
+d_n, and a zero test (or, mod a small prime, a test on the sum offset to
+non-negative slots) reads every slot at once.  Ranks stream their columns
 echelon-first: every column whose largest row index no earlier column has
 goes first, as a pivot that needs no reduction, and the rest follow in
 their original order.  Rank does not depend on column order, so only the
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd, lcm
 
 from .matrices import SparseMatrix
@@ -234,24 +240,101 @@ def field_kernel_sample(complex_, degree: int, limit: int = 10):
     return out
 
 
-def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
-    """Raise unless d_prev d_n = 0, checked on the kernel's columns.
+def _scaled(col) -> dict:
+    """A column over Q with a ``Fraction`` entry, scaled to ints."""
+    return next(_columns((col,), 0))
 
-    The columns of d_n are the kernel's integer (or mod p) columns; d_prev's
-    columns are brought to one common scale, so over Q the product checked
-    is an integer multiple of the true one, column by column."""
+
+def _norm(col) -> int:
+    """Sum of the absolute values of a column over Q or Z, at its integer
+    scale.  A sum with a ``Fraction`` in it is a ``Fraction``."""
+    norm = sum(map(abs, col.values()))
+    return norm if type(norm) is int else _norm(_scaled(col))
+
+
+def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
+    """Raise unless d_prev d_n = 0, exactly, by packed integer sums.
+
+    The entries w of d_prev are integers: over Q each column is scaled by
+    ``_columns`` and weighted to the common scale, so the product checked
+    is an integer multiple of the true one, column by column; over F_p they
+    are residues lifted to (-p/2, p/2).  The entries v of d_n are read as
+    they are (lifted the same way over F_p; a column with a ``Fraction``
+    entry is scaled to ints).  Column k of d_prev becomes one int
+    P_k = sum_r w_rk 2^(B r), a B-bit slot per row, and column j of the
+    product becomes X_j = sum_k v_jk P_k = sum_r c_rj 2^(B r): one
+    big-integer multiply-add per nonzero of d_n.  With
+
+        bound = max |w| * max_j sum_k |v_jk|,   so that |c_rj| <= bound,
+
+    either test below is exact.
+
+    Zero test (Q, Z, and F_p when bound < p): B = bound.bit_length(), so
+    |c_rj| < 2^B.  X_j = 0 iff every c_rj = 0: at the lowest r0 with
+    c_r0 != 0, X_j = 2^(B r0) (c_r0 + 2^B t) for an integer t, which is not
+    zero since 2^B does not divide c_r0.  Over F_p, bound < p leaves 0 as
+    the only multiple of p in [-bound, bound].
+
+    Offset test (F_p when bound >= p): K is the least multiple of p with
+    K >= bound, m = 2K/p, s = p.bit_length() (so p < 2^s),
+    B = m.bit_length() + s (so 2K = p m < 2^B), and HIGH has the top s bits
+    of every slot set.  Adding K to every slot gives
+    Y_j = sum_r d_r 2^(B r) with d_r = c_rj + K in [0, 2K], so the d_r are
+    the base-2^B digits of Y_j, and d_r and c_rj agree mod p.  If every
+    d_r = p z_r, then z_r <= m < 2^(B-s), so p | Y_j and
+    Y_j / p = sum_r z_r 2^(B r) has no HIGH bit.  Conversely, if Y_j = p Z
+    and Z has no HIGH bit, then Z = sum_r z_r 2^(B r) with z_r < 2^(B-s),
+    so p z_r < 2^B are base-2^B digits of Y_j too, and by uniqueness every
+    d_r = p z_r.  So column j vanishes mod p iff p | Y_j and
+    (Y_j / p) & HIGH = 0."""
     p = _modulus(d_n.ring)
-    scales: list = []
-    prev = list(_columns(d_prev.cols, p, scales))
-    common = lcm(*scales)
-    weight = [common // s for s in scales]
-    for col in _columns(d_n.cols, p):
-        acc: dict = {}
-        for k, v in col.items():
-            v *= weight[k]
-            for r, w in prev[k].items():
-                acc[r] = acc.get(r, 0) + w * v
-        if any(x % p if p else x for x in acc.values()):
+    if p:
+        half = p // 2
+        lift = {}
+        for v in set(chain.from_iterable(map(dict.values, d_n.cols))):
+            r = v % p
+            lift[v] = r - p if r > half else r
+        size = {v: abs(w) for v, w in lift.items()}
+        norm = max((sum(map(size.__getitem__, col.values()))
+                    for col in d_n.cols), default=0)
+        prev = [{r: w - p if w > half else w for r, w in col.items()}
+                for col in _columns(d_prev.cols, p)]
+    else:
+        norm = max(map(_norm, d_n.cols), default=0)
+        scales: list = []
+        prev = list(_columns(d_prev.cols, 0, scales))
+        common = lcm(*scales)
+        if common != 1:
+            prev = [{r: w * (common // s) for r, w in col.items()}
+                    for col, s in zip(prev, scales)]
+    bound = norm * max((abs(w) for col in prev for w in col.values()),
+                       default=0)
+    if not bound:
+        return
+    offset = p and bound >= p
+    if offset:
+        K = -(-bound // p) * p
+        s = p.bit_length()
+        B = (2 * K // p).bit_length() + s
+        unit = ((1 << B * d_prev.nrows) - 1) // ((1 << B) - 1)
+        OFF, HIGH = K * unit, (((1 << s) - 1) << (B - s)) * unit
+    else:
+        B = bound.bit_length()
+    packed = [sum(w << B * r for r, w in col.items()) for col in prev]
+    for col in d_n.cols:
+        x = 0
+        if p:
+            for k, v in col.items():
+                x += lift[v] * packed[k]
+        else:
+            for k, v in col.items():
+                x += v * packed[k]
+            if type(x) is not int:
+                x = sum(v * packed[k] for k, v in _scaled(col).items())
+        if offset:
+            q, r = divmod(x + OFF, p)
+            x = r or q & HIGH
+        if x:
             raise HomologyError(
                 f"d{n - 1} d{n} is not zero: not a chain complex")
 

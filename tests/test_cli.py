@@ -273,8 +273,44 @@ def test_coefficients_and_uct(tmp_path):
     assert report["torsion"]["epi"]["N=1"]
 
 
-def test_verify_category_command():
+def test_non_prime_torsion_order_exits_before_building(tmp_path, capsys,
+                                                       monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("built a complex for a job that cannot run")
+
+    monkeypatch.setattr(cli, "build_epi_complex", build)
+    for text, reason in (("z/4", "torsion order 4 is not prime"),
+                         ("z+z/1", "torsion order 1 is not prime"),
+                         ("", "empty module")):
+        with pytest.raises(cli.SpecError, match=reason):
+            cli.JobSpec("c2", "z", "epi", [0], 1, coefficients=text)
+        out = tmp_path / "r.json"
+        code = run_cli(["compute", "--algebra", "c2", "--ring", "z",
+                        "--pipeline", "epi", "--max-object", "0",
+                        "--max-degree", "1", "--coefficients", text,
+                        "--out", str(out)])
+        assert code == 2
+        assert f"error: coefficients: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(complexes.ComplexError, match="not prime"):
+        complexes.CoefficientModule(0, (2, 6))
+
+
+def test_verify_category_command(capsys, monkeypatch):
     assert run_cli(["verify-category", "--depth", "1", "--samples", "100"]) == 0
+    assert "EMPTY" not in capsys.readouterr().out
+    for depth, samples in (("-1", "-3"), ("2", "0"), ("-1", "5")):
+        assert run_cli(["verify-category", "--depth", depth,
+                        "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "--samples >= 1" in captured.err and not captured.out
+    # a check that ran no case is not a pass
+    monkeypatch.setattr(cli.croscat, "run_invariant_suite",
+                        lambda depth, samples: {"ran": (3, 0),
+                                                "idle": (0, 0)})
+    assert run_cli(["verify-category"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "pass  ran: 3 checked, 0 failed", "EMPTY  idle: 0 checked, 0 failed"]
 
 
 def test_slominska_pipeline_via_cli(tmp_path):

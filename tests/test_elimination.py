@@ -230,6 +230,151 @@ def test_non_complex_is_rejected(d1, d2):
         assert not C.check_dsquared()
 
 
+# -- the d^2 certificate against a dict-accumulation oracle ------------------
+
+def oracle_dsquared_pair(d_prev, d_n, n):
+    """d_prev d_n = 0 by one dict of row sums per column of d_n, on the
+    kernel's integer (or mod p) columns, with d_prev's columns at one
+    common scale."""
+    p = hom._modulus(d_n.ring)
+    scales = []
+    prev = list(hom._columns(d_prev.cols, p, scales))
+    common = lcm(*scales)
+    weight = [common // s for s in scales]
+    for col in hom._columns(d_n.cols, p):
+        acc = {}
+        for k, v in col.items():
+            v *= weight[k]
+            for r, w in prev[k].items():
+                acc[r] = acc.get(r, 0) + w * v
+        if any(x % p if p else x for x in acc.values()):
+            raise hom.HomologyError(
+                f"d{n - 1} d{n} is not zero: not a chain complex")
+
+
+CERT_RINGS = (QQ, ZZ, *map(GF, PRIMES))
+BIG = PRIMES[-1]
+
+
+def ring_entries(ring):
+    if ring == QQ:
+        return rationals
+    if ring == ZZ:
+        return st.one_of(entries, st.integers(-300, 300))
+    p = ring.p
+    return st.one_of(st.integers(0, min(p - 1, 4)),
+                     st.integers(max(0, p - 4), p - 1),
+                     st.integers(0, p - 1))
+
+
+def sparse(ring, rows, ncols):
+    """A ``SparseMatrix`` of ``ring`` from dense rows of entries."""
+    p = ring.characteristic
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            v = v % p if p else v
+            if v:
+                cols[j][i] = v
+    return SparseMatrix(ring, len(rows), ncols, cols)
+
+
+def verdicts(d_prev, d_n):
+    """(packed certificate, oracle) verdicts: True when d_prev d_n = 0."""
+    out = []
+    for check in (hom.check_dsquared_pair, oracle_dsquared_pair):
+        try:
+            check(d_prev, d_n, 2)
+        except hom.HomologyError as exc:
+            assert str(exc) == "d1 d2 is not zero: not a chain complex"
+            out.append(False)
+        else:
+            out.append(True)
+    return tuple(out)
+
+
+@st.composite
+def certificate_pairs(draw):
+    """(ring, X, Y): dense r x k and k x c matrices of ring entries."""
+    ring = draw(st.sampled_from(CERT_RINGS))
+    r, k, c = (draw(st.integers(1, m)) for m in (6, 4, 3))
+    vals = ring_entries(ring)
+    X = [[draw(vals) for _ in range(k)] for _ in range(r)]
+    Y = [[draw(vals) for _ in range(c)] for _ in range(k)]
+    return ring, X, Y
+
+
+def perturb(draw, ring, rows):
+    """``rows`` with one entry changed."""
+    rows = [list(row) for row in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    rows[i][j] += draw(st.sampled_from((1, -1, 2)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_pairs())
+def test_dsquared_certificate_matches_the_oracle(data):
+    ring, X, Y = data
+    d_prev, d_n = sparse(ring, X, len(Y)), sparse(ring, Y, len(Y[0]))
+    packed, oracle = verdicts(d_prev, d_n)
+    assert packed == oracle
+    if ring.characteristic:
+        # any integer representative of a residue is read as that residue
+        p = ring.characteristic
+        for col in d_n.cols:
+            for k in col:
+                col[k] -= p * (k % 3)
+        assert verdicts(d_prev, d_n) == (oracle, oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_pairs(), st.booleans(), st.data())
+def test_dsquared_certificate_on_vanishing_pairs(data, stacked, draw):
+    # [X | X] over [Y ; -Y] has every slot sum X Y - X Y; [X | I] over
+    # [Y ; -X Y] has X Y + (-X Y), over F_p a nonzero multiple of p
+    # whenever the lifted X Y leaves (-p/2, p/2).  Both vanish; one changed
+    # entry of either factor must give the oracle's verdict.
+    ring, X, Y = data
+    r = len(X)
+    if stacked:
+        left = [row + row for row in X]
+        right = Y + [[-v for v in row] for row in Y]
+    else:
+        left = [row + [int(i == a) for a in range(r)]
+                for i, row in enumerate(X)]
+        right = Y + [[-v for v in row] for row in matmul(X, Y)]
+    width = len(right)
+    assert verdicts(sparse(ring, left, width),
+                    sparse(ring, right, len(Y[0]))) == (True, True)
+    if draw.draw(st.booleans()):
+        left = perturb(draw.draw, ring, left)
+    else:
+        right = perturb(draw.draw, ring, right)
+    packed, oracle = verdicts(sparse(ring, left, width),
+                              sparse(ring, right, len(Y[0])))
+    assert packed == oracle
+
+
+@pytest.mark.parametrize("ring, left, right, vanishes", [
+    # slot sums at the bound: the column [4, -1] packs to 4 - 4 = 0 in
+    # slots one bit narrower (over Q, [1/2, -1/8] scales to it)
+    (ZZ, [[4], [-1]], [[1]], False),
+    (QQ, [[Fraction(1, 2)], [Fraction(-1, 8)]], [[1]], False),
+    # bound = p: the integer product 2 (or 3) is a multiple of p
+    (GF(2), [[1, 1]], [[1], [1]], True),
+    (GF(3), [[1, 1, 1]], [[1], [1], [1]], True),
+    (GF(3), [[1, 1, 1], [1, 1, 0]], [[1], [1], [1]], False),
+    # the word-size prime with an integer product of exactly p
+    (GF(BIG), [[BIG // 2, 1]], [[2], [1]], True),
+    (GF(BIG), [[BIG // 2, 1], [1, 0]], [[2], [1]], False),
+])
+def test_dsquared_certificate_edge_pairs(ring, left, right, vanishes):
+    assert verdicts(sparse(ring, left, len(right)),
+                    sparse(ring, right, len(right[0]))) == (vanishes,) * 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(int_matrices(max_rows=4, max_cols=6), st.randoms(use_true_random=False))
 def test_bounded_homology_of_a_complex_matches_the_oracle(d1, rnd):
