@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .rings import Ring, ZZ, ring_by_name, RingError
+from .rings import Ring, ZZ, GF, ring_by_name, RingError
 from .invalg import (InvolutiveAlgebra, AlgebraError, builtin_algebra,
                      BUILTIN_ALGEBRAS)
 from .barfun import BarFunctor, FULL
@@ -275,15 +275,18 @@ def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int):
         base = complexes[main_tag]
         tensored = tensor_with_coefficients(base, module)
         coeff_payload = {"module": job.coefficients, "components": []}
+        # the first component over each ring, for the coefficient check
+        by_ring = {}
         for mult, comp in tensored.components:
             res = compute_homology(comp)
+            by_ring.setdefault(comp.ring, res)
             entry = {"ring": comp.ring.name, "multiplicity": mult,
                      "betti": list(res.betti)}
             if res.torsion:
                 entry["torsion"] = [list(t) for t in res.torsion]
             coeff_payload["components"].append(entry)
-        for p in module.torsion:
-            report = uct_check(base, p)
+        for p in dict.fromkeys(module.torsion):
+            report = uct_check(base, p, by_ring[GF(p)])
             verifications[f"uct[p={p}]"] = "pass" if report["ok"] else "fail"
             coeff_payload.setdefault("uct", {})[str(p)] = report["degrees"]
         payload["coefficients"] = coeff_payload

@@ -3,7 +3,9 @@
 Every rank, field solve and kernel sample runs through one streaming column
 elimination, ``_eliminate``, on integer columns: residues mod p over F_p,
 fraction-free over Z and over Q (each rational column scaled to integers).
-A reduced column pivots on its largest row index.  The stream stops once
+It keeps its pivots in Gauss-Jordan form, each zero at every other pivot's
+leading row, so a column is reduced in one pass over its own entries and
+is dependent exactly when nothing is left of it.  The stream stops once
 the rank reaches a caller's bound; ``homology_over_field`` bounds rank d_n
 by dim ker d_{n-1}, which it certifies first by checking d_{n-1} d_n = 0
 exactly, on integer columns scaled as the kernel's are.  The check,
@@ -13,7 +15,7 @@ column of the product is a sum of one big-integer multiple per nonzero of
 d_n, and a zero test (or, mod a small prime, a test on the sum offset to
 non-negative slots) reads every slot at once.  Ranks stream their columns
 echelon-first: every column whose largest row index no earlier column has
-goes first, as a pivot that needs no reduction, and the rest follow in
+goes first, each independent of those before it, and the rest follow in
 their original order.  Rank does not depend on column order, so only the
 count of columns streamed before the bound stops the stream changes.
 Solves and kernel samples keep the natural order, because their tracked
@@ -29,7 +31,7 @@ check.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd, lcm
@@ -59,13 +61,14 @@ _INT = {int}
 
 
 def _columns(cols, p: int, scales: list | None = None):
-    """Fresh integer copies of ``cols``: residues mod p, a plain copy of a
+    """Integer columns of ``cols``: mod p the columns themselves, whose
+    entries the kernel reads as residues; over Q and Z a plain copy of a
     column of nonzero ints, or else each column times the lcm of its
     denominators.  The scale of each column is appended to ``scales``."""
     for col in cols:
         vals = col.values()
         if p:
-            s, vec = 1, {k: v % p for k, v in col.items() if v % p}
+            s, vec = 1, col
         elif set(map(type, vals)) == _INT and 0 not in vals:
             s, vec = 1, dict(col)
         else:
@@ -77,57 +80,134 @@ def _columns(cols, p: int, scales: list | None = None):
         yield vec
 
 
+def _subtract(target: dict, c: int, source: dict, p: int = 0):
+    """``target -= c * source`` in place, entries kept in (-p/2, p/2] mod
+    ``p`` (or left as they come with ``p == 0``); entries that reach 0 are
+    dropped.  ``c`` and the entries of ``source`` are nonzero (mod p)."""
+    h = (p - 1) // 2
+    for i, w in source.items():
+        x = target.get(i, 0) - c * w
+        if p:
+            x = (x + h) % p - h
+        if x:
+            target[i] = x
+        else:
+            del target[i]
+
+
 def _eliminate(cols, p: int = 0, bound: int | None = None,
                track: bool = False):
-    """Stream integer columns through one column echelon form.
+    """Stream integer columns through one Gauss-Jordan column form.
 
-    Yields ``(j, vec, expr)`` per streamed column ``j``: ``vec`` is the
-    column reduced by the earlier pivots, empty when it depends on them and
-    else kept as the pivot of its largest row index; ``expr`` (with
-    ``track``) is the combination of streamed columns equal to ``vec``.
-    Mod ``p`` pivots are scaled to lead with 1; with ``p == 0`` elimination
-    is fraction-free, and a column scaled to cancel a pivot entry, or kept
-    as a pivot, is divided by the gcd of its entries (and of ``expr``'s).
-    Streaming stops once the rank reaches ``bound``."""
-    pivots: dict = {}
+    A pivot is kept as its leading row r, its leading entry (1 mod p; only
+    entries other than 1 are held, in ``lead``) and its tail, the entries
+    off r.  Every tail lies on rows that lead no
+    pivot: a new pivot is back-substituted into each pivot whose tail has
+    its leading row, found through ``where`` (row -> pivots whose tail
+    listed it; an entry may since be gone, and the pivot is then skipped).
+    So a column reduces in one pass over its own entries, subtracting the
+    pivot of each leading row among them.  The residual lies on
+    non-leading rows only, and the column depends on the earlier ones
+    exactly when it is empty; otherwise it becomes the pivot of its
+    largest row.
+
+    Columns are read as they are: mod ``p`` any representative of a
+    residue will do, and the kernel's entries are kept in (-p/2, p/2], so
+    that +-1 and +-2 stay small ints for a word-size prime.  With
+    ``p == 0`` elimination is fraction-free: a column is scaled by the lcm
+    of the leading entries it meets, a back-substituted pivot by the new
+    leading entry, and each is divided by the gcd of its entries (and of
+    its tracked combination's).
+
+    Yields ``(pivot, expr)`` per streamed column: whether it became a
+    pivot, and (with ``track``, for a dependent column) the combination of
+    streamed columns, by index, that vanishes.  Streaming stops once the
+    rank reaches ``bound``."""
+    h = (p - 1) // 2
+    lead: dict = {}
+    tails: dict = {}
     exprs: dict = {}
-    for j, vec in enumerate(cols):
-        if bound is not None and len(pivots) >= bound:
+    where = defaultdict(list)
+    for j, col in enumerate(cols):
+        if bound is not None and len(tails) >= bound:
             return
-        expr = {j: 1} if track else {}
-        while vec:
-            r = max(vec)
-            piv = pivots.get(r)
-            if piv is None:
-                if p:
-                    c = pow(vec[r], -1, p)
-                else:
-                    c = gcd(*vec.values(), *expr.values())
-                    c = c if vec[r] > 0 else -c
-                if c != 1:
-                    vec, expr = ({k: v * c % p if p else v // c
-                                  for k, v in d.items()} for d in (vec, expr))
-                pivots[r], exprs[r] = vec, expr
-                break
-            a, b = piv[r], vec[r]
-            for target, source in ((vec, piv), (expr, exprs[r])):
-                if a != 1:
-                    for k in target:
-                        target[k] *= a
-                for k, v in source.items():
-                    w = target.get(k, 0) - b * v
-                    if p:
-                        w %= p
-                    if w:
-                        target[k] = w
-                    else:
-                        del target[k]
-            if a != 1 and vec:
-                g = gcd(*vec.values(), *expr.values())
+        vec, hits = {}, []
+        for k, v in col.items():
+            if k in tails:
+                hits.append(k)
+            elif p:
+                v = (v + h) % p - h
+                if v:
+                    vec[k] = v
+            else:
+                vec[k] = v
+        scale = 1
+        if hits and not p:
+            scale = lcm(*[lead.get(k, 1) for k in hits])
+            if scale != 1:
+                vec = {k: v * scale for k, v in vec.items()}
+        expr = {j: scale} if track else {}
+        for k in hits:
+            if p:
+                c = (col[k] + h) % p - h
+                if not c:
+                    continue
+            else:
+                c = col[k] * (scale // lead.get(k, 1))
+            _subtract(vec, c, tails[k], p)
+            if track:
+                _subtract(expr, c, exprs[k], p)
+        if not p and (vec or track):
+            g = gcd(*vec.values(), *expr.values())
+            if g != 1:
+                vec = {i: w // g for i, w in vec.items()}
+                expr = {i: w // g for i, w in expr.items()}
+        if not vec:
+            yield False, expr
+            continue
+        r = max(vec)
+        a = vec.pop(r)
+        if p and a != 1:
+            c = pow(a, -1, p)
+            vec = {i: (w * c + h) % p - h for i, w in vec.items()}
+            expr = {i: (w * c + h) % p - h for i, w in expr.items()}
+            a = 1
+        elif a < 0:
+            a = -a
+            vec = {i: -w for i, w in vec.items()}
+            expr = {i: -w for i, w in expr.items()}
+        for q in where.pop(r, ()):
+            t = tails[q]
+            c = t.pop(r, None)
+            if c is None:
+                continue
+            e = exprs[q] if track else {}
+            for i in vec.keys() - t.keys():
+                where[i].append(q)
+            if a != 1:
+                lead[q] = lead.get(q, 1) * a
+                for d in (t, e):
+                    for i in d:
+                        d[i] *= a
+            _subtract(t, c, vec, p)
+            _subtract(e, c, expr, p)
+            # copied, because a dict keeps its size after deletions
+            tails[q] = t = dict(t)
+            if not p:
+                g = gcd(lead.get(q, 1), *t.values(), *e.values())
                 if g != 1:
-                    vec, expr = ({k: v // g for k, v in d.items()}
-                                 for d in (vec, expr))
-        yield j, vec, expr if track else None
+                    lead[q] //= g
+                    for d in (t, e):
+                        for i in d:
+                            d[i] //= g
+        if a != 1:
+            lead[r] = a
+        tails[r] = dict(vec)
+        if track:
+            exprs[r] = expr
+        for i in vec:
+            where[i].append(r)
+        yield True, None
 
 
 def _fresh_first(cols):
@@ -136,7 +216,8 @@ def _fresh_first(cols):
     zero columns included.
 
     Each column of the first group leads on a row no other column of the
-    group has, so it becomes a pivot with no reduction step."""
+    group has, so it is independent of the group's earlier columns and
+    becomes a pivot."""
     seen: set = set()
     rest = []
     for col in cols:
@@ -158,17 +239,17 @@ def _rank(M: SparseMatrix, bound: int | None = None,
     Fill-in and pivot count stay bounded by the short side, which also caps
     the rank, so the stream always stops once the rank reaches it.  The
     rank of a set of columns does not depend on their order.  The first
-    group's columns are independent and cost no arithmetic, so when most
-    of the rank lies in that group, as for the epi boundaries, a bounded
-    stream reduces far fewer dependent columns before it stops."""
+    group's columns are independent, so when most of the rank lies in that
+    group, as for the epi boundaries, a bounded stream reduces far fewer
+    dependent columns before it stops."""
     p = _modulus(M.ring)
     if M.nrows > M.ncols:
         M = M.transpose()
     limit = M.nrows if bound is None else min(bound, M.nrows)
     rank = streamed = 0
-    for _, vec, _ in _eliminate(_columns(_fresh_first(M.cols), p), p, limit):
+    for pivot, _ in _eliminate(_columns(_fresh_first(M.cols), p), p, limit):
         streamed += 1
-        rank += bool(vec)
+        rank += pivot
     if stats is not None:
         stats.update(cols=streamed, of=M.ncols, early_exit=streamed < M.ncols)
     return rank
@@ -207,8 +288,8 @@ def field_solve(A: SparseMatrix, b: dict):
     p = _modulus(ring)
     scales: list = []
     cols = _columns(A.cols + [b], p, scales)
-    *_, (_, vec, expr) = _eliminate(cols, p, track=True)
-    if vec:
+    *_, (pivot, expr) = _eliminate(cols, p, track=True)
+    if pivot:
         return None
     # sum_j expr[j] scales[j] A_j + expr[n] scales[n] b = 0
     den = ring.from_int(-expr.pop(A.ncols) * scales[A.ncols])
@@ -230,9 +311,9 @@ def field_kernel_sample(complex_, degree: int, limit: int = 10):
     p = _modulus(ring)
     scales: list = []
     out = []
-    for _, vec, expr in _eliminate(_columns(A.cols, p, scales), p,
-                                   track=True):
-        if not vec:
+    for pivot, expr in _eliminate(_columns(A.cols, p, scales), p,
+                                  track=True):
+        if not pivot:
             out.append({j: ring.from_int(c * scales[j])
                         for j, c in expr.items()})
             if len(out) >= limit:
@@ -258,7 +339,7 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
     The entries w of d_prev are integers: over Q each column is scaled by
     ``_columns`` and weighted to the common scale, so the product checked
     is an integer multiple of the true one, column by column; over F_p they
-    are residues lifted to (-p/2, p/2).  The entries v of d_n are read as
+    are residues lifted to (-p/2, p/2].  The entries v of d_n are read as
     they are (lifted the same way over F_p; a column with a ``Fraction``
     entry is scaled to ints).  Column k of d_prev becomes one int
     P_k = sum_r w_rk 2^(B r), a B-bit slot per row, and column j of the
@@ -289,16 +370,14 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
     (Y_j / p) & HIGH = 0."""
     p = _modulus(d_n.ring)
     if p:
-        half = p // 2
-        lift = {}
-        for v in set(chain.from_iterable(map(dict.values, d_n.cols))):
-            r = v % p
-            lift[v] = r - p if r > half else r
+        h = (p - 1) // 2
+        lift = {v: (v + h) % p - h
+                for v in set(chain.from_iterable(map(dict.values, d_n.cols)))}
         size = {v: abs(w) for v, w in lift.items()}
         norm = max((sum(map(size.__getitem__, col.values()))
                     for col in d_n.cols), default=0)
-        prev = [{r: w - p if w > half else w for r, w in col.items()}
-                for col in _columns(d_prev.cols, p)]
+        prev = [{r: x for r, w in col.items() if (x := (w + h) % p - h)}
+                for col in d_prev.cols]
     else:
         norm = max(map(_norm, d_n.cols), default=0)
         scales: list = []
@@ -705,19 +784,24 @@ def solve_is_boundary(complex_, degree: int, z: dict) -> BoundaryWitness:
 # universal coefficients
 # ---------------------------------------------------------------------------
 
-def uct_check(complex_, p: int) -> dict:
+def uct_check(complex_, p: int, modp: HomologyResult | None = None) -> dict:
     """Dimension count of the coefficient short exact sequence at the prime p.
 
     For every degree n the residue-field dimension of homology with Z/p
     coefficients must equal dim(H_n (x) Z/p) + dim Tor_1(H_{n-1}, Z/p),
-    both read off the integral Smith data."""
+    both read off the integral Smith data.  ``modp`` is the homology of
+    the complex reduced mod p, when the caller has computed it already;
+    otherwise it is computed here."""
     if complex_.ring != ZZ:
         raise HomologyError("the coefficient check starts from an integer complex")
     field = GF(p)
+    if modp is None:
+        from .complexes import reduce_mod_p
+        modp = homology_over_field(reduce_mod_p(complex_, p))
+    elif modp.ring_name != field.name:
+        raise HomologyError(f"homology over {modp.ring_name} given for the "
+                            f"check at p = {p}")
     integral = homology_over_Z(complex_)
-    from .complexes import tensor_with_coefficients, CoefficientModule
-    reduced = tensor_with_coefficients(complex_, CoefficientModule(0, (p,)))
-    modp = homology_over_field(reduced.components[0][1])
     report = {"prime": p, "degrees": [], "ok": True}
     for n in integral.degrees:
         tensor_dim = integral.betti[n] + sum(

@@ -273,6 +273,44 @@ def test_coefficients_and_uct(tmp_path):
     assert report["torsion"]["epi"]["N=1"]
 
 
+def test_uct_check_runs_once_per_distinct_prime(monkeypatch):
+    # a repeated prime is checked once; the canonical report is the one
+    # the check per occurrence gave (pinned sha256)
+    calls = []
+    check = cli.uct_check
+
+    def counted(complex_, p, modp=None):
+        calls.append(p)
+        return check(complex_, p, modp)
+
+    monkeypatch.setattr(cli, "uct_check", counted)
+    report, code = cli.run(cli.JobSpec("c2", "z", "epi", [1], 1,
+                                       coefficients="z/2+z/2", verify=True))
+    assert code == 0 and calls == [2]
+    assert report["verifications"]["N=1/uct[p=2]"] == "pass"
+    text = cli.canonical_report_text(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aeb545ce285587802321d84484d46ec5a547140b4812c718a25a2a4924911197")
+
+
+def test_uct_check_reuses_the_mod_p_homology_of_the_job(monkeypatch):
+    # the F_2 coefficient component is solved once, and the coefficient
+    # check reads that result
+    rings = []
+    over_field = homology.homology_over_field
+
+    def counted(complex_, up_to=None):
+        rings.append(complex_.ring.name)
+        return over_field(complex_, up_to)
+
+    monkeypatch.setattr(homology, "homology_over_field", counted)
+    report, code = cli.run(cli.JobSpec("c2", "z", "epi", [1], 1,
+                                       coefficients="z/2", verify=True))
+    assert code == 0
+    assert report["verifications"]["N=1/uct[p=2]"] == "pass"
+    assert rings == ["F2"]
+
+
 def test_non_prime_torsion_order_exits_before_building(tmp_path, capsys,
                                                        monkeypatch):
     def build(*args, **kwargs):

@@ -214,6 +214,92 @@ def test_kernel_samples_are_cycles(rows, limit):
             assert z and C.boundary(1).apply(z) == {}
 
 
+@st.composite
+def planted_rank_matrices(draw):
+    """Dense rows of a sparse matrix of planted rank, up to 20 x 60.
+
+    Up to ``nr`` basis columns have one to four entries in -2..2, each with
+    a +-2 (a non-unit leading entry is likely, and over F_2 it vanishes);
+    every other column is zero or a combination of up to three basis
+    columns with coefficients in -2..2.  The columns come in a random
+    order, so dependent columns reduce through chains of pivots."""
+    nr = draw(st.integers(1, 20))
+    k = draw(st.integers(0, nr))
+    nc = draw(st.integers(max(k, 1), 60))
+    rnd = draw(st.randoms(use_true_random=False))
+    basis = []
+    for _ in range(k):
+        col = [0] * nr
+        support = rnd.sample(range(nr), rnd.randint(1, min(4, nr)))
+        for i in support:
+            col[i] = rnd.choice((-2, -1, 1, 2))
+        col[support[0]] = rnd.choice((-2, 2))
+        basis.append(col)
+    cols = list(basis)
+    for _ in range(nc - k):
+        col = [0] * nr
+        for b in rnd.sample(basis, min(len(basis), rnd.randint(1, 3))):
+            c = rnd.choice((-2, -1, 1, 2))
+            col = [x + c * y for x, y in zip(col, b)]
+        cols.append(col)
+    rnd.shuffle(cols)
+    return [list(r) for r in zip(*cols)]
+
+
+def streamed_prefix(ordered, limit, p):
+    """Columns the rank stream takes: the shortest prefix of ``ordered``
+    of rank ``limit``, or all of it (prefix ranks grow, so bisect)."""
+    lo, hi = 0, len(ordered)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (oracle_rank(ordered[:mid], p) if mid else 0) >= limit:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_rank_matrices(), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_gauss_jordan_stream_on_planted_rank_matrices(rows, slack, rnd):
+    nr, nc = len(rows), len(rows[0])
+    for ring, p in ((QQ, None), (ZZ, None), (GF(2), 2), (GF(3), 3),
+                    (GF(PRIMES[-1]), PRIMES[-1])):
+        rank = oracle_rank(rows, p)
+        M = over(ring, rows)
+        side = rows if nr > nc else [list(c) for c in zip(*rows)]
+        vecs = [{k: w for k, v in enumerate(vec) if (w := v % p if p else v)}
+                for vec in side]
+        ordered = [[vec.get(k, 0) for k in range(len(side[0]))]
+                   for vec in hom._fresh_first(vecs)]
+        cols = streamed_prefix(ordered, min(rank + slack, nr, nc), p)
+        stats = {}
+        assert hom._rank(M, rank + slack, stats) == rank
+        assert stats == {"cols": cols, "of": len(ordered),
+                         "early_exit": cols < len(ordered)}
+        if ring == ZZ:
+            assert hom.integer_rank(M) == rank
+            continue
+        x0 = {j: ring.from_int(rnd.randint(-2, 2)) for j in range(nc)}
+        b = M.apply({j: v for j, v in x0.items() if not ring.is_zero(v)})
+        x = hom.field_solve(M, b)
+        assert x is not None and M.apply(x) == b
+        b = {i: v for i in range(nr)
+             if not ring.is_zero(v := ring.from_int(rnd.randint(-2, 2)))}
+        x = hom.field_solve(M, b)
+        aug = [r + [b.get(i, 0)] for i, r in enumerate(rows)]
+        if x is None:
+            assert oracle_rank(aug, p) > rank
+        else:
+            assert M.apply(x) == b
+        C = toy_complex(ring, [nr, nc], {1: rows})
+        sample = hom.field_kernel_sample(C, 1, nc)
+        assert len(sample) == nc - rank
+        for z in sample:
+            assert z and M.apply(z) == {}
+
+
 @settings(max_examples=60, deadline=None)
 @given(int_matrices(max_rows=4, max_cols=5), int_matrices(max_rows=5))
 def test_non_complex_is_rejected(d1, d2):

@@ -8,7 +8,7 @@ from hyperoct.rings import QQ, ZZ, GF
 from hyperoct.matrices import SparseMatrix
 from hyperoct.complexes import (TruncationPolicy, TruncatedComplex,
                                 CoefficientModule, tensor_with_coefficients,
-                                build_epi_complex)
+                                build_epi_complex, reduce_mod_p)
 from hyperoct.invalg import cyclic_group_algebra
 from hyperoct import homology as hom
 
@@ -180,6 +180,11 @@ def test_uct_toy():
     report3 = hom.uct_check(C, 3)
     assert report3["ok"]
     assert all(d["tor"] == 0 for d in report3["degrees"])
+    # the mod-p homology may come from the caller, for its own prime only
+    modp = hom.homology_over_field(reduce_mod_p(C, 2))
+    assert hom.uct_check(C, 2, modp) == report
+    with pytest.raises(hom.HomologyError):
+        hom.uct_check(C, 3, modp)
 
 
 def test_homology_result_validation():
