@@ -275,11 +275,13 @@ def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int):
         base = complexes[main_tag]
         tensored = tensor_with_coefficients(base, module)
         coeff_payload = {"module": job.coefficients, "components": []}
-        # the first component over each ring, for the coefficient check
-        by_ring = {}
+        # one homology per ring: the free component is base itself, and
+        # the components of a repeated prime share one reduction
+        by_ring = {base.ring: results[main_tag]}
         for mult, comp in tensored.components:
-            res = compute_homology(comp)
-            by_ring.setdefault(comp.ring, res)
+            if comp.ring not in by_ring:
+                by_ring[comp.ring] = compute_homology(comp)
+            res = by_ring[comp.ring]
             entry = {"ring": comp.ring.name, "multiplicity": mult,
                      "betti": list(res.betti)}
             if res.torsion:

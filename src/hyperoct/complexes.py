@@ -602,14 +602,17 @@ def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
 
 def tensor_with_coefficients(complex_: TruncatedComplex,
                              module: CoefficientModule) -> TensoredComplex:
-    """Degreewise tensor with boundary d (x) id, assembled per component."""
+    """Degreewise tensor with boundary d (x) id, assembled per component.
+
+    The free component is the complex itself, and each distinct prime is
+    reduced once, the reduction listed once per occurrence."""
     components = []
     if module.free_rank:
         components.append((module.free_rank, complex_))
-    for m in module.torsion:
-        if complex_.ring != ZZ:
-            raise ComplexError("torsion coefficients need an integer complex")
-        components.append((1, reduce_mod_p(complex_, m)))
+    if module.torsion and complex_.ring != ZZ:
+        raise ComplexError("torsion coefficients need an integer complex")
+    reduced = {m: reduce_mod_p(complex_, m) for m in set(module.torsion)}
+    components.extend((1, reduced[m]) for m in module.torsion)
     if not components:
         raise ComplexError("zero coefficient module")
     return TensoredComplex(complex_, module, components)

@@ -62,15 +62,14 @@ _INT = {int}
 
 def _columns(cols, p: int, scales: list | None = None):
     """Integer columns of ``cols``: mod p the columns themselves, whose
-    entries the kernel reads as residues; over Q and Z a plain copy of a
-    column of nonzero ints, or else each column times the lcm of its
-    denominators.  The scale of each column is appended to ``scales``."""
+    entries the kernel reads as residues; over Q and Z a column of nonzero
+    ints itself, or else each column times the lcm of its denominators.
+    No caller mutates what is yielded.  The scale of each column is
+    appended to ``scales``."""
     for col in cols:
         vals = col.values()
-        if p:
+        if p or (set(map(type, vals)) == _INT and 0 not in vals):
             s, vec = 1, col
-        elif set(map(type, vals)) == _INT and 0 not in vals:
-            s, vec = 1, dict(col)
         else:
             s = lcm(*[v.denominator for v in vals])
             vec = {k: v.numerator * (s // v.denominator)
@@ -96,7 +95,8 @@ def _subtract(target: dict, c: int, source: dict, p: int = 0):
 
 
 def _eliminate(cols, p: int = 0, bound: int | None = None,
-               track: bool = False):
+               track: bool = False, lead: dict | None = None,
+               tails: dict | None = None):
     """Stream integer columns through one Gauss-Jordan column form.
 
     A pivot is kept as its leading row r, its leading entry (1 mod p; only
@@ -122,10 +122,12 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
     Yields ``(pivot, expr)`` per streamed column: whether it became a
     pivot, and (with ``track``, for a dependent column) the combination of
     streamed columns, by index, that vanishes.  Streaming stops once the
-    rank reaches ``bound``."""
+    rank reaches ``bound``.  A caller that passes ``lead`` and ``tails``
+    owns the pivots they hold: pivot r is
+    ``lead.get(r, 1) e_r + tails[r]``."""
     h = (p - 1) // 2
-    lead: dict = {}
-    tails: dict = {}
+    lead = {} if lead is None else lead
+    tails = {} if tails is None else tails
     exprs: dict = {}
     where = defaultdict(list)
     for j, col in enumerate(cols):

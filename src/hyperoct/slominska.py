@@ -6,9 +6,13 @@ decomposes over the opposite poset of non-empty finite subsets: an object is
 a chain of object indices, carrying the product of automorphism groups and
 the product of epimorphism hom-sets between consecutive indices.  Over a
 field of characteristic zero the group homology collapses onto coinvariants,
-computed here as the image of the averaging projector, and the reduced
-homology of the algebra is the homology of the standard complex of the
-coinvariants functor over the truncated poset.
+and the reduced homology of the algebra is the homology of the standard
+complex of the coinvariants functor over the truncated poset.  The
+coinvariants are computed as a quotient: the relations (s - 1)m, for s in a
+generating set of the automorphism product (the Coxeter generators of each
+factor), run through the one elimination kernel of ``homology``, and the
+rows its pivots do not lead are the basis.  Nothing divides by a group
+order or enumerates a group, and any involution takes the same path.
 """
 from __future__ import annotations
 
@@ -17,9 +21,11 @@ from dataclasses import dataclass
 
 from . import croscat
 from .barfun import BarFunctor, IDEAL
-from .croscat import hyp_enumerate, hyp_inverse, hyp_to_ifas, ifas_compose
+from .croscat import (hyp_enumerate, hyp_identity, hyp_inverse, hyp_t,
+                      hyp_theta, hyp_to_ifas, ifas_compose)
 from .complexes import (TruncationPolicy, TruncatedComplex, build_gz_complex,
                         DEFAULT_MAX_GENERATORS)
+from .homology import _columns, _eliminate
 from .invalg import InvolutiveAlgebra, adapt_basis_to_augmentation
 from .matrices import SparseMatrix
 
@@ -112,6 +118,16 @@ def functor_E(X: tuple):
     return list(itertools.product(*homs))
 
 
+def automorphism_generators(X: tuple):
+    """A generating set of ``functor_A(X)``, one factor at a time: the sign
+    flip t_0 and the adjacent transpositions of that factor's group, with
+    identities in the other slots."""
+    ids = [hyp_identity(y) for y in chain_objects(X)]
+    for i, y in enumerate(chain_objects(X)):
+        for s in [hyp_t(y, 0)] + [hyp_theta(y, j) for j in range(y)]:
+            yield tuple(ids[:i] + [s] + ids[i + 1:])
+
+
 def act_on_chain(gs: tuple, chain: tuple):
     """Twist a hom-chain by an automorphism tuple:
     entry i becomes g_i o f_i o g_{i-1}^{-1}."""
@@ -180,10 +196,14 @@ def check_action_compatibility(X: tuple, Y: tuple, samples: int | None = None,
 # ---------------------------------------------------------------------------
 
 class CoinvariantModule:
-    """Image of the averaging projector on k[hom-chains] (x) ideal tensors.
+    """Coinvariants of k[hom-chains] (x) ideal tensors: the quotient by the
+    relations (s - 1)e, for s in ``automorphism_generators`` and e a basis
+    vector of the ambient module.
 
-    In characteristic zero the image of the projector is canonically the
-    coinvariants; its pivot-column basis doubles as the module basis."""
+    The relation columns go through the elimination kernel.  Its
+    Gauss-Jordan form keeps every pivot's tail on rows that lead no pivot,
+    so those rows, ascending, are the basis of the quotient, and a leading
+    row r is congruent to -tails[r] / lead[r] on them."""
 
     def __init__(self, X: tuple, functor: BarFunctor):
         ring = functor.ring
@@ -194,91 +214,45 @@ class CoinvariantModule:
         self.anchor = max(X)
         chains = functor_E(X)
         chain_index = {c: i for i, c in enumerate(chains)}
-        tensor = functor.basis(self.anchor)
-        tdim = len(tensor)
-        dim = len(chains) * tdim
-        group = functor_A(X)
-        order = ring.from_int(len(group))
-        inv_order = ring.div(ring.one(), order)
-        projector = SparseMatrix(ring, dim, dim)
-        for ci, chain in enumerate(chains):
-            for t in range(tdim):
-                col = projector.cols[ci * tdim + t]
-                for gs in group:
-                    twisted = chain_index[act_on_chain(gs, chain)]
-                    tensor_mat = functor.evaluate(hyp_to_ifas(gs[0]))
-                    for r, v in tensor_mat.cols[t].items():
-                        row = twisted * tdim + r
-                        cur = col.get(row)
-                        add = ring.mul(inv_order, v)
-                        col[row] = add if cur is None else ring.add(cur, add)
-                for r in [r for r, v in col.items() if ring.is_zero(v)]:
-                    del col[r]
-        self.projector = projector
-        self.ambient_dim = dim
+        tdim = len(functor.basis(self.anchor))
+        relations = []
+        for gs in automorphism_generators(X):
+            tensor = functor.evaluate(hyp_to_ifas(gs[0])).cols
+            for ci, chain in enumerate(chains):
+                twisted = chain_index[act_on_chain(gs, chain)] * tdim
+                for t in range(tdim):
+                    rel = {twisted + r: v for r, v in tensor[t].items()}
+                    e = ci * tdim + t
+                    rel[e] = ring.sub(rel.get(e, ring.zero()), ring.one())
+                    relations.append(rel)
+        self.lead: dict = {}
+        self.tails: dict = {}
+        for _ in _eliminate(_columns(relations, 0), 0, lead=self.lead,
+                            tails=self.tails):
+            pass
+        self.ambient_dim = dim = len(chains) * tdim
         self.tensor_dim = tdim
         self.chains = chains
         self.chain_index = chain_index
-        self._extract_basis()
-
-    def _extract_basis(self):
-        ring = self.ring
-        basis = []
-        pivots = {}
-        for col in self.projector.cols:
-            vec = dict(col)
-            while vec:
-                r = min(vec)
-                piv = pivots.get(r)
-                if piv is None:
-                    inv = ring.div(ring.one(), vec[r])
-                    norm = {k: ring.mul(inv, v) for k, v in vec.items()}
-                    pivots[r] = norm
-                    basis.append(norm)
-                    break
-                c = vec[r]
-                for k, v in piv.items():
-                    cur = vec.get(k)
-                    s = ring.sub(cur if cur is not None else ring.zero(),
-                                 ring.mul(c, v))
-                    if ring.is_zero(s):
-                        vec.pop(k, None)
-                    else:
-                        vec[k] = s
-        self.basis = basis
-        self.pivots = pivots
-        self.pivot_rows = sorted(pivots)
-        self.dim = len(basis)
+        self.basis = [r for r in range(dim) if r not in self.tails]
+        self._position = {r: i for i, r in enumerate(self.basis)}
+        self.dim = len(self.basis)
 
     def coordinates(self, vec: dict) -> dict:
-        """Coordinates of an ambient vector lying in the image."""
+        """Coordinates of the class of an ambient vector."""
         ring = self.ring
-        vec = dict(vec)
-        coords = {}
-        basis_by_pivot = {min(b): (i, b) for i, b in enumerate(self.basis)}
-        while vec:
-            r = min(vec)
-            hit = basis_by_pivot.get(r)
-            if hit is None:
-                raise SlominskaError("vector is not in the projector image")
-            i, b = hit
-            c = vec[r]
-            coords[i] = c
-            for k, v in b.items():
-                cur = vec.get(k)
-                s = ring.sub(cur if cur is not None else ring.zero(),
-                             ring.mul(c, v))
-                if ring.is_zero(s):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
-        return coords
-
-    def project(self, vec: dict) -> dict:
-        return self.projector.apply(vec)
-
-    def is_idempotent(self) -> bool:
-        return self.projector.matmul(self.projector).equals(self.projector)
+        coords: dict = {}
+        for k, v in vec.items():
+            tail = self.tails.get(k)
+            if tail is None:
+                terms = ((k, v),)
+            else:
+                c = ring.div(v, -self.lead.get(k, 1))
+                terms = ((i, ring.mul(c, w)) for i, w in tail.items())
+            for i, w in terms:
+                j = self._position[i]
+                coords[j] = ring.add(coords.get(j, ring.zero()), w)
+        return {j: w for j, w in coords.items() if not ring.is_zero(w)}
 
 
 def coinvariants(X: tuple, algebra: InvolutiveAlgebra) -> CoinvariantModule:
@@ -323,28 +297,17 @@ class CoinvariantFunctorView:
         src = self.module(f.source)
         tgt = self.module(f.target)
         out = SparseMatrix(ring, tgt.dim, src.dim)
-        tdim_t = tgt.tensor_dim
-        for j, bvec in enumerate(src.basis):
-            image: dict = {}
-            for pos, v in bvec.items():
-                ci, t = divmod(pos, src.tensor_dim)
-                new_chain, transport = restrict_chain(
-                    f.source, f.target, src.chains[ci])
-                nc = tgt.chain_index[new_chain]
-                if transport is None:
-                    row = nc * tdim_t + t
-                    cur = image.get(row)
-                    image[row] = v if cur is None else ring.add(cur, v)
-                else:
-                    tmat = self.bar.evaluate(transport)
-                    for r, w in tmat.cols[t].items():
-                        row = nc * tdim_t + r
-                        cur = image.get(row)
-                        add = ring.mul(v, w)
-                        image[row] = add if cur is None else ring.add(cur, add)
-            image = {k: v for k, v in image.items() if not ring.is_zero(v)}
-            projected = tgt.project(image)
-            out.cols[j] = tgt.coordinates(projected)
+        for j, row in enumerate(src.basis):
+            ci, t = divmod(row, src.tensor_dim)
+            new_chain, transport = restrict_chain(f.source, f.target,
+                                                  src.chains[ci])
+            base = tgt.chain_index[new_chain] * tgt.tensor_dim
+            if transport is None:
+                image = {base + t: ring.one()}
+            else:
+                image = {base + r: w for r, w in
+                         self.bar.evaluate(transport).cols[t].items()}
+            out.cols[j] = tgt.coordinates(image)
         self._matrices.setdefault(f, out)
         return out
 

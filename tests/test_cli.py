@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-from fractions import Fraction
 
 import pytest
 
@@ -95,9 +94,9 @@ def test_reports_byte_stable_across_processes(tmp_path):
 
 
 @pytest.mark.parametrize("algebra", ["c3", "klein"])
-def test_rational_boundaries_hold_ints_outside_slominska(algebra, monkeypatch):
-    # only the coinvariant complex divides (by group orders); everywhere
-    # else the rationals of a group algebra stay on the int fast path
+def test_rational_boundaries_hold_ints(algebra, monkeypatch):
+    # no pipeline divides, so the rationals of a group algebra stay on the
+    # int fast path, the coinvariant complex's included
     seen = []
     real = cli.compute_homology
     monkeypatch.setattr(cli, "compute_homology",
@@ -109,9 +108,7 @@ def test_rational_boundaries_hold_ints_outside_slominska(algebra, monkeypatch):
         for cpx in seen:
             types = {type(v) for M in cpx.boundaries.values()
                      for col in M.cols for v in col.values()}
-            assert types <= {int, Fraction}
-            if pipeline != "slominska":
-                assert types == {int}
+            assert types == {int}, pipeline
 
 
 def test_verify_certifies_each_dsquared_pair_once(monkeypatch):
@@ -291,6 +288,34 @@ def test_uct_check_runs_once_per_distinct_prime(monkeypatch):
     text = cli.canonical_report_text(report)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "aeb545ce285587802321d84484d46ec5a547140b4812c718a25a2a4924911197")
+
+
+@pytest.mark.parametrize("module,digest", [
+    ("z+z/2",
+     "25474c8c5ce9738cd076db2335af99cb7762729e3a610ec9b4097440bcfe6c52"),
+    ("z/2+z/2",
+     "aeb545ce285587802321d84484d46ec5a547140b4812c718a25a2a4924911197"),
+])
+def test_each_coefficient_ring_is_solved_once(module, digest, monkeypatch):
+    # the free component reuses the job's integral homology and a repeated
+    # prime is reduced and solved once; the integral solve left is the
+    # coefficient check's own.  The canonical reports are the ones each
+    # component solved on its own gave (pinned sha256)
+    rings, reduced = [], []
+    over_z, over_field = homology.homology_over_Z, homology.homology_over_field
+    reduce = complexes.reduce_mod_p
+    monkeypatch.setattr(homology, "homology_over_Z", lambda c, up_to=None:
+                        rings.append(c.ring.name) or over_z(c, up_to))
+    monkeypatch.setattr(homology, "homology_over_field", lambda c, up_to=None:
+                        rings.append(c.ring.name) or over_field(c, up_to))
+    monkeypatch.setattr(complexes, "reduce_mod_p", lambda c, p:
+                        reduced.append(p) or reduce(c, p))
+    report, code = cli.run(cli.JobSpec("c2", "z", "epi", [1], 1,
+                                       coefficients=module, verify=True))
+    assert code == 0
+    assert rings == ["Z", "F2", "Z"] and reduced == [2]
+    text = cli.canonical_report_text(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_uct_check_reuses_the_mod_p_homology_of_the_job(monkeypatch):

@@ -1,9 +1,97 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
 from hyperoct.rings import QQ, GF
 from hyperoct import invalg as ia, slominska as sl
+from hyperoct.barfun import BarFunctor, IDEAL
+from hyperoct.cli import algebra_from_spec
 from hyperoct.complexes import TruncationPolicy, build_epi_complex
-from hyperoct.homology import homology_over_field
+from hyperoct.croscat import hyp_to_ifas
+from hyperoct.homology import field_rank, homology_over_field
+from hyperoct.invalg import _invert_matrix
+from hyperoct.matrices import SparseMatrix
+
+
+def c3_spec(rows):
+    """JSON spec of the group algebra of C3 = <g>, involution g -> g^2, on
+    the basis whose vectors have coordinates ``rows`` over 1, g, g^2;
+    scalars are [numerator, denominator] pairs."""
+    R = _invert_matrix(QQ, [list(c) for c in zip(*rows)])
+
+    def coords(v):
+        return [pair(sum(r * x for r, x in zip(row, v))) for row in R]
+
+    def pair(x):
+        x = Fraction(x)
+        return [x.numerator, x.denominator]
+
+    def mul(a, b):
+        out = [0] * 3
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[(i + j) % 3] += x * y
+        return out
+
+    return {"dim": 3,
+            "structure": [[i, j, k, *c] for i, a in enumerate(rows)
+                          for j, b in enumerate(rows)
+                          for k, c in enumerate(coords(mul(a, b))) if c[0]],
+            "unit": coords([1, 0, 0]),
+            "involution": [coords([a[0], a[2], a[1]]) for a in rows],
+            "augmentation": [pair(sum(a)) for a in rows]}
+
+
+# involutions that are no signed permutation of the adapted basis: on
+# 1, g, g + g^2 the involution sends g to -g + (g + g^2); on
+# 1, g - 1, (1 - g^2)/2 it swaps the ideal vectors up to the scales -2
+# and -1/2, so the relations have leading entries other than 1
+TWISTED = {
+    "twisted-c3": c3_spec([[1, 0, 0], [0, 1, 0], [0, 1, 1]]),
+    "scaled-c3": c3_spec([[1, 0, 0], [-1, 1, 0],
+                          [Fraction(1, 2), 0, Fraction(-1, 2)]]),
+}
+
+
+def algebra(tag):
+    if tag in TWISTED:
+        return algebra_from_spec(json.loads(json.dumps(TWISTED[tag])), QQ)
+    return ia.builtin_algebra(tag, QQ)
+
+
+def averaging_projector(X, functor):
+    """Reference oracle: the columns of the averaging projector, the sum
+    of g over the whole automorphism product divided by its order, at one
+    chain per orbit of the product (every tensor index).  The projector
+    P satisfies P g = P, so these columns span its image, the invariants,
+    whose dimension in characteristic zero is that of the coinvariants.
+    At a one-chain X this is the whole projector."""
+    ring = functor.ring
+    chains = sl.functor_E(X)
+    chain_index = {c: i for i, c in enumerate(chains)}
+    tdim = len(functor.basis(max(X)))
+    group = sl.functor_A(X)
+    cols, seen = [], set()
+    for chain in chains:
+        if chain in seen:
+            continue
+        twisted = [chain_index[sl.act_on_chain(gs, chain)] for gs in group]
+        seen.update(chains[i] for i in twisted)
+        tensors = [functor.evaluate(hyp_to_ifas(gs[0])).cols for gs in group]
+        for t in range(tdim):
+            col = {}
+            for ci, tensor in zip(twisted, tensors):
+                for r, v in tensor[t].items():
+                    row = ci * tdim + r
+                    col[row] = ring.add(col.get(row, ring.zero()),
+                                        ring.div(v, len(group)))
+            cols.append({r: v for r, v in col.items() if v})
+    return SparseMatrix(ring, len(chains) * tdim, len(cols), cols)
 
 
 def test_poset_objects():
@@ -77,7 +165,20 @@ def test_coinvariants_of_the_flip_on_the_ideal():
     A = ia.cyclic_group_algebra(3, QQ)
     module = sl.coinvariants((0,), A)
     assert module.dim == 1
-    assert module.is_idempotent()
+    functor = BarFunctor(ia.adapt_basis_to_augmentation(A), IDEAL)
+    P = averaging_projector((0,), functor)
+    assert P.matmul(P).equals(P)
+    assert field_rank(P) == module.dim
+
+
+@pytest.mark.parametrize("tag", ["c2", "c3", "klein", *TWISTED])
+def test_quotient_dimension_is_the_projector_rank(tag):
+    # the quotient by (s - 1)e over a generating set s has the dimension
+    # of the image of the average over the whole group
+    functor = BarFunctor(ia.adapt_basis_to_augmentation(algebra(tag)), IDEAL)
+    for X in sl.build_S0(2).objects():
+        module = sl.CoinvariantModule(X, functor)
+        assert module.dim == field_rank(averaging_projector(X, functor)), X
 
 
 def test_coinvariants_reject_positive_characteristic():
@@ -93,11 +194,17 @@ def test_ground_ring_gives_the_zero_module():
 
 
 def test_agreement_with_the_epimorphism_complex():
-    for order in (2, 3):
-        A = ia.cyclic_group_algebra(order, QQ)
-        hs = sl.slominska_homology(A, TruncationPolicy(1, 1))
-        he = homology_over_field(build_epi_complex(A, TruncationPolicy(1, 1)))
-        assert hs.betti == he.betti
+    # the twisted specs are C3 in other bases: Betti [0, 1] at (1, 1) and
+    # [0, 0] at (2, 1)
+    cases = [("c2", (1, 1), None), ("c3", (1, 1), [0, 1])]
+    cases += [(tag, policy, betti) for tag in TWISTED
+              for policy, betti in (((1, 1), [0, 1]), ((2, 1), [0, 0]))]
+    for tag, policy, betti in cases:
+        A = algebra(tag)
+        hs = sl.slominska_homology(A, TruncationPolicy(*policy))
+        he = homology_over_field(build_epi_complex(A, TruncationPolicy(*policy)))
+        assert hs.betti == he.betti, (tag, policy)
+        assert betti is None or hs.betti == betti, (tag, policy)
 
 
 def test_slominska_complex_dsquared():
@@ -107,16 +214,59 @@ def test_slominska_complex_dsquared():
 
 
 def test_coinvariant_functor_is_functorial():
-    A = ia.cyclic_group_algebra(3, QQ)
-    view = sl.CoinvariantFunctorView(A)
-    S = sl.build_S0(1)
-    for X in S.objects():
-        for Y in S.objects():
-            for Z in S.objects():
-                fs, gs = S.hom(X, Y), S.hom(Y, Z)
-                if fs and gs:
-                    lhs = view.matrix(S.compose(gs[0], fs[0]))
-                    rhs = view.matrix(gs[0]).matmul(view.matrix(fs[0]))
-                    assert lhs.equals(rhs)
-        assert view.matrix(S.identity(X)).equals(
-            view.matrix(S.identity(X)).matmul(view.matrix(S.identity(X))))
+    S = sl.build_S0(2)
+    for tag in ("c3", *TWISTED):
+        view = sl.CoinvariantFunctorView(algebra(tag))
+        for X in S.objects():
+            for Y in S.objects():
+                for Z in S.objects():
+                    fs, gs = S.hom(X, Y), S.hom(Y, Z)
+                    if fs and gs:
+                        lhs = view.matrix(S.compose(gs[0], fs[0]))
+                        rhs = view.matrix(gs[0]).matmul(view.matrix(fs[0]))
+                        assert lhs.equals(rhs), (tag, X, Y, Z)
+            assert view.matrix(S.identity(X)).equals(
+                SparseMatrix.identity(view.ring, view.dim(X)))
+
+
+def test_twisted_specs():
+    A = algebra("twisted-c3")
+    assert A.involution == ((1, 0, 0), (0, -1, 1), (0, 0, 1))
+    assert A.augmentation == (1, 1, 2)
+    functor = BarFunctor(ia.adapt_basis_to_augmentation(algebra("scaled-c3")),
+                         IDEAL)
+    assert set(sl.CoinvariantModule((0, 1), functor).lead.values()) - {1}
+
+
+FRONTIER = """
+import json, resource
+from hyperoct import cli
+out = {}
+for algebra, n, d in (("c2", 2, 2), ("c3", 2, 1)):
+    report, code = cli.run(cli.JobSpec(algebra, "q", "slominska", [n], d))
+    assert code == 0, report["errors"]
+    out[algebra] = (report["sizes"]["slominska"][f"N={n}"],
+                    report["betti"]["slominska"][f"N={n}"])
+usage = resource.getrusage(resource.RUSAGE_SELF)
+out["cpu_s"] = usage.ru_utime + usage.ru_stime
+print(json.dumps(out))
+"""
+
+
+def test_frontier_slominska_jobs_fit_a_cpu_budget():
+    # c2 (2, 2) and c3 (2, 1) together, in a fresh interpreter (cold
+    # memo tables) that is killed once it has used 20 s of CPU
+    budget = 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (budget, budget))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", FRONTIER], env=env,
+                          preexec_fn=limit, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["c2"] == [[7, 19, 37, 61], [1, 0, 0]]
+    assert out["c3"] == [[21, 89, 205], [0, 0]]
+    assert out["cpu_s"] < budget
