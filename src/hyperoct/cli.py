@@ -245,8 +245,11 @@ def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int):
 
     timing["build_s"] = round(time.monotonic() - t0, 3)
     t1 = time.monotonic()
+    # the standard complexes' counts; epi eliminates its normalized quotient
     payload["sizes"] = {tag: cpx.generator_counts()
                         for tag, cpx in complexes.items()}
+    timing["eliminated"] = {tag: list(cpx.dims)
+                            for tag, cpx in complexes.items()}
     results = {tag: compute_homology(cpx) for tag, cpx in complexes.items()}
     for tag, cpx in complexes.items():
         if not job.verify:

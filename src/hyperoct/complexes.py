@@ -40,6 +40,29 @@ construction once per (string, nonzero tensor positions), since the ideal
 letters only pick the tensor index.  Boundary columns accumulate plain
 scalars and are reduced, mod p over a prime field, once per entry when the
 column is complete.
+
+The normalized epimorphism complex
+----------------------------------
+
+Strings of composable morphisms with coefficients form a simplicial module:
+face i composes (or applies the functor to, or drops) a morphism, and
+degeneracy j inserts an identity.  Its simplicial identities hold because
+composition with an identity is the identity, because the functor is
+functorial on composable pairs (the relation certificate, which checks
+every pair of the morphism table, identities included) and because it
+sends identities to identities (checked when the normalized complex is
+built).  The strings with an identity arrow span the degenerate
+subcomplex, which is acyclic, so the quotient by it has the same homology
+over every ring, torsion included (the normalization theorem; Weibel,
+*An Introduction to Homological Algebra*, Thm 8.3.8).  The quotient has
+one basis element per (string with no identity arrow, coefficient basis
+element), in the standard complex's relative order, and its boundary is
+the standard one with every face whose composite is an identity dropped;
+face 0 and the last face never make one.  The epi pipeline eliminates this
+quotient.  Its reported ``sizes`` stay the standard complex's counts,
+from hom-set cardinalities, and the generator cap acts on those; the
+reduced machinery keeps the standard epimorphism complex, whose strings
+its chain maps index.
 """
 from __future__ import annotations
 
@@ -161,8 +184,9 @@ class MorphismTable:
     order of ``objects``, so ``hom[a, b]`` is a range of consecutive ids and
     the generator-index contract carries over to strings of ids.
     ``table[i]`` is the morphism with id ``i`` and ``id[f]`` the id of
-    ``f``.  Composition is an int table, filled on first use: ``composites``
-    maps ``i2 * len(table) + i1`` to the id of ``table[i2] o table[i1]``.
+    ``f``, and ``identities`` holds the ids of the identity morphisms.
+    Composition is an int table, filled on first use: ``composites`` maps
+    ``i2 * len(table) + i1`` to the id of ``table[i2] o table[i1]``.
     """
 
     def __init__(self, category, objects):
@@ -176,6 +200,8 @@ class MorphismTable:
                 self.morphisms.extend(category.hom(a, b))
                 self.hom[a, b] = range(start, len(self.morphisms))
         self.id = {f: i for i, f in enumerate(self.morphisms)}
+        self.identities = frozenset(self.id[category.identity(o)]
+                                    for o in self.objects)
         self.source = [f.source for f in self.morphisms]
         self.target = [f.target for f in self.morphisms]
         self.composites = {}
@@ -209,14 +235,18 @@ class TruncatedComplex:
     degree-n string is ``(source object, tuple of n morphism ids)``, ids of
     the ``morphisms`` table, first morphism first; its generators start at
     ``offsets[n][position]``, one per functor basis element at the source.
+    ``generator_counts`` are the standard complex's counts, which a
+    normalized complex (see the module docstring) passes as ``counts``;
+    ``dims`` are the generators it has.
     """
 
     def __init__(self, ring: Ring, policy: TruncationPolicy, dims, boundaries,
                  label="complex", strings=None, string_index=None,
-                 offsets=None, functor=None, morphisms=None):
+                 offsets=None, functor=None, morphisms=None, counts=None):
         self.ring = ring
         self.policy = policy
         self.dims = list(dims)
+        self.counts = self.dims if counts is None else list(counts)
         self.boundaries = dict(boundaries)
         self.label = label
         self.strings = strings
@@ -252,7 +282,7 @@ class TruncatedComplex:
         return index
 
     def generator_counts(self):
-        return list(self.dims)
+        return list(self.counts)
 
     def check_dsquared(self) -> bool:
         """d_{n-1} d_n = 0 for every built pair, on integer columns."""
@@ -295,11 +325,14 @@ def _offset_bisect(offsets, index):
     return lo
 
 
-def projected_generator_counts(category, functor, policy: TruncationPolicy):
+def projected_generator_counts(category, functor, policy: TruncationPolicy,
+                               normalized: bool = False):
     """Per-degree generator counts from hom-set cardinalities alone; used by
-    the resource guard and the size reports (no enumeration happens)."""
+    the resource guard and the size reports (no enumeration happens).
+    ``normalized`` counts the strings with no identity arrow."""
     objs = category.objects(policy.max_object)
-    sizes = {(a, b): category.hom_size(a, b) for a in objs for b in objs}
+    sizes = {(a, b): category.hom_size(a, b) - (normalized and a == b)
+             for a in objs for b in objs}
     ways = {o: 1 for o in objs}
     counts = [sum(functor.dim(o) * ways[o] for o in objs)]
     for _ in range(policy.max_degree + 1):
@@ -309,18 +342,31 @@ def projected_generator_counts(category, functor, policy: TruncationPolicy):
     return counts
 
 
-def _strings_for_degree(table: MorphismTable, degree: int):
+def _strings_for_degree(table: MorphismTable, degree: int,
+                        normalized: bool = False):
     """Degree-n strings ``(source, ids)``: object sequences in product
-    order, then the product of their hom-sets."""
+    order, then the product of their hom-sets; ``normalized`` leaves out
+    the identity ids.  The sequences grow one object at a time along
+    nonempty hom-sets, which keeps the order of filtering
+    ``itertools.product(objects, repeat=n + 1)`` without visiting the
+    sequences that fail."""
     objs = table.objects
-    if degree == 0:
-        return [(o, ()) for o in objs]
+    homs = {}
+    for a in objs:
+        for b in objs:
+            h = table.hom[a, b]
+            if normalized and a == b:
+                h = [i for i in h if i not in table.identities]
+            if h:
+                homs[a, b] = h
+    after = {a: [b for b in objs if (a, b) in homs] for a in objs}
+    seqs = [(o,) for o in objs]
+    for _ in range(degree):
+        seqs = [seq + (b,) for seq in seqs for b in after[seq[-1]]]
     out = []
-    for objseq in itertools.product(objs, repeat=degree + 1):
-        homs = [table.hom[objseq[i], objseq[i + 1]] for i in range(degree)]
-        if all(homs):
-            src = objseq[0]
-            out.extend((src, ids) for ids in itertools.product(*homs))
+    for seq in seqs:
+        out.extend((seq[0], ids) for ids in itertools.product(
+            *(homs[a, b] for a, b in zip(seq, seq[1:]))))
     return out
 
 
@@ -336,29 +382,41 @@ def _reduced(col: dict, p: int) -> dict:
 
 def build_gz_complex(category, functor, policy: TruncationPolicy,
                      max_generators: int = DEFAULT_MAX_GENERATORS,
-                     label: str | None = None) -> TruncatedComplex:
+                     label: str | None = None,
+                     normalized: bool = False) -> TruncatedComplex:
     """Standard functor-homology complex over the truncated category.
 
     Degree-n generators are pairs (string of n composable morphisms, basis
     element of the functor at the string's source); the boundary is the
     alternating face sum (apply the functor to the first morphism, compose
-    adjacent morphisms, truncate the top).
+    adjacent morphisms, truncate the top).  ``normalized`` builds the
+    quotient by the degenerate strings instead (see the module docstring);
+    its ``generator_counts`` and the cap stay the standard counts.
     """
     label = label or f"gz[{category.name}]"
     projected = projected_generator_counts(category, functor, policy)
     for degree, count in enumerate(projected):
         if count > max_generators:
             raise ResourceCapExceeded(label, degree, count, max_generators)
+    expected = projected_generator_counts(category, functor, policy, True) \
+        if normalized else projected
 
     ring = functor.ring
     D = policy.max_degree
     table = MorphismTable(category, category.objects(policy.max_object))
     fdim = {o: functor.dim(o) for o in table.objects}
+    # faces onto degenerate strings are zero in the normalized quotient
+    degenerate = table.identities if normalized else frozenset()
+    for i in degenerate:
+        if not functor.matrix(table[i]).equals(
+                SparseMatrix.identity(ring, fdim[table.source[i]])):
+            raise ComplexError(f"{label}: the functor does not send "
+                               f"{table[i]} to the identity")
     strings = []
     offsets = []
     dims = []
     for n in range(D + 2):
-        sts = _strings_for_degree(table, n)
+        sts = _strings_for_degree(table, n, normalized)
         strings.append(sts)
         offs = []
         total = 0
@@ -367,7 +425,7 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
             total += fdim[src]
         offsets.append(offs)
         dims.append(total)
-        if dims[n] != projected[n]:
+        if dims[n] != expected[n]:
             raise ComplexError("projected and enumerated sizes disagree")
     # strings of the top degree are never a face, so their index waits
     # until something looks one up
@@ -398,8 +456,9 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
                 c = composites.get(ids[i] * size + ids[i - 1])
                 if c is None:
                     c = compose(ids[i], ids[i - 1])
-                faces.append((sign, offs_prev[
-                    idx_prev[src, ids[:i - 1] + (c,) + ids[i + 1:]]]))
+                if c not in degenerate:
+                    faces.append((sign, offs_prev[
+                        idx_prev[src, ids[:i - 1] + (c,) + ids[i + 1:]]]))
                 sign = -sign
             faces.append((sign, offs_prev[idx_prev[src, ids[:-1]]]))
             for t in range(fdim[src]):
@@ -412,7 +471,8 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
 
     return TruncatedComplex(ring, policy, dims, boundaries, label=label,
                             strings=strings, string_index=string_index,
-                            offsets=offsets, functor=functor, morphisms=table)
+                            offsets=offsets, functor=functor, morphisms=table,
+                            counts=projected)
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +550,18 @@ def relation_certificate(table: MorphismTable, functor,
 def build_nerve_variant(category, functor, policy: TruncationPolicy,
                         max_generators: int = DEFAULT_MAX_GENERATORS,
                         label: str | None = None,
-                        certificate: bool = True):
+                        certificate: bool = True,
+                        normalized: bool = False):
     """Under-category variant presented in normal coordinates.
 
     Returns (complex, certificate).  The generator index set coincides with
     the standard complex by construction (see the module docstring); what
     makes the quotient presentation legitimate is the relation certificate.
+    ``normalized`` is passed on to ``build_gz_complex``.
     """
     label = label or f"nerve[{category.name}]"
-    cpx = build_gz_complex(category, functor, policy, max_generators, label)
+    cpx = build_gz_complex(category, functor, policy, max_generators, label,
+                           normalized)
     cert = relation_certificate(cpx.morphisms, functor) if certificate else None
     if cert is not None and not cert.ok:
         raise ComplexError(f"{label}: tensor relations are not killed by the "
@@ -597,7 +660,8 @@ def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
                             string_index=complex_._string_index,
                             offsets=complex_.offsets,
                             functor=complex_.functor,
-                            morphisms=complex_.morphisms)
+                            morphisms=complex_.morphisms,
+                            counts=complex_.counts)
 
 
 def tensor_with_coefficients(complex_: TruncatedComplex,
@@ -1038,10 +1102,12 @@ def zero_anchored_contraction(policy: TruncationPolicy, ring: Ring,
 def build_epi_complex(algebra: InvolutiveAlgebra, policy: TruncationPolicy,
                       max_generators: int = DEFAULT_MAX_GENERATORS
                       ) -> TruncatedComplex:
+    """The normalized epimorphism complex (see the module docstring)."""
     adapted = adapt_basis_to_augmentation(algebra)
     functor = BarFunctor(adapted, IDEAL)
     cpx, _ = build_nerve_variant(EpiDeltaHCategory(), BarFunctorView(functor),
-                                 policy, max_generators, label="epi")
+                                 policy, max_generators, label="epi",
+                                 normalized=True)
     return cpx
 
 

@@ -128,15 +128,22 @@ def automorphism_generators(X: tuple):
             yield tuple(ids[:i] + [s] + ids[i + 1:])
 
 
+def chain_action(gs: tuple):
+    """The twist of hom-chains by an automorphism tuple, as a function:
+    entry i becomes g_i o f_i o g_{i-1}^{-1}.  The factors are turned into
+    morphisms once, for every chain the function is applied to."""
+    sides = [(hyp_to_ifas(gs[i + 1]), hyp_to_ifas(hyp_inverse(gs[i])))
+             for i in range(len(gs) - 1)]
+
+    def act(chain: tuple) -> tuple:
+        return tuple(ifas_compose(left, ifas_compose(f, right))
+                     for f, (left, right) in zip(chain, sides))
+    return act
+
+
 def act_on_chain(gs: tuple, chain: tuple):
-    """Twist a hom-chain by an automorphism tuple:
-    entry i becomes g_i o f_i o g_{i-1}^{-1}."""
-    out = []
-    for i, f in enumerate(chain):
-        left = hyp_to_ifas(gs[i + 1])
-        right = hyp_to_ifas(hyp_inverse(gs[i]))
-        out.append(ifas_compose(left, ifas_compose(f, right)))
-    return tuple(out)
+    """Twist one hom-chain by an automorphism tuple (see ``chain_action``)."""
+    return chain_action(gs)(chain)
 
 
 def restrict_chain(X: tuple, Y: tuple, chain: tuple):
@@ -218,8 +225,9 @@ class CoinvariantModule:
         relations = []
         for gs in automorphism_generators(X):
             tensor = functor.evaluate(hyp_to_ifas(gs[0])).cols
+            act = chain_action(gs)
             for ci, chain in enumerate(chains):
-                twisted = chain_index[act_on_chain(gs, chain)] * tdim
+                twisted = chain_index[act(chain)] * tdim
                 for t in range(tdim):
                     rel = {twisted + r: v for r, v in tensor[t].items()}
                     e = ci * tdim + t

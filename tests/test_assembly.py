@@ -1,5 +1,6 @@
 """Property tests of complex assembly on morphism ids against the face
-formula evaluated on morphism objects.
+formula evaluated on morphism objects, and of the normalized epimorphism
+complex against the standard one.
 
 The oracle never reads the complex's composition table or string index: it
 turns a string's ids into morphisms once, composes them with
@@ -12,13 +13,24 @@ from hypothesis import given, settings, strategies as st
 
 from hyperoct import complexes as cx, croscat as cc, invalg as ia
 from hyperoct.barfun import BarFunctor, EXTENDED, FULL, IDEAL
-from hyperoct.rings import GF, QQ, ZZ
+from hyperoct.homology import compute_homology
+from hyperoct.matrices import SparseMatrix
+from hyperoct.rings import GF, QQ, ZZ, ring_by_name
 
 RINGS = {"q": QQ, "f3": GF(3), "z": ZZ}
+
+
+def standard_epi_complex(algebra, policy):
+    """The epimorphism complex before normalization: every string."""
+    functor = BarFunctor(ia.adapt_basis_to_augmentation(algebra), IDEAL)
+    return cx.build_gz_complex(cx.EpiDeltaHCategory(),
+                               cx.BarFunctorView(functor), policy)
+
+
 # (complex constructor, functor variant, group order, truncation)
 KINDS = {
     "deltaH": (cx.build_full_complex, FULL, 2, (1, 1)),
-    "epi": (cx.build_epi_complex, IDEAL, 3, (1, 2)),
+    "epi": (standard_epi_complex, IDEAL, 3, (1, 2)),
     "extended": (cx.build_extended_complex, EXTENDED, 2, (1, 1)),
 }
 CATEGORIES = {"deltaH": cx.DeltaHCategory(), "epi": cx.EpiDeltaHCategory(),
@@ -88,3 +100,90 @@ def test_ids_follow_hom_enumeration_and_d_squared_vanishes(kind, ring_name):
     assert table.morphisms == expected
     assert all(table.id[f] == i for i, f in enumerate(expected))
     assert C.check_dsquared()
+
+
+# -- the normalized epimorphism complex --------------------------------------
+
+@lru_cache(maxsize=None)
+def epi_pair(algebra, ring_name, N, D):
+    """(standard, normalized) epimorphism complexes of a builtin algebra."""
+    A = ia.builtin_algebra(algebra, ring_by_name(ring_name))
+    policy = cx.TruncationPolicy(N, D)
+    return standard_epi_complex(A, policy), cx.build_epi_complex(A, policy)
+
+
+def nondegenerate_rows(S, C, n):
+    """Standard generator index -> normalized generator index, for the
+    degree-n generators on strings with no identity arrow."""
+    out = {}
+    for si, (src, ids) in enumerate(C.strings[n]):
+        base = S.offsets[n][S.string_index(n)[src, ids]]
+        for t in range(S.functor.dim(src)):
+            out[base + t] = C.offsets[n][si] + t
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["c2", "c3", "klein"]), st.sampled_from(sorted(RINGS)),
+       st.data())
+def test_normalized_columns_are_standard_columns_on_nondegenerate_rows(
+        algebra, ring_name, data):
+    S, C = epi_pair(algebra, ring_name, 1, 2)
+    n = data.draw(st.integers(1, 3), label="degree")
+    si = data.draw(st.integers(0, len(C.strings[n]) - 1), label="string")
+    src, ids = C.strings[n][si]
+    assert not C.morphisms.identities.intersection(ids)
+    t = data.draw(st.integers(0, C.functor.dim(src) - 1), label="tensor")
+    rows = nondegenerate_rows(S, C, n - 1)
+    std = S.boundary(n).column(
+        S.offsets[n][S.string_index(n)[src, ids]] + t)
+    assert C.boundary(n).column(C.offsets[n][si] + t) == {
+        rows[r]: v for r, v in std.items() if r in rows}
+
+
+@pytest.mark.parametrize("algebra", ["c2", "c3", "klein"])
+def test_normalized_strings_keep_their_standard_order(algebra):
+    S, C = epi_pair(algebra, "q", 1, 2)
+    identities = C.morphisms.identities
+    for n in range(4):
+        assert C.strings[n] == [s for s in S.strings[n]
+                                if not identities.intersection(s[1])]
+    assert C.generator_counts() == S.dims
+    assert C.dims == cx.projected_generator_counts(
+        cx.EpiDeltaHCategory(), C.functor, C.policy, normalized=True)
+    assert all(c < s for c, s in zip(C.dims[1:], S.dims[1:]))
+
+
+def test_normalizing_needs_a_functor_that_keeps_identities():
+    # the degenerate strings span a subcomplex only when F(id) = id
+    class ZeroOnIdentities(cx.BarFunctorView):
+        def matrix(self, f):
+            M = super().matrix(f)
+            if f == cc.ifas_identity(f.source):
+                return SparseMatrix(self.ring, M.nrows, M.ncols)
+            return M
+
+    A = ia.adapt_basis_to_augmentation(ia.cyclic_group_algebra(2, QQ))
+    functor = ZeroOnIdentities(BarFunctor(A, IDEAL))
+    policy = cx.TruncationPolicy(1, 1)
+    category = cx.EpiDeltaHCategory()
+    cx.build_gz_complex(category, functor, policy)
+    with pytest.raises(cx.ComplexError, match="to the identity"):
+        cx.build_gz_complex(category, functor, policy, normalized=True)
+
+
+CASES = [("c2", 1, 1), ("c2", 1, 2), ("c2", 2, 1),
+         ("c4", 1, 1), ("c4", 1, 2)]
+
+
+@pytest.mark.parametrize("ring_name", ["q", "f2", "f3", "z"])
+@pytest.mark.parametrize("algebra,N,D", CASES)
+def test_normalized_homology_is_the_standard_homology(algebra, N, D,
+                                                      ring_name):
+    S, C = epi_pair(algebra, ring_name, N, D)
+    standard, normalized = compute_homology(S), compute_homology(C)
+    assert normalized.betti == standard.betti
+    assert normalized.torsion == standard.torsion
+    if ring_name == "z" and (N, D) == (1, 1):
+        expected = {"c2": [2, 2], "c4": [2, 2, 2]}[algebra]
+        assert normalized.torsion[1] == expected

@@ -421,7 +421,7 @@ def test_timing_records_streamed_columns_per_degree(tmp_path):
                     "--max-degree", "2", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    sizes = report["sizes"]["epi"]["N=1"]
+    sizes = report["timing"]["N=1"]["eliminated"]["epi"]
     rank = report["timing"]["N=1"]["rank"]["epi"]
     assert sorted(rank) == ["d1", "d2", "d3"]
     for n in (1, 2, 3):
@@ -442,13 +442,17 @@ def test_timing_records_unit_pivots_over_the_integers(tmp_path):
                     "--max-degree", "2", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    sizes = report["sizes"]["epi"]["N=1"]
+    sizes = report["timing"]["N=1"]["eliminated"]["epi"]
     rank = report["timing"]["N=1"]["rank"]["epi"]
     assert sorted(rank) == ["d1", "d2", "d3"]
     for n in (1, 2, 3):
         units, (rows, cols) = rank[f"d{n}"]["units"], rank[f"d{n}"]["left"]
         assert units + rows <= sizes[n - 1] and units + cols <= sizes[n]
-    # the dense finisher sees a small block of the boundary d3
+    # every pivot of d3 but the one of the torsion class [2] is a unit, so
+    # the dense finisher sees a small block of d3
+    betti = report["betti"]["epi"]["N=1"]
+    assert report["torsion"]["epi"]["N=1"] == [[], [2, 2], [2]]
+    rank_d2 = sizes[1] - betti[1] - (sizes[0] - betti[0])
+    assert rank["d3"]["units"] == sizes[2] - betti[2] - rank_d2 - 1
     rows, cols = rank["d3"]["left"]
-    assert rank["d3"]["units"] > 100
     assert rows * cols < sizes[2] * sizes[3] // 50

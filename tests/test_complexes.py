@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hyperoct.barfun import BarFunctor
 from hyperoct import complexes as cx
 from hyperoct.homology import homology_over_field, solve_is_boundary, field_kernel_sample
 from hyperoct.matrices import SparseMatrix
+from hyperoct.slominska import SubsetPoset
 
 
 def machinery(group_order, N=1, D=1, ring=QQ):
@@ -51,6 +53,31 @@ def test_ground_ring_complex_matches_the_category_nerve():
             expected[idx] = expected.get(idx, 0) + sgn
         expected = {k: QQ.from_int(v) for k, v in expected.items() if v}
         assert col == expected
+
+
+def product_filter_strings(table, degree, normalized):
+    """Degree-n strings from every object tuple of the product, kept when
+    all its hom-sets are nonempty; identity ids dropped when normalized."""
+    out = []
+    for objseq in itertools.product(table.objects, repeat=degree + 1):
+        homs = [table.hom[a, b] for a, b in zip(objseq, objseq[1:])]
+        if all(homs):
+            out.extend((objseq[0], ids) for ids in itertools.product(*homs)
+                       if not (normalized
+                               and table.identities.intersection(ids)))
+    return out
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("category,N", [(SubsetPoset(3), 3),
+                                        (cx.EpiDeltaHCategory(), 2)],
+                         ids=["poset", "epi"])
+def test_string_walk_matches_the_product_filter(category, N, normalized):
+    table = cx.MorphismTable(category, category.objects(N))
+    for n in range(4):
+        strings = cx._strings_for_degree(table, n, normalized)
+        assert strings == product_filter_strings(table, n, normalized)
+    assert strings
 
 
 def test_minimal_truncation_dimensions():
@@ -156,7 +183,9 @@ def test_ground_ring_has_zero_ideal_complex():
 
 
 def test_epi_complex_degree_one_counts():
-    # strings of one epimorphism at N = 1, tensored with ideal tuples
+    # strings of one epimorphism at N = 1, tensored with ideal tuples; the
+    # reported counts are the standard complex's, and the normalized
+    # complex it eliminates has no string of one identity
     A = ia.cyclic_group_algebra(3, QQ)
     epi = cx.build_epi_complex(A, cx.TruncationPolicy(1, 1))
     d = 3
@@ -164,7 +193,8 @@ def test_epi_complex_degree_one_counts():
                 + len(cc.enumerate_hom(1, 0, "epi")) * (d - 1) ** 2
                 + len(cc.enumerate_hom(1, 1, "epi")) * (d - 1) ** 2)
     assert len(cc.enumerate_hom(1, 1, "epi")) == 8
-    assert epi.dims[1] == expected == 2 * 2 + 8 * 4 + 8 * 4
+    assert epi.generator_counts()[1] == expected == 2 * 2 + 8 * 4 + 8 * 4
+    assert epi.dims[1] == 1 * 2 + 8 * 4 + 7 * 4
 
 
 def test_epimorphism_construction_basics():
