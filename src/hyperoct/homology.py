@@ -22,16 +22,47 @@ Solves and kernel samples keep the natural order, because their tracked
 combinations index the original columns.
 
 Integer homology goes through a Smith form, whose diagonal gives both rank
-and torsion.  A sparse front, ``_unit_front``, first cancels every pivot it
-can find equal to +-1 by unimodular column operations (exact over Z, so
-torsion is kept); only the small block left over is copied dense for
-``diagonalize_integer_matrix``.  Also hosts the is-a-boundary solver used
-by the chain-homotopy verification and the universal-coefficient dimension
-check.
+and torsion.  ``_smith_diagonal`` streams the columns of a boundary once
+and keeps none of them.  It keeps unit pivots in Gauss-Jordan form, pivot
+r being e_r plus a tail on the rows that lead no unit pivot, and a lattice:
+integer vectors on those same rows, in echelon form, one per leading row.
+A column reduces in one pass, subtracting the unit pivot of each leading
+row among its entries.  A residual with an entry +-1 becomes a unit pivot
+at its largest such row, negated if that entry is -1; it is
+back-substituted into every unit pivot whose tail has that row, and
+subtracted from every lattice vector with an entry there, which is then
+folded again.  Any other residual is folded into the lattice: against
+vector u with lead a at the residual v's largest row, whose entry there is
+b, v -= (b/a) u when a divides b, and otherwise, with x a + y b = g =
+gcd(a, b) from ``_xgcd``,
+
+    (u, v) <- (x u + y v, (b/g) u - (a/g) v),   determinant -1,
+
+which leaves u the lead g and v none there; v goes on to its next largest
+row, and joins the lattice at a row that leads no vector.
+
+The result is equivalent to the boundary M.  Every step is a column
+operation of determinant +-1 on the current columns: adding a multiple of
+one column to another, negating a column, or the 2x2 fold step.  So M is
+equivalent to the matrix of the unit pivots, the lattice vectors and zero
+columns.  Every row that leads a unit pivot is zero in every other vector:
+a residual has none, the pivot made on a row clears it from the tails
+(through the row -> pivots ``where`` index, as in ``_eliminate``) and from
+the lattice, and the vectors a fold combines are zero there already.  With
+the unit rows and pivots first, that matrix is [[I, 0], [T, L]], and
+subtracting multiples of the unit rows clears T without touching L, whose
+entries on those rows are 0.  So M ~ diag(1, ..., 1) (+) L: the diagonal is
+one 1 per unit pivot, then the Smith form of L.  Lattice vectors lead on
+distinct rows, so they are independent and no more than the rows they
+touch; ``diagonalize_integer_matrix``, the dense finisher, runs on that
+small block once per boundary.  Memory is the unit pivots and the lattice.
+
+Also hosts the is-a-boundary solver used by the chain-homotopy
+verification and the universal-coefficient dimension check.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd, lcm
@@ -421,82 +452,83 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form: a sparse unit-pivot front and a dense finisher
+# Smith normal form: a unit-pivot stream, a folded lattice, a dense finisher
 # ---------------------------------------------------------------------------
 
-def _unit_front(M: SparseMatrix):
-    """Cancel the +-1 pivots of an integer matrix by unimodular operations.
-
-    A column with an entry +-1 pivots on it, at the row with the fewest
-    entries among its +-1 rows.  Column operations clear the pivot row from
-    the other columns; the pivot row is then zero outside the pivot column,
-    so the row operations that clear the pivot column touch nothing else
-    and are not carried out.  Pivot row and column drop with one diagonal 1,
-    which is exact over Z.  A column changed by a step is looked at again,
-    and empty rows and columns drop.
-
-    Returns ``(units, left)``: the number of pivots and the leftover block
-    as a ``SparseMatrix`` on the kept rows and columns, in their order."""
+def _smith_diagonal(M: SparseMatrix, stats: dict | None = None) -> list:
+    """A diagonal equivalent to ``M`` over Z: one 1 per unit pivot of the
+    column stream, then the dense finisher's diagonal of the lattice (the
+    argument is in the module docstring).  ``stats``, when given, receives
+    the unit count and the lattice's shape, [rows its vectors touch,
+    vectors]."""
     if M.ring != ZZ:
         raise HomologyError("integer diagonalization needs the integer ring")
-    cols = {j: dict(c) for j, c in enumerate(M.cols) if c}
-    where = [set() for _ in range(M.nrows)]
-    for j, col in cols.items():
-        for r in col:
-            where[r].add(j)
-    todo = deque(cols)
-    queued = set(cols)
-    units = 0
-    while todo:
-        j = todo.popleft()
-        queued.discard(j)
-        col = cols.get(j)
-        if col is None:
-            continue
-        r = min((i for i, v in col.items() if v == 1 or v == -1),
-                key=lambda i: len(where[i]), default=None)
+    tails: dict = {}
+    where = defaultdict(list)
+    lattice: dict = {}
+
+    def fold(vec):
+        while vec:
+            r = max(vec)
+            u = lattice.get(r)
+            if u is None:
+                lattice[r] = vec
+                return
+            a, b = u[r], vec[r]
+            if b % a == 0:
+                _subtract(vec, b // a, u)
+                continue
+            x, y, g = _xgcd(a, b)
+            a, b = a // g, b // g
+            support = u.keys() | vec.keys()
+            lattice[r] = {i: w for i in support
+                          if (w := x * u.get(i, 0) + y * vec.get(i, 0))}
+            vec = {i: w for i in support
+                   if (w := b * u.get(i, 0) - a * vec.get(i, 0))}
+
+    for col in M.cols:
+        vec, hits = {}, []
+        for k, v in col.items():
+            if k in tails:
+                hits.append(k)
+            else:
+                vec[k] = v
+        for k in hits:
+            _subtract(vec, col[k], tails[k])
+        r = max((i for i, v in vec.items() if v == 1 or v == -1),
+                default=None)
         if r is None:
+            fold(vec)
             continue
-        s = col[r]
-        del cols[j]
-        for i in col:
-            where[i].discard(j)
-        others, where[r] = where[r], set()
-        for k in others:
-            other = cols[k]
-            f = other[r] * s
-            for i, v in col.items():
-                w = other.get(i, 0) - f * v
-                if w:
-                    if i not in other:
-                        where[i].add(k)
-                    other[i] = w
-                else:
-                    del other[i]
-                    where[i].discard(k)
-            if not other:
-                del cols[k]
-            elif k not in queued:
-                todo.append(k)
-                queued.add(k)
-        units += 1
-    keep = sorted(cols)
-    rows = [i for i, js in enumerate(where) if js]
+        if vec.pop(r) == -1:
+            vec = {i: -w for i, w in vec.items()}
+        for q in where.pop(r, ()):
+            t = tails[q]
+            c = t.pop(r, None)
+            if c is None:
+                continue
+            for i in vec.keys() - t.keys():
+                where[i].append(q)
+            _subtract(t, c, vec)
+            # copied, because a dict keeps its size after deletions
+            tails[q] = dict(t)
+        tails[r] = dict(vec)
+        for i in vec:
+            where[i].append(r)
+        met = {k: u for k, u in lattice.items() if r in u}
+        for k in met:
+            del lattice[k]
+        for u in met.values():
+            _subtract(u, u.pop(r), vec)
+            fold(u)
+    rows = sorted(set().union(*lattice.values()))
     index = {i: a for a, i in enumerate(rows)}
-    left = SparseMatrix(ZZ, len(rows), len(keep),
-                        [{index[i]: v for i, v in cols[j].items()}
-                         for j in keep])
-    return units, left
-
-
-def _smith_diagonal(M: SparseMatrix, stats: dict | None = None) -> list:
-    """A diagonal equivalent to ``M`` over Z: the unit front's 1s, then the
-    dense finisher's diagonal of the leftover block.  ``stats``, when
-    given, receives the unit count and the leftover shape."""
-    units, left = _unit_front(M)
+    left = SparseMatrix(ZZ, len(rows), len(lattice),
+                        [{index[i]: v for i, v in lattice[k].items()}
+                         for k in sorted(lattice)])
     if stats is not None:
-        stats.update(units=units, left=[left.nrows, left.ncols])
-    return [1] * units + diagonalize_integer_matrix(left)[0]
+        stats.update(units=len(tails), left=[left.nrows, left.ncols])
+    return [1] * len(tails) + diagonalize_integer_matrix(left)[0]
 
 
 def _xgcd(a, b):
@@ -604,7 +636,9 @@ def invariant_factors(M: SparseMatrix):
 
 
 def _invariant_factors(diagonal):
-    diag = [abs(d) for d in diagonal if d != 0]
+    # units are no invariant factors and change none, so they stay out of
+    # the pairwise pass, which is quadratic in its entries
+    diag = [abs(d) for d in diagonal if d not in (0, 1, -1)]
     changed = True
     while changed:
         changed = False
@@ -661,7 +695,7 @@ class HomologyResult:
     torsion: list = field(default_factory=list)
     # per boundary "d<n>": over a field, the kernel's columns streamed, of
     # how many, and whether the rank bound stopped the stream early; over Z,
-    # the +-1 pivots of the Smith front and the leftover block's shape
+    # the unit pivots of the column stream and the lattice's shape
     rank_stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -714,8 +748,8 @@ def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
     The kernel of an integer matrix is a direct summand, so the torsion of
     degree n is read off the normal form of the boundary from degree n+1;
     the same diagonal gives the boundary's rank as its nonzero count.  Each
-    diagonal is the sparse front's units followed by the dense finisher's
-    diagonal of the leftover block."""
+    diagonal is the column stream's units followed by the dense finisher's
+    diagonal of the lattice."""
     if complex_.ring != ZZ:
         raise HomologyError("homology_over_Z needs the integer ring")
     D = complex_.policy.max_degree

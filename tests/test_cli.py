@@ -3,9 +3,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperoct import cli, complexes, homology
 from hyperoct.rings import QQ
+from test_slominska import c3_spec
 
 
 def run_cli(args):
@@ -57,15 +59,23 @@ PINNED_REPORTS = {
                                   "f4b79bb09105fd01026d149a27bc3c38",
     ("c2", "f3", "epi", None): "0be6a139c4433bf633d7e54b32950534"
                                "dc138ee93dc2cf053bf6d39df3d9dd70",
+    # (N, D) = (1, 3): torsion [[], [2, 2], [2], [2, 2, 4]], a Z/4 class
+    ("c2", "z", "epi", None, "N1D3"): "a6adbabeed1915f6f1039b771f00b7d8"
+                                      "af9d2eb5191c4ccdae7463ca1df8d549",
 }
 
 
 @pytest.mark.parametrize("job", PINNED_REPORTS,
                          ids=lambda job: "-".join(filter(None, job)))
 def test_canonical_reports_match_their_pinned_hashes(job):
-    algebra, ring, pipeline, coefficients = job
-    ns = [1] if coefficients else [0, 1]
-    report, code = cli.run(cli.JobSpec(algebra, ring, pipeline, ns, 1,
+    # N = 1 with coefficients, else N = 0..1, and D = 1, unless the key
+    # names its window as "N<n>D<d>"
+    algebra, ring, pipeline, coefficients, *window = job
+    ns, degree = [1] if coefficients else [0, 1], 1
+    if window:
+        n, degree = map(int, window[0][1:].split("D"))
+        ns = [n]
+    report, code = cli.run(cli.JobSpec(algebra, ring, pipeline, ns, degree,
                                        coefficients=coefficients,
                                        verify=True))
     assert code == 0
@@ -435,19 +445,28 @@ def test_timing_records_streamed_columns_per_degree(tmp_path):
     assert 2 * rank["d3"]["cols"] < rank["d3"]["of"]
 
 
-def test_timing_records_unit_pivots_over_the_integers(tmp_path):
-    out = tmp_path / "r.json"
+def integral_rank_timing(tmp_path, n, degree):
+    """Sizes and rank stats of c2 epi over Z at (n, degree), after checking
+    that every boundary's unit pivots and lattice fit its shape, and that
+    the lattice, the dense finisher's input, has no more vectors than rows."""
+    out = tmp_path / f"r{n}{degree}.json"
     code = run_cli(["compute", "--algebra", "c2", "--ring", "z",
-                    "--pipeline", "epi", "--max-object", "1",
-                    "--max-degree", "2", "--out", str(out)])
+                    "--pipeline", "epi", "--max-object", str(n),
+                    "--max-degree", str(degree), "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    sizes = report["timing"]["N=1"]["eliminated"]["epi"]
-    rank = report["timing"]["N=1"]["rank"]["epi"]
-    assert sorted(rank) == ["d1", "d2", "d3"]
-    for n in (1, 2, 3):
-        units, (rows, cols) = rank[f"d{n}"]["units"], rank[f"d{n}"]["left"]
-        assert units + rows <= sizes[n - 1] and units + cols <= sizes[n]
+    sizes = report["timing"][f"N={n}"]["eliminated"]["epi"]
+    rank = report["timing"][f"N={n}"]["rank"]["epi"]
+    assert sorted(rank) == [f"d{k}" for k in range(1, degree + 2)]
+    for k in range(1, degree + 2):
+        units, (rows, cols) = rank[f"d{k}"]["units"], rank[f"d{k}"]["left"]
+        assert units + rows <= sizes[k - 1] and units + cols <= sizes[k]
+        assert cols <= rows
+    return report, sizes, rank
+
+
+def test_timing_records_unit_pivots_over_the_integers(tmp_path):
+    report, sizes, rank = integral_rank_timing(tmp_path, 1, 2)
     # every pivot of d3 but the one of the torsion class [2] is a unit, so
     # the dense finisher sees a small block of d3
     betti = report["betti"]["epi"]["N=1"]
@@ -456,3 +475,38 @@ def test_timing_records_unit_pivots_over_the_integers(tmp_path):
     assert rank["d3"]["units"] == sizes[2] - betti[2] - rank_d2 - 1
     rows, cols = rank["d3"]["left"]
     assert rows * cols < sizes[2] * sizes[3] // 50
+    # at N = 2 thousands of columns of d2 are left over after the unit
+    # pivots; the lattice folds them into no more vectors than rows
+    report, sizes, rank = integral_rank_timing(tmp_path, 2, 1)
+    assert report["torsion"]["epi"]["N=2"] == [[], [2, 2]]
+
+
+# row i += c row j on the coordinates of a basis of C3's group algebra over
+# 1, g, g^2, with i = j negating row i; row 0, the unit, is never changed
+ROW_OPS = st.tuples(st.sampled_from([1, 2]), st.sampled_from([0, 1, 2]),
+                    st.sampled_from([-2, -1, 1, 2]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(ROW_OPS, min_size=1, max_size=6))
+def test_integral_homology_does_not_see_a_change_of_basis(tmp_path_factory,
+                                                          ops):
+    # a unimodular change of basis gives the same algebra over Z, so epi
+    # (1, 2) with Z/3 coefficients reads as for the builtin c3
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for i, j, c in ops:
+        rows[i] = [-a for a in rows[i]] if i == j else \
+            [a + c * b for a, b in zip(rows[i], rows[j])]
+    path = tmp_path_factory.mktemp("basis") / "c3.json"
+    path.write_text(json.dumps(c3_spec(rows)))
+    out = path.with_name("r.json")
+    code = run_cli(["compute", "--algebra", str(path), "--ring", "z",
+                    "--pipeline", "epi", "--max-object", "1",
+                    "--max-degree", "2", "--coefficients", "z/3",
+                    "--verify", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["betti"]["epi"]["N=1"] == [0, 1, 0]
+    assert report["torsion"]["epi"]["N=1"] == [[], [], [2]]
+    assert report["verifications"]["N=1/dsquared[epi]"] == "pass"
+    assert report["verifications"]["N=1/uct[p=3]"] == "pass"

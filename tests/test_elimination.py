@@ -516,7 +516,7 @@ def test_bounded_homology_of_a_complex_matches_the_oracle(d1, rnd):
         assert res.betti == [dims[0] - r1, dims[1] - r1 - r2, dims[2] - r2]
 
 
-# -- the integral Smith path: unit-pivot front and dense finisher -----------
+# -- the integral Smith path: unit-pivot stream, lattice, dense finisher -----
 
 def permuted(rows, rnd):
     rows = list(rows)
@@ -528,7 +528,7 @@ def permuted(rows, rnd):
 
 @settings(max_examples=80, deadline=None)
 @given(int_matrices(max_rows=8, max_cols=9), st.randoms(use_true_random=False))
-def test_unit_front_agrees_with_the_dense_smith_form(rows, rnd):
+def test_unit_stream_agrees_with_the_dense_smith_form(rows, rnd):
     M = over(ZZ, rows)
     dense = hom.diagonalize_integer_matrix(M)[0]
     rank = sum(1 for d in dense if d)
@@ -543,6 +543,7 @@ def test_unit_front_agrees_with_the_dense_smith_form(rows, rnd):
         nr, nc = stats["left"]
         assert stats["units"] + nr <= mat.nrows
         assert stats["units"] + nc <= mat.ncols
+        assert nc <= nr
 
 
 def unimodular(rnd, n):
