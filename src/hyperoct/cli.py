@@ -245,7 +245,8 @@ def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int):
 
     timing["build_s"] = round(time.monotonic() - t0, 3)
     t1 = time.monotonic()
-    # the standard complexes' counts; epi eliminates its normalized quotient
+    # the standard complexes' counts; epi and slominska eliminate their
+    # normalized quotients
     payload["sizes"] = {tag: cpx.generator_counts()
                         for tag, cpx in complexes.items()}
     timing["eliminated"] = {tag: list(cpx.dims)

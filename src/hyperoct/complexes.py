@@ -58,11 +58,11 @@ over every ring, torsion included (the normalization theorem; Weibel,
 one basis element per (string with no identity arrow, coefficient basis
 element), in the standard complex's relative order, and its boundary is
 the standard one with every face whose composite is an identity dropped;
-face 0 and the last face never make one.  The epi pipeline eliminates this
-quotient.  Its reported ``sizes`` stay the standard complex's counts,
-from hom-set cardinalities, and the generator cap acts on those; the
-reduced machinery keeps the standard epimorphism complex, whose strings
-its chain maps index.
+face 0 and the last face never make one.  The epi and slominska pipelines
+eliminate this quotient.  Their reported ``sizes`` stay the standard
+complex's counts, from hom-set cardinalities, and the generator cap acts
+on those; the reduced machinery keeps the standard epimorphism complex,
+whose strings its chain maps index.
 """
 from __future__ import annotations
 

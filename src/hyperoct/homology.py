@@ -528,7 +528,7 @@ def _smith_diagonal(M: SparseMatrix, stats: dict | None = None) -> list:
                          for k in sorted(lattice)])
     if stats is not None:
         stats.update(units=len(tails), left=[left.nrows, left.ncols])
-    return [1] * len(tails) + diagonalize_integer_matrix(left)[0]
+    return [1] * len(tails) + diagonalize_integer_matrix(left)
 
 
 def _xgcd(a, b):
@@ -542,11 +542,10 @@ def _xgcd(a, b):
     return x0, y0, a
 
 
-def diagonalize_integer_matrix(M: SparseMatrix, transforms: bool = False):
-    """Diagonalize by unimodular row/column operations: D = S A T.
-
-    Returns (diag entries, S, T); S and T are dense row-lists or None.
-    Divisibility of the diagonal is not enforced here."""
+def diagonalize_integer_matrix(M: SparseMatrix):
+    """Diagonal entries of a diagonal form D = S A T reached by unimodular
+    row and column operations.  Divisibility of the diagonal is not
+    enforced here."""
     if M.ring != ZZ:
         raise HomologyError("integer diagonalization needs the integer ring")
     m, n = M.nrows, M.ncols
@@ -554,31 +553,20 @@ def diagonalize_integer_matrix(M: SparseMatrix, transforms: bool = False):
     for j, col in enumerate(M.cols):
         for r, v in col.items():
             D[r][j] = v
-    S = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transforms else None
-    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
 
     def row_op(i1, i2, a, b, c, d):
         # (row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2)
-        for arr in (D, S) if transforms else (D,):
-            if arr is None:
-                continue
-            r1, r2 = arr[i1], arr[i2]
-            for k in range(len(r1)):
-                x, y = r1[k], r2[k]
-                r1[k] = a * x + b * y
-                r2[k] = c * x + d * y
+        r1, r2 = D[i1], D[i2]
+        for k in range(n):
+            x, y = r1[k], r2[k]
+            r1[k] = a * x + b * y
+            r2[k] = c * x + d * y
 
     def col_op(j1, j2, a, b, c, d):
-        for arr in (D,):
-            for row in arr:
-                x, y = row[j1], row[j2]
-                row[j1] = a * x + b * y
-                row[j2] = c * x + d * y
-        if transforms:
-            for row in T:
-                x, y = row[j1], row[j2]
-                row[j1] = a * x + b * y
-                row[j2] = c * x + d * y
+        for row in D:
+            x, y = row[j1], row[j2]
+            row[j1] = a * x + b * y
+            row[j2] = c * x + d * y
 
     k = 0
     while k < min(m, n):
@@ -626,8 +614,7 @@ def diagonalize_integer_matrix(M: SparseMatrix, transforms: bool = False):
                     all(D[k][j] == 0 for j in range(k + 1, n)):
                 break
         k += 1
-    diag = [D[i][i] for i in range(min(m, n))]
-    return diag, S, T
+    return [D[i][i] for i in range(min(m, n))]
 
 
 def invariant_factors(M: SparseMatrix):
@@ -650,36 +637,6 @@ def _invariant_factors(diagonal):
                     changed = True
     diag.sort()
     return [d for d in diag if d != 1]
-
-
-def integer_solve(A: SparseMatrix, b: dict):
-    """Integral solution of ``A x = b`` or None."""
-    diag, S, T = diagonalize_integer_matrix(A, transforms=True)
-    m, n = A.nrows, A.ncols
-    y = [0] * m
-    for r in range(m):
-        acc = 0
-        for rr, v in b.items():
-            acc += S[r][rr] * v
-        y[r] = acc
-    x_diag = [0] * n
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        if i < n and d != 0:
-            if y[i] % d != 0:
-                return None
-            x_diag[i] = y[i] // d
-        elif y[i] != 0:
-            return None
-    sol = {}
-    for r in range(n):
-        acc = 0
-        for i in range(n):
-            if x_diag[i]:
-                acc += T[r][i] * x_diag[i]
-        if acc:
-            sol[r] = acc
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -789,20 +746,20 @@ class BoundaryWitness:
 
 
 def solve_is_boundary(complex_, degree: int, z: dict) -> BoundaryWitness:
-    """Witness ``z = d w`` with ``w`` one degree up, or a certified refusal.
+    """Witness ``z = d w`` with ``w`` one degree up, or a certified refusal,
+    over a field (over Z it raises ``HomologyError``).
 
     ``z`` must be a cycle; refusals come with the rank certificate
     rank(A) < rank(A | z)."""
     ring = complex_.ring
+    if not ring.is_field:
+        raise HomologyError("boundary solving needs a field")
     if degree >= 1:
         bz = complex_.boundary(degree).apply(z)
         if bz:
             raise HomologyError("input vector is not a cycle")
     A = complex_.boundary(degree + 1)
-    if ring.is_field:
-        sol = field_solve(A, z)
-    else:
-        sol = integer_solve(A, z)
+    sol = field_solve(A, z)
     if sol is not None:
         check = A.apply(sol)
         if check != {r: v for r, v in z.items() if not ring.is_zero(v)}:

@@ -7,22 +7,59 @@ a chain of object indices, carrying the product of automorphism groups and
 the product of epimorphism hom-sets between consecutive indices.  Over a
 field of characteristic zero the group homology collapses onto coinvariants,
 and the reduced homology of the algebra is the homology of the standard
-complex of the coinvariants functor over the truncated poset.  The
-coinvariants are computed as a quotient: the relations (s - 1)m, for s in a
-generating set of the automorphism product (the Coxeter generators of each
-factor), run through the one elimination kernel of ``homology``, and the
-rows its pivots do not lead are the basis.  Nothing divides by a group
-order or enumerates a group, and any involution takes the same path.
+complex of the coinvariants functor over the truncated poset.
+
+Coinvariants on a transversal
+-----------------------------
+
+Write a chain X with its objects y_0 > y_1 > ... > y_k, anchor first.  Its
+hom-chains are tuples (f_1, ..., f_k) of epimorphisms f_i: [y_{i-1}] ->
+[y_i], and the automorphism product A = H_{y_0} x ... x H_{y_k} acts on
+k[hom-chains] (x) I^(x)(y_0 + 1) by
+
+    g . (f, t) = ((g_i o f_i o g_{i-1}^{-1})_i, F(g_0) t),
+
+F the bar functor on the augmentation ideal I.  Let K be the product of all
+factors but the last, so A = K x H_{y_k}.
+
+* An epimorphism f: [n] -> [m] is f = phi o a for exactly one
+  order-preserving surjection phi and one a in H_n: reading the labeled
+  fibres of f in order gives a's positions and signs (``ifas_to_pair``).
+  So f o a^{-1} = f forces a = 1.  Hence K acts freely on hom-chains: if
+  g . f = f with g in K (g_k = 1), the last entry f_k o g_{k-1}^{-1} = f_k
+  gives g_{k-1} = 1, then the entry before gives g_{k-2} = 1, and so on.
+* Each K-orbit holds exactly one Delta-chain, a hom-chain of order-preserving
+  surjections.  Existence: split f_k = phi_k o a_{k-1}, hand a_{k-1} to the
+  entry before, split a_{k-1} o f_{k-1} = phi_{k-1} o a_{k-2}, and so on up
+  to the anchor component a_0; the element (a_0, ..., a_{k-1}) of K takes f
+  to (phi_1, ..., phi_k).  Uniqueness: if delta and g . delta are both
+  Delta-chains, the last entry delta_k o g_{k-1}^{-1} is order-preserving,
+  so g_{k-1} = 1 by the uniqueness of the split, and so on downwards.
+* So k[hom-chains] (x) I^(x) is the free K-module on Delta-chains (x) I^(x),
+  and its K-coinvariants are k[Delta-chains] (x) I^(x) with no division by
+  |K|: the class of (f, t) is (delta, F(a_0) t), delta and a_0 the normal
+  form above.
+* What is left is H_{y_k}, acting on the K-coinvariants through the normal
+  form: s . (delta, t) = (delta', F(a_0) t), where the backward pass starts
+  from s o delta_k.  At a singleton chain there is no entry and a_0 = s acts
+  on the tensor.  Coinvariants of a group are the quotient by (s - 1)m for s
+  in any generating set, since gh - 1 = (g - 1)h + (h - 1); the y_k + 1
+  Coxeter generators t_0, theta_0, ..., theta_{y_k - 1} suffice.
+
+These relations run through the one elimination kernel of ``homology``,
+and the rows its pivots do not lead are the basis.  Restricting a
+Delta-chain along a poset arrow composes order-preserving surjections, and
+the transport to the new anchor is one too, so the functor's matrices need
+no normal form.  Nothing divides by a group order or enumerates a group.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from . import croscat
 from .barfun import BarFunctor, IDEAL
-from .croscat import (hyp_enumerate, hyp_identity, hyp_inverse, hyp_t,
-                      hyp_theta, hyp_to_ifas, ifas_compose)
+from .croscat import (IFasMorphism, delta_to_ifas, enumerate_delta, hyp_t,
+                      hyp_theta, hyp_to_ifas, ifas_compose, ifas_to_pair)
 from .complexes import (TruncationPolicy, TruncatedComplex, build_gz_complex,
                         DEFAULT_MAX_GENERATORS)
 from .homology import _columns, _eliminate
@@ -91,7 +128,7 @@ def build_S0(max_object: int) -> SubsetPoset:
 
 
 # ---------------------------------------------------------------------------
-# the automorphism and hom-chain functors
+# Delta-chains and the normal form
 # ---------------------------------------------------------------------------
 
 def chain_objects(X: tuple):
@@ -99,51 +136,28 @@ def chain_objects(X: tuple):
     return tuple(reversed(X))
 
 
-def functor_A(X: tuple):
-    """Product of the automorphism groups along the chain, anchor factor
-    first.  Elements are tuples of signed permutations."""
-    groups = [list(hyp_enumerate(y)) for y in chain_objects(X)]
-    return list(itertools.product(*groups))
-
-
-def functor_E(X: tuple):
-    """Product of epimorphism hom-sets along the chain: element i maps the
-    object at position i-1 (larger) onto the object at position i.  For a
-    singleton chain the value is the one-point set (empty tuple here)."""
+def delta_chains(X: tuple):
+    """The hom-chains of order-preserving surjections along the chain:
+    element i maps the object at position i (larger) onto the object at
+    position i + 1.  For a singleton chain the value is the one-point set
+    (empty tuple here)."""
     ys = chain_objects(X)
-    if len(ys) == 1:
-        return [()]
-    homs = [croscat.enumerate_hom(ys[i - 1], ys[i], "epi")
-            for i in range(1, len(ys))]
-    return list(itertools.product(*homs))
+    return list(itertools.product(*(
+        [delta_to_ifas(phi) for phi in enumerate_delta(a, b, "epi")]
+        for a, b in zip(ys, ys[1:]))))
 
 
-def automorphism_generators(X: tuple):
-    """A generating set of ``functor_A(X)``, one factor at a time: the sign
-    flip t_0 and the adjacent transpositions of that factor's group, with
-    identities in the other slots."""
-    ids = [hyp_identity(y) for y in chain_objects(X)]
-    for i, y in enumerate(chain_objects(X)):
-        for s in [hyp_t(y, 0)] + [hyp_theta(y, j) for j in range(y)]:
-            yield tuple(ids[:i] + [s] + ids[i + 1:])
-
-
-def chain_action(gs: tuple):
-    """The twist of hom-chains by an automorphism tuple, as a function:
-    entry i becomes g_i o f_i o g_{i-1}^{-1}.  The factors are turned into
-    morphisms once, for every chain the function is applied to."""
-    sides = [(hyp_to_ifas(gs[i + 1]), hyp_to_ifas(hyp_inverse(gs[i])))
-             for i in range(len(gs) - 1)]
-
-    def act(chain: tuple) -> tuple:
-        return tuple(ifas_compose(left, ifas_compose(f, right))
-                     for f, (left, right) in zip(chain, sides))
-    return act
-
-
-def act_on_chain(gs: tuple, chain: tuple):
-    """Twist one hom-chain by an automorphism tuple (see ``chain_action``)."""
-    return chain_action(gs)(chain)
+def _normal_form(chain: tuple, a: IFasMorphism):
+    """The Delta-chain in the K-orbit of ``chain`` with ``a`` post-composed
+    on its last entry, and the anchor component a_0 that moves into the
+    tensor: one backward pass splits each ``a o f`` as ``phi o a'`` and
+    hands ``a'`` to the entry before."""
+    out = list(chain)
+    for i in reversed(range(len(out))):
+        pair = ifas_to_pair(ifas_compose(a, out[i]))
+        out[i] = delta_to_ifas(pair.phi)
+        a = hyp_to_ifas(pair.g)
+    return tuple(out), a
 
 
 def restrict_chain(X: tuple, Y: tuple, chain: tuple):
@@ -170,42 +184,16 @@ def restrict_chain(X: tuple, Y: tuple, chain: tuple):
     return tuple(segments), transport
 
 
-def check_action_compatibility(X: tuple, Y: tuple, samples: int | None = None,
-                               seed: int = 0) -> bool:
-    """Naturality of the action against the poset arrow X -> Y: twisting
-    then restricting equals restricting then twisting by the surviving
-    factors.  Exhaustive by default, sampled when ``samples`` is given."""
-    import random
-    ys = chain_objects(X)
-    pos = {y: i for i, y in enumerate(ys)}
-    keep = [pos[y] for y in chain_objects(Y)]
-    chains = functor_E(X)
-    group = functor_A(X)
-    if samples is None:
-        pairs = ((c, g) for c in chains for g in group)
-    else:
-        rng = random.Random(seed)
-        pairs = ((rng.choice(chains), rng.choice(group))
-                 for _ in range(samples))
-    for chain, gs in pairs:
-        twisted = act_on_chain(gs, chain)
-        lhs, _ = restrict_chain(X, Y, twisted)
-        base, _ = restrict_chain(X, Y, chain)
-        gs_kept = tuple(gs[i] for i in keep)
-        rhs = act_on_chain(gs_kept, base)
-        if lhs != rhs:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # coinvariants
 # ---------------------------------------------------------------------------
 
 class CoinvariantModule:
-    """Coinvariants of k[hom-chains] (x) ideal tensors: the quotient by the
-    relations (s - 1)e, for s in ``automorphism_generators`` and e a basis
-    vector of the ambient module.
+    """Coinvariants of k[hom-chains] (x) ideal tensors, presented as
+    k[Delta-chains] (x) ideal tensors (the K-coinvariants, see the module
+    docstring) modulo the relations (delta', F(a_0) t) - (delta, t) for the
+    Coxeter generators s of the last factor H_{y_k}, (delta', a_0) the
+    normal form of s post-composed on the last entry of delta.
 
     The relation columns go through the elimination kernel.  Its
     Gauss-Jordan form keeps every pivot's tail on rows that lead no pivot,
@@ -219,15 +207,17 @@ class CoinvariantModule:
         self.X = X
         self.ring = ring
         self.anchor = max(X)
-        chains = functor_E(X)
+        chains = delta_chains(X)
         chain_index = {c: i for i, c in enumerate(chains)}
         tdim = len(functor.basis(self.anchor))
+        last = min(X)
+        coxeter = [hyp_t(last, 0)] + [hyp_theta(last, j) for j in range(last)]
         relations = []
-        for gs in automorphism_generators(X):
-            tensor = functor.evaluate(hyp_to_ifas(gs[0])).cols
-            act = chain_action(gs)
+        for s in map(hyp_to_ifas, coxeter):
             for ci, chain in enumerate(chains):
-                twisted = chain_index[act(chain)] * tdim
+                image, a0 = _normal_form(chain, s)
+                twisted = chain_index[image] * tdim
+                tensor = functor.evaluate(a0).cols
                 for t in range(tdim):
                     rel = {twisted + r: v for r, v in tensor[t].items()}
                     e = ci * tdim + t
@@ -324,11 +314,16 @@ def slominska_complex(algebra: InvolutiveAlgebra, policy: TruncationPolicy,
                       max_generators: int = DEFAULT_MAX_GENERATORS
                       ) -> TruncatedComplex:
     """Standard complex of the coinvariants functor over the truncated
-    subset poset; its homology is the reduced invariant of the algebra."""
+    subset poset; its homology is the reduced invariant of the algebra.
+
+    The complex eliminated is its normalized quotient (see ``complexes``).
+    No composite of strict arrows in a poset is an identity, so that
+    quotient is the subcomplex of strict strings, which has no generator
+    above degree N; ``generator_counts`` stay the standard counts."""
     poset = SubsetPoset(policy.max_object)
     functor = CoinvariantFunctorView(algebra)
     return build_gz_complex(poset, functor, policy, max_generators,
-                            label="slominska")
+                            label="slominska", normalized=True)
 
 
 def slominska_homology(algebra: InvolutiveAlgebra, policy: TruncationPolicy,

@@ -4,10 +4,10 @@ complexes."""
 import copy
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperoct.rings import QQ, ZZ, GF
 from hyperoct.matrices import SparseMatrix
@@ -530,7 +530,7 @@ def permuted(rows, rnd):
 @given(int_matrices(max_rows=8, max_cols=9), st.randoms(use_true_random=False))
 def test_unit_stream_agrees_with_the_dense_smith_form(rows, rnd):
     M = over(ZZ, rows)
-    dense = hom.diagonalize_integer_matrix(M)[0]
+    dense = hom.diagonalize_integer_matrix(M)
     rank = sum(1 for d in dense if d)
     factors = hom._invariant_factors(dense)
     assert rank == oracle_rank(rows)
@@ -544,6 +544,42 @@ def test_unit_stream_agrees_with_the_dense_smith_form(rows, rnd):
         assert stats["units"] + nr <= mat.nrows
         assert stats["units"] + nc <= mat.ncols
         assert nc <= nr
+
+
+def determinantal_divisors(rows):
+    """d_k, the gcd of all k x k minors, for k = 1 .. min(shape) while it is
+    nonzero; each minor by the permutation expansion."""
+    def det(m):
+        return sum((-1) ** sum(p[i] > p[j] for i in range(len(p))
+                               for j in range(i + 1, len(p)))
+                   * prod(m[i][p[i]] for i in range(len(p)))
+                   for p in itertools.permutations(range(len(m))))
+
+    out = []
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        d = gcd(*(det([[rows[i][j] for j in cs] for i in rs])
+                  for rs in itertools.combinations(range(len(rows)), k)
+                  for cs in itertools.combinations(range(len(rows[0])), k)))
+        if not d:
+            break
+        out.append(d)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(max_rows=4, max_cols=4))
+# a column operation refills the pivot's column: Smith form diag(1, 1, 4)
+@example([[-2, 0, -2], [2, 2, -1], [-1, 0, -2]])
+def test_dense_smith_form_matches_the_determinantal_divisors(rows):
+    # the invariant factors are d_k / d_{k-1}, independent of any
+    # elimination; both the dense finisher alone and the column stream
+    # must give them
+    divisors = determinantal_divisors(rows)
+    factors = [d // e for d, e in zip(divisors, [1] + divisors) if d != e]
+    dense = hom.diagonalize_integer_matrix(over(ZZ, rows))
+    assert sum(1 for d in dense if d) == len(divisors)
+    assert hom._invariant_factors(dense) == factors
+    assert hom.invariant_factors(over(ZZ, rows)) == factors
 
 
 def unimodular(rnd, n):
@@ -635,23 +671,3 @@ def test_integral_homology_of_elementary_complexes(data):
     assert res.torsion == torsion
     for p in (2, 3):
         assert hom.uct_check(C, p)["ok"]
-
-
-@settings(max_examples=40, deadline=None)
-@given(int_matrices(max_rows=5, max_cols=4),
-       st.lists(entries, min_size=4, max_size=4),
-       st.lists(st.integers(-6, 6), min_size=5, max_size=5))
-def test_integer_solve_witnesses_and_refusals(rows, x0, b_free):
-    nr, nc = len(rows), len(rows[0])
-    A = over(ZZ, rows)
-    b = A.apply({j: v for j, v in enumerate(x0[:nc]) if v})
-    x = hom.integer_solve(A, b)
-    assert x is not None and A.apply(x) == b
-    b = {i: v for i, v in enumerate(b_free[:nr]) if v}
-    x = hom.integer_solve(A, b)
-    if x is not None:
-        assert A.apply(x) == b
-    else:
-        box = itertools.product(range(-4, 5), repeat=nc)
-        assert all(A.apply({j: v for j, v in enumerate(y) if v}) != b
-                   for y in box)

@@ -85,24 +85,6 @@ def test_invariant_factors_of_diagonal():
     assert hom.invariant_factors(M2) == [2, 12]
 
 
-def test_diagonalize_transforms_multiply_out():
-    rng = random.Random(9)
-    for _ in range(30):
-        nr, nc = rng.randrange(1, 5), rng.randrange(1, 5)
-        rows = [[rng.randrange(-6, 7) for _ in range(nc)] for _ in range(nr)]
-        M = SparseMatrix.from_dense(ZZ, rows)
-        diag, S, T = hom.diagonalize_integer_matrix(M, transforms=True)
-        # S M T is diagonal with the computed entries
-        prod = [[sum(S[i][a] * rows[a][b] for a in range(nr)) for b in range(nc)]
-                for i in range(nr)]
-        final = [[sum(prod[i][b] * T[b][j] for b in range(nc)) for j in range(nc)]
-                 for i in range(nr)]
-        for i in range(nr):
-            for j in range(nc):
-                want = diag[i] if i == j and i < len(diag) else 0
-                assert final[i][j] == want
-
-
 def test_mod_two_reduction_matches_direct_assembly():
     C = toy_complex(ZZ, [2, 2], {1: [[2, 1], [0, 2]]})
     tensored = tensor_with_coefficients(C, CoefficientModule(0, (2,)))
@@ -149,15 +131,13 @@ def test_solve_refusal_certificate():
     assert w.rank_matrix < w.rank_augmented
 
 
-def test_solve_construct_then_solve_over_z():
-    rng = random.Random(12)
+def test_solve_is_boundary_refuses_the_integers():
+    # boundary solving is over a field only; over Z it refuses at once,
+    # even where a witness exists
     C = toy_complex(ZZ, [3, 4], {1: [[1, 2, 0, 1], [0, 2, 2, 0], [1, 0, 1, 1]]})
-    for _ in range(10):
-        w0 = {i: rng.randrange(-3, 4) for i in range(4)}
-        z = C.boundary(1).apply(w0)
-        w = hom.solve_is_boundary(C, 0, z)
-        assert w.is_boundary
-        assert C.boundary(1).apply(w.witness) == z
+    z = C.boundary(1).apply({0: 1, 2: -1})
+    with pytest.raises(hom.HomologyError):
+        hom.solve_is_boundary(C, 0, z)
 
 
 def test_solve_rejects_non_cycles():
