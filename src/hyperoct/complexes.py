@@ -70,7 +70,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import croscat
+from . import croscat, homology
 from .barfun import BarFunctor, FULL, IDEAL, EXTENDED
 from .croscat import (EMPTY_OBJECT, IFasMorphism, factorize_ifas, ifas_compose,
                       ifas_identity, ifas_injection)
@@ -238,6 +238,12 @@ class TruncatedComplex:
     ``generator_counts`` are the standard complex's counts, which a
     normalized complex (see the module docstring) passes as ``counts``;
     ``dims`` are the generators it has.
+
+    A complex is not changed after construction.  Its derived data, the
+    positions of the degree-n strings (``string_index``) and over Z the
+    Smith diagonal of each boundary (``smith_diagonal``), is built on
+    first use and never rebuilt, so every solve of the same complex reads
+    one column stream per boundary.
     """
 
     def __init__(self, ring: Ring, policy: TruncationPolicy, dims, boundaries,
@@ -254,6 +260,7 @@ class TruncatedComplex:
         self.offsets = offsets
         self.functor = functor
         self.morphisms = morphisms
+        self._smith: dict = {}
         if len(self.dims) != policy.max_degree + 2:
             raise ComplexError("dims must cover degrees 0..D+1")
         for n in range(1, policy.max_degree + 2):
@@ -280,6 +287,19 @@ class TruncatedComplex:
         if index is None:
             index = self._string_index[n] = _positions(self.strings[n])
         return index
+
+    def smith_diagonal(self, n: int):
+        """A diagonal equivalent to d_n over Z and its stream's stats,
+        ``{units, left}`` (see ``homology._smith_diagonal``), built on first
+        use.  The diagonal is a tuple; the stats are a new dict per call."""
+        entry = self._smith.get(n)
+        if entry is None:
+            stats: dict = {}
+            diag = homology._smith_diagonal(self.boundary(n), stats)
+            entry = self._smith[n] = (tuple(diag), stats["units"],
+                                      tuple(stats["left"]))
+        diag, units, left = entry
+        return diag, {"units": units, "left": list(left)}
 
     def generator_counts(self):
         return list(self.counts)

@@ -56,6 +56,9 @@ one 1 per unit pivot, then the Smith form of L.  Lattice vectors lead on
 distinct rows, so they are independent and no more than the rows they
 touch; ``diagonalize_integer_matrix``, the dense finisher, runs on that
 small block once per boundary.  Memory is the unit pivots and the lattice.
+A complex keeps each boundary's diagonal
+(``TruncatedComplex.smith_diagonal``), so the homology report and the
+universal-coefficient check of one complex share one stream per boundary.
 
 Also hosts the is-a-boundary solver used by the chain-homotopy
 verification and the universal-coefficient dimension check.
@@ -706,7 +709,9 @@ def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
     degree n is read off the normal form of the boundary from degree n+1;
     the same diagonal gives the boundary's rank as its nonzero count.  Each
     diagonal is the column stream's units followed by the dense finisher's
-    diagonal of the lattice."""
+    diagonal of the lattice.  The diagonals are the complex's own
+    (``TruncatedComplex.smith_diagonal``): each is computed once, on the
+    first solve that needs it, and read by every later one."""
     if complex_.ring != ZZ:
         raise HomologyError("homology_over_Z needs the integer ring")
     D = complex_.policy.max_degree
@@ -716,8 +721,7 @@ def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
     torsions = {}
     stats = {}
     for n in range(1, D + 2):
-        diag = _smith_diagonal(complex_.boundary(n),
-                               stats.setdefault(f"d{n}", {}))
+        diag, stats[f"d{n}"] = complex_.smith_diagonal(n)
         ranks[n] = sum(1 for d in diag if d != 0)
         torsions[n] = _invariant_factors(diag)
     betti = []
@@ -782,9 +786,11 @@ def uct_check(complex_, p: int, modp: HomologyResult | None = None) -> dict:
 
     For every degree n the residue-field dimension of homology with Z/p
     coefficients must equal dim(H_n (x) Z/p) + dim Tor_1(H_{n-1}, Z/p),
-    both read off the integral Smith data.  ``modp`` is the homology of
-    the complex reduced mod p, when the caller has computed it already;
-    otherwise it is computed here."""
+    both read off the integral Smith data.  That data is the complex's
+    own, computed once (see ``homology_over_Z``), so a check after the
+    complex's integral homology streams no boundary again.  ``modp`` is the
+    homology of the complex reduced mod p, when the caller has computed it
+    already; otherwise it is computed here."""
     if complex_.ring != ZZ:
         raise HomologyError("the coefficient check starts from an integer complex")
     field = GF(p)

@@ -58,8 +58,9 @@ import itertools
 from dataclasses import dataclass
 
 from .barfun import BarFunctor, IDEAL
-from .croscat import (IFasMorphism, delta_to_ifas, enumerate_delta, hyp_t,
-                      hyp_theta, hyp_to_ifas, ifas_compose, ifas_to_pair)
+from .croscat import (IFasMorphism, _make_ifas, delta_to_ifas,
+                      enumerate_delta, hyp_t, hyp_theta, hyp_to_ifas,
+                      ifas_compose)
 from .complexes import (TruncationPolicy, TruncatedComplex, build_gz_complex,
                         DEFAULT_MAX_GENERATORS)
 from .homology import _columns, _eliminate
@@ -151,12 +152,27 @@ def _normal_form(chain: tuple, a: IFasMorphism):
     """The Delta-chain in the K-orbit of ``chain`` with ``a`` post-composed
     on its last entry, and the anchor component a_0 that moves into the
     tensor: one backward pass splits each ``a o f`` as ``phi o a'`` and
-    hands ``a'`` to the entry before."""
+    hands ``a'`` to the entry before.
+
+    The split is read off the fibres of ``a o f``: number their labeled
+    points 0, 1, ... in order, fibre by fibre.  Then phi sends the
+    consecutive counters of fibre i to i, with trivial labels, and a'
+    sends counter k to its point p with its label, a signed permutation.
+    The fibre of phi o a' over i is the ordered union of the fibres of a'
+    over the counters of fibre i, which is fibre i of ``a o f`` itself; phi
+    is order-preserving, so (phi, a') is the unique split.  This is
+    ``ifas_to_pair`` followed by ``delta_to_ifas`` and ``hyp_to_ifas``,
+    without building the pair."""
     out = list(chain)
     for i in reversed(range(len(out))):
-        pair = ifas_to_pair(ifas_compose(a, out[i]))
-        out[i] = delta_to_ifas(pair.phi)
-        a = hyp_to_ifas(pair.g)
+        f = ifas_compose(a, out[i])
+        fibres, k = [], 0
+        for fibre in f.preimages:
+            fibres.append(tuple((c, 0) for c in range(k, k + len(fibre))))
+            k += len(fibre)
+        out[i] = _make_ifas(f.source, f.target, tuple(fibres))
+        a = _make_ifas(f.source, f.source,
+                       tuple((pt,) for fibre in f.preimages for pt in fibre))
     return tuple(out), a
 
 

@@ -308,9 +308,10 @@ def test_uct_check_runs_once_per_distinct_prime(monkeypatch):
 ])
 def test_each_coefficient_ring_is_solved_once(module, digest, monkeypatch):
     # the free component reuses the job's integral homology and a repeated
-    # prime is reduced and solved once; the integral solve left is the
-    # coefficient check's own.  The canonical reports are the ones each
-    # component solved on its own gave (pinned sha256)
+    # prime is reduced and solved once; the second integral call is the
+    # coefficient check's, which reads the complex's Smith diagonals.  The
+    # canonical reports are the ones each component solved on its own gave
+    # (pinned sha256)
     rings, reduced = [], []
     over_z, over_field = homology.homology_over_Z, homology.homology_over_field
     reduce = complexes.reduce_mod_p
@@ -326,6 +327,27 @@ def test_each_coefficient_ring_is_solved_once(module, digest, monkeypatch):
     assert rings == ["Z", "F2", "Z"] and reduced == [2]
     text = cli.canonical_report_text(report)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("module", ["z/2", "z+z/2"])
+def test_each_boundary_is_streamed_once_over_the_integers(module,
+                                                          monkeypatch):
+    # the report and the coefficient check read one Smith diagonal per
+    # boundary, d1 .. d(D+1), of the one truncation
+    calls = []
+    smith = homology._smith_diagonal
+
+    def counted(M, stats=None):
+        calls.append(M)
+        return smith(M, stats)
+
+    monkeypatch.setattr(homology, "_smith_diagonal", counted)
+    report, code = cli.run(cli.JobSpec("c2", "z", "epi", [1], 2,
+                                       coefficients=module, verify=True))
+    assert code == 0
+    assert report["verifications"]["N=1/uct[p=2]"] == "pass"
+    assert report["verifications"]["N=1/dsquared[epi]"] == "pass"
+    assert len(calls) == 2 + 1
 
 
 def test_uct_check_reuses_the_mod_p_homology_of_the_job(monkeypatch):

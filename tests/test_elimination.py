@@ -493,16 +493,23 @@ def test_dsquared_certificate_edge_pairs(ring, left, right, vanishes):
                     sparse(ring, right, len(right[0]))) == (vanishes,) * 2
 
 
+def integer_kernel(d1):
+    """Integer vectors spanning the kernel of d1 over Q."""
+    nc = len(d1[0])
+    out = []
+    for z in hom.field_kernel_sample(toy_complex(QQ, [len(d1), nc], {1: d1}),
+                                     1, nc):
+        scale = lcm(*(v.denominator for v in z.values()))
+        out.append([int(z.get(i, 0) * scale) for i in range(nc)])
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(int_matrices(max_rows=4, max_cols=6), st.randoms(use_true_random=False))
 def test_bounded_homology_of_a_complex_matches_the_oracle(d1, rnd):
     # d2 is built from integer kernel vectors of d1, so d1 d2 = 0 over Z
     nc = len(d1[0])
-    cols = []
-    for z in hom.field_kernel_sample(toy_complex(QQ, [len(d1), nc], {1: d1}),
-                                     1, nc):
-        scale = lcm(*(v.denominator for v in z.values()))
-        cols.append([int(z.get(i, 0) * scale) for i in range(nc)])
+    cols = integer_kernel(d1)
     cols += [[0] * nc] * rnd.randrange(2)
     for c in list(cols[:rnd.randrange(3)]):
         m = rnd.randrange(-2, 3)
@@ -671,3 +678,55 @@ def test_integral_homology_of_elementary_complexes(data):
     assert res.torsion == torsion
     for p in (2, 3):
         assert hom.uct_check(C, p)["ok"]
+
+
+@st.composite
+def integer_complexes(draw):
+    """Dims and dense boundaries of a random integer complex C2 -> C1 -> C0:
+    d2 is made of multiples and sums of integer kernel vectors of d1, so
+    H1 may have torsion, and C0 may have torsion in its cokernel."""
+    d1 = draw(int_matrices(max_rows=4, max_cols=5))
+    rnd = draw(st.randoms(use_true_random=False))
+    nc = len(d1[0])
+    kernel = integer_kernel(d1)
+    cols = []
+    for z in kernel:
+        m = rnd.choice((1, 2, 3, -2, 6))
+        cols.append([m * a for a in z])
+    for c in list(cols[:rnd.randrange(3)]):
+        m, z = rnd.randrange(-2, 3), rnd.choice(kernel)
+        cols.append([a + m * b for a, b in zip(c, z)])
+    cols += [[0] * nc] * (not cols or rnd.randrange(2))
+    d2 = [list(r) for r in zip(*cols)]
+    return [len(d1), nc, len(cols)], {1: d1, 2: d2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_complexes(), st.integers(0, 2))
+def test_integral_solves_of_one_complex_agree_with_fresh_ones(data, k):
+    # a complex keeps the Smith diagonal of each boundary: a bounded solve,
+    # a full one and the coefficient checks on one complex give what each
+    # gives on a freshly built complex with the same boundaries, stats
+    # included, and stats a caller writes to are its own
+    dims, rows = data
+
+    def over_z(C, up_to=None):
+        res = hom.homology_over_Z(C, up_to)
+        return res, copy.deepcopy(res.rank_stats)
+
+    def fresh():
+        return toy_complex(ZZ, dims, rows)
+
+    C = fresh()
+    assert C.check_dsquared()
+    bounded, full = over_z(C, k), over_z(C)
+    checks = [hom.uct_check(C, p) for p in (2, 3)]
+    assert bounded == over_z(fresh(), k)
+    assert full == over_z(fresh())
+    assert checks == [hom.uct_check(fresh(), p) for p in (2, 3)]
+    assert all(check["ok"] for check in checks)
+    for res, _ in (bounded, full):
+        for stats in res.rank_stats.values():
+            stats["units"] = -1
+            stats["left"].append(0)
+    assert over_z(C) == full
