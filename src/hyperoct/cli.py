@@ -117,11 +117,13 @@ def algebra_from_spec(spec: dict, ring: Ring) -> InvolutiveAlgebra:
 
 def load_algebra(source: str, ring: Ring) -> InvolutiveAlgebra:
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpecError(f"algebra: invalid JSON in {source}: {exc}")
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"algebra: invalid JSON in {source}: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecError(f"algebra: cannot read {source}: {exc}")
         return algebra_from_spec(spec, ring)
     try:
         return builtin_algebra(source, ring)
@@ -402,6 +404,15 @@ def canonical_report_text(report: dict) -> str:
     return json.dumps(canonical, sort_keys=True, indent=2) + "\n"
 
 
+def check_report_path(path: str):
+    """Refuse a report path that cannot be written, before any work."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise SpecError(f"out: no directory {folder}")
+    if os.path.isdir(path):
+        raise SpecError(f"out: {path} is a directory")
+
+
 def write_report(report: dict, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
@@ -476,6 +487,7 @@ def main(argv=None) -> int:
                 code = 1
         return code
     try:
+        check_report_path(args.out)
         job = JobSpec(
             algebra_source=args.algebra,
             ring_name=args.ring,

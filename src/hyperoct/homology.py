@@ -21,6 +21,22 @@ count of columns streamed before the bound stops the stream changes.
 Solves and kernel samples keep the natural order, because their tracked
 combinations index the original columns.
 
+The rank streams of a complex are chained by clearing (Chen-Kerber, "a
+twist"; de Silva-Morozov-Vejdemo-Johansson): the stream of d_n starts with
+one unit pivot e_r, with an empty tail, for each column r of d_{n-1} that
+became a pivot, the set J.  This is exact.  The d^2 check gives
+im d_n in ker d_{n-1}; the columns J are independent under d_{n-1}, so
+ker d_{n-1} meets span(e_J) in 0, and rank(d_n | e_J) = rank d_n + |J|.
+A column of d_n that is a + b, with a spanned by earlier columns and b by
+e_J, has b = c - a in ker d_{n-1}, so b = 0: it depends on the earlier
+columns and e_J exactly when it depends on the earlier columns alone.  So
+every column is a pivot or not as before, and the stream stops at the
+same column, its bound raised by |J| (to dim C_{n-1}).  Only the fill on
+the rows J goes: an entry there costs the subtraction of an empty tail.
+A boundary with more rows than columns is streamed by rows, takes no
+seeds and hands none on.  Over Z there is no clearing: dropping the
+coordinates J is a projection that can change the torsion.
+
 Integer homology goes through a Smith form, whose diagonal gives both rank
 and torsion.  ``_smith_diagonal`` streams the columns of a boundary once
 and keeps none of them.  It keeps unit pivots in Gauss-Jordan form, pivot
@@ -246,29 +262,36 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
         yield True, None
 
 
-def _fresh_first(cols):
+def _fresh_first(cols, order: list | None = None):
     """The columns in echelon-first order: first every column whose largest
     row index no earlier column has, then the rest in their original order,
-    zero columns included.
+    zero columns included.  ``order``, when given, receives the original
+    index of each column as it is yielded.
 
     Each column of the first group leads on a row no other column of the
     group has, so it is independent of the group's earlier columns and
     becomes a pivot."""
+    cols = list(cols)
+    order = [] if order is None else order
+    first = bytearray(len(cols))
     seen: set = set()
-    rest = []
-    for col in cols:
+    for j, col in enumerate(cols):
         if col:
             r = max(col)
             if r not in seen:
                 seen.add(r)
+                first[j] = 1
+                order.append(j)
                 yield col
-                continue
-        rest.append(col)
-    yield from rest
+    for j, col in enumerate(cols):
+        if not first[j]:
+            order.append(j)
+            yield col
 
 
 def _rank(M: SparseMatrix, bound: int | None = None,
-          stats: dict | None = None) -> int:
+          stats: dict | None = None, seeds=(),
+          pivots: list | None = None) -> int:
     """Rank through the kernel, streaming the longer side in echelon-first
     order (``_fresh_first``).
 
@@ -277,31 +300,52 @@ def _rank(M: SparseMatrix, bound: int | None = None,
     rank of a set of columns does not depend on their order.  The first
     group's columns are independent, so when most of the rank lies in that
     group, as for the epi boundaries, a bounded stream reduces far fewer
-    dependent columns before it stops."""
+    dependent columns before it stops.
+
+    When ``M`` is streamed by its columns, ``seeds`` (rows of ``M``) enter
+    the stream as unit pivots e_r with empty tails, which count towards
+    neither the rank nor ``bound``, and ``pivots`` receives the index in
+    ``M`` of each column that becomes a pivot.  A transposed ``M`` takes no
+    seeds and reports no pivots."""
     p = _modulus(M.ring)
+    tails: dict = {}
     if M.nrows > M.ncols:
         M = M.transpose()
-    limit = M.nrows if bound is None else min(bound, M.nrows)
+        pivots = None
+    else:
+        tails = {r: {} for r in seeds}
+    limit = M.nrows if bound is None else min(bound + len(tails), M.nrows)
+    order: list = []
+    cols = _columns(_fresh_first(M.cols, order), p)
     rank = streamed = 0
-    for pivot, _ in _eliminate(_columns(_fresh_first(M.cols), p), p, limit):
+    for pivot, _ in _eliminate(cols, p, limit, tails=tails):
+        if pivot:
+            rank += 1
+            if pivots is not None:
+                pivots.append(order[streamed])
         streamed += 1
-        rank += pivot
     if stats is not None:
         stats.update(cols=streamed, of=M.ncols, early_exit=streamed < M.ncols)
     return rank
 
 
 def field_rank(M: SparseMatrix, bound: int | None = None,
-               stats: dict | None = None) -> int:
+               stats: dict | None = None, seeds=(),
+               pivots: list | None = None) -> int:
     """Exact rank over a field.
 
     ``bound`` is an upper bound on the rank known to the caller; the column
     stream stops once the rank reaches it.  ``stats``, when given, receives
     the columns streamed (``cols``) out of the total (``of``) and whether
-    the stream stopped early (``early_exit``)."""
+    the stream stopped early (``early_exit``).  ``pivots`` and ``seeds``
+    chain the ranks of a complex (see ``homology_over_field``): ``pivots``
+    receives the indices of the columns of ``M`` that became pivots, and
+    ``seeds`` are those of the boundary d below ``M``, for which
+    d M = 0 must hold.  An ``M`` with more rows than columns is streamed
+    by rows: it ignores ``seeds`` and reports no pivots."""
     if not M.ring.is_field:
         raise HomologyError("field_rank needs a field")
-    return _rank(M, bound, stats)
+    return _rank(M, bound, stats, seeds, pivots)
 
 
 def integer_rank(M: SparseMatrix) -> int:
@@ -678,7 +722,21 @@ def homology_over_field(complex_, up_to: int | None = None) -> HomologyResult:
 
     rank d_n is bounded by dim ker d_{n-1} = dim C_{n-1} - rank d_{n-1}
     once d_{n-1} d_n = 0 has been checked; for d_1 it is dim C_0, the row
-    count, which caps the rank without any check."""
+    count, which caps the rank without any check.
+
+    The stream of d_n is cleared by d_{n-1}: it starts with one unit pivot
+    e_r, with an empty tail, per column r of d_{n-1} that became a pivot
+    (the set J).  The check gives im d_n in ker d_{n-1}, and the columns J
+    are independent under d_{n-1}, so ker d_{n-1} meets span(e_J) in 0.
+    If a column c of d_n is a + b with a spanned by earlier columns and b
+    by e_J, then b = c - a lies in ker d_{n-1}, so b = 0: a column depends
+    on the earlier ones and e_J exactly when it depends on the earlier ones
+    alone.  Each column is a pivot or not as without the seeds, the stream
+    stops at the same column, and the rank is the pivot count less |J|,
+    bounded by bound + |J| = dim C_{n-1}.  Only the fill on the rows J
+    goes: an entry there costs one subtraction of an empty tail.  A
+    boundary streamed by rows (more rows than columns) is neither seeded
+    nor a source of seeds."""
     ring = complex_.ring
     if not ring.is_field:
         raise HomologyError("homology_over_field needs a field")
@@ -687,14 +745,18 @@ def homology_over_field(complex_, up_to: int | None = None) -> HomologyResult:
         D = min(D, up_to)
     ranks = {0: 0}
     stats = {}
+    below: list = []
     for n in range(1, D + 2):
         d_n = complex_.boundary(n)
         bound = None
         if n >= 2:
             check_dsquared_pair(complex_.boundary(n - 1), d_n, n)
             bound = complex_.dimension(n - 1) - ranks[n - 1]
+        pivots: list = []
         ranks[n] = field_rank(d_n, bound=bound,
-                              stats=stats.setdefault(f"d{n}", {}))
+                              stats=stats.setdefault(f"d{n}", {}),
+                              seeds=below, pivots=pivots)
+        below = pivots
     betti = []
     for n in range(D + 1):
         b = complex_.dimension(n) - ranks[n] - ranks[n + 1]

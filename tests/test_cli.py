@@ -229,6 +229,39 @@ def test_non_positive_generator_cap_exits_with_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unreadable_algebra_source_exits_with_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"dim": 1, "name": "caf\xe9"}')
+    out = tmp_path / "r.json"
+    # a directory, and a file that is not UTF-8
+    for source in (tmp_path, latin1):
+        with pytest.raises(cli.SpecError, match="algebra: cannot read"):
+            cli.load_algebra(str(source), QQ)
+        code = run_cli(["compute", "--algebra", str(source), "--ring", "q",
+                        "--pipeline", "full", "--max-object", "0",
+                        "--max-degree", "0", "--out", str(out)])
+        assert code == 2
+        assert "error: algebra: cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_report_in_a_missing_directory_exits_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    def run(job):
+        raise AssertionError("ran a job whose report cannot be written")
+
+    monkeypatch.setattr(cli, "run", run)
+    for out, reason in ((tmp_path / "missing" / "r.json", "no directory"),
+                        (tmp_path, "is a directory")):
+        code = run_cli(["compute", "--algebra", "c2", "--ring", "q",
+                        "--pipeline", "epi", "--max-object", "1",
+                        "--max-degree", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out: ") and reason in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_resource_cap_produces_partial_report(tmp_path):
     out = tmp_path / "r.json"
     code = run_cli(["compute", "--algebra", "c2", "--ring", "q",

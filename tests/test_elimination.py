@@ -523,6 +523,59 @@ def test_bounded_homology_of_a_complex_matches_the_oracle(d1, rnd):
         assert res.betti == [dims[0] - r1, dims[1] - r1 - r2, dims[2] - r2]
 
 
+@st.composite
+def kernel_chains(draw):
+    """Dense boundaries d_1 .. d_k, k = 3 or 4, with d_n d_{n+1} = 0 over Z:
+    d_1 is random, and each column of d_{n+1} is a combination of up to
+    three integer kernel vectors of d_n with coefficients in -2..2."""
+    rnd = draw(st.randoms(use_true_random=False))
+    mats = [draw(int_matrices(max_rows=4, max_cols=7))]
+    for _ in range(draw(st.integers(2, 3))):
+        nc = len(mats[-1][0])
+        basis = integer_kernel(mats[-1])
+        cols = []
+        for _ in range(draw(st.integers(1, 9))):
+            col = [0] * nc
+            for b in rnd.sample(basis, min(len(basis), rnd.randint(0, 3))):
+                c = rnd.choice((-2, -1, 1, 2))
+                col = [x + c * y for x, y in zip(col, b)]
+            cols.append(col)
+        mats.append([list(r) for r in zip(*cols)])
+    return mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_chains())
+def test_cleared_rank_streams_match_plain_ones(mats):
+    # the complex, and its dual (the transposes in reverse order), so that
+    # every boundary is streamed once by columns and once by rows
+    dual = [[list(r) for r in zip(*d)] for d in reversed(mats)]
+    for chain_ in (mats, dual):
+        dims = [len(chain_[0])] + [len(d[0]) for d in chain_]
+        boundaries = dict(enumerate(chain_, 1))
+        for ring, p in ((QQ, None), (GF(3), 3),
+                        (GF(2147483647), 2147483647)):
+            ranks = [0] + [oracle_rank(d, p) for d in chain_] + [0]
+            res = hom.homology_over_field(toy_complex(ring, dims, boundaries))
+            assert res.betti == [dims[n] - ranks[n] - ranks[n + 1]
+                                 for n in range(len(dims))]
+            for n, d in boundaries.items():
+                M = over(ring, d)
+                bound = None if n == 1 else dims[n - 1] - ranks[n - 1]
+                stats, pivots = {}, []
+                assert hom.field_rank(M, bound, stats, pivots=pivots) == \
+                    ranks[n]
+                assert res.rank_stats[f"d{n}"] == stats
+                # the pivots reported are independent columns of d_n
+                if M.nrows > M.ncols:
+                    assert pivots == []
+                    continue
+                assert len(set(pivots)) == len(pivots) == ranks[n]
+                if pivots:
+                    assert oracle_rank([[r[j] for j in pivots] for r in d],
+                                       p) == ranks[n]
+
+
 # -- the integral Smith path: unit-pivot stream, lattice, dense finisher -----
 
 def permuted(rows, rnd):
