@@ -253,6 +253,9 @@ def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int):
                         for tag, cpx in complexes.items()}
     timing["eliminated"] = {tag: list(cpx.dims)
                             for tag, cpx in complexes.items()}
+    timing["nnz"] = {tag: [cpx.boundary(n).nnz()
+                           for n in range(1, job.max_degree + 2)]
+                     for tag, cpx in complexes.items()}
     results = {tag: compute_homology(cpx) for tag, cpx in complexes.items()}
     for tag, cpx in complexes.items():
         if not job.verify:

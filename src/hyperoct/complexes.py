@@ -37,9 +37,19 @@ string is ``(source object, tuple of n morphism ids)`` and every complex
 built from a category carries its table as ``morphisms``.  The reduced
 machinery adds image factorization as an id table and runs the epimorphism
 construction once per (string, nonzero tensor positions), since the ideal
-letters only pick the tensor index.  Boundary columns accumulate plain
-scalars and are reduced, mod p over a prime field, once per entry when the
-column is complete.
+letters only pick the tensor index.
+
+The degree-n strings come in blocks, one per object sequence s with
+nonempty hom lists H_k = H(s_k, s_{k+1}), in product order, and the
+strings of a block are the product of its hom lists, the last varying
+fastest.  So a string is its block and its local rank, the mixed-radix
+number of its ids' positions in their hom lists, and every face is found
+by arithmetic on that rank (``build_gz_complex``), not by looking a tuple
+up.  Boundary columns hold plain scalars, reduced mod p over a prime
+field; the faces other than face 0 are merged once per string, and a
+column is reduced once more only when face 0 lands on another face's
+string.  The position of each string (``TruncatedComplex.string_index``)
+is built on first use, by the chain maps that need it.
 
 The normalized epimorphism complex
 ----------------------------------
@@ -362,32 +372,31 @@ def projected_generator_counts(category, functor, policy: TruncationPolicy,
     return counts
 
 
-def _strings_for_degree(table: MorphismTable, degree: int,
-                        normalized: bool = False):
-    """Degree-n strings ``(source, ids)``: object sequences in product
-    order, then the product of their hom-sets; ``normalized`` leaves out
-    the identity ids.  The sequences grow one object at a time along
-    nonempty hom-sets, which keeps the order of filtering
+def _hom_lists(table: MorphismTable, normalized: bool = False) -> dict:
+    """The nonempty hom lists ``H(a, b)`` of the truncated category, as id
+    lists; ``normalized`` leaves out the identity ids."""
+    homs = {}
+    for (a, b), h in table.hom.items():
+        if normalized and a == b:
+            h = [i for i in h if i not in table.identities]
+        if h:
+            homs[a, b] = h
+    return homs
+
+
+def _blocks(objects, homs: dict, degree: int):
+    """The blocks of degree-n strings: each object sequence ``s`` with
+    nonempty hom lists, in product order, and its hom lists ``H_k =
+    H(s_k, s_{k+1})``; the block's strings are their product, the last
+    list varying fastest.  The sequences grow one object at a time along
+    nonempty hom lists, which keeps the order of filtering
     ``itertools.product(objects, repeat=n + 1)`` without visiting the
     sequences that fail."""
-    objs = table.objects
-    homs = {}
-    for a in objs:
-        for b in objs:
-            h = table.hom[a, b]
-            if normalized and a == b:
-                h = [i for i in h if i not in table.identities]
-            if h:
-                homs[a, b] = h
-    after = {a: [b for b in objs if (a, b) in homs] for a in objs}
-    seqs = [(o,) for o in objs]
+    after = {a: [b for b in objects if (a, b) in homs] for a in objects}
+    seqs = [(o,) for o in objects]
     for _ in range(degree):
         seqs = [seq + (b,) for seq in seqs for b in after[seq[-1]]]
-    out = []
-    for seq in seqs:
-        out.extend((seq[0], ids) for ids in itertools.product(
-            *(homs[a, b] for a, b in zip(seq, seq[1:]))))
-    return out
+    return [(seq, [homs[a, b] for a, b in zip(seq, seq[1:])]) for seq in seqs]
 
 
 def _reduced(col: dict, p: int) -> dict:
@@ -412,6 +421,19 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
     adjacent morphisms, truncate the top).  ``normalized`` builds the
     quotient by the degenerate strings instead (see the module docstring);
     its ``generator_counts`` and the cap stay the standard counts.
+
+    Every face is located by arithmetic in the blocks of ``_blocks``.  Let
+    stride_k = |H_{k+1}| ... |H_{n-1}|.  The string of local rank rho in
+    the block of s has face 0 at rank rho mod stride_0 of block s[1:], its
+    last face at rho // |H_{n-1}| of block s[:-1], and face i at
+    (hi |H(s_{i-1}, s_{i+1})| + loc(c)) stride_i + lo of block s minus
+    s_i.  There c is the composite of ids i-1 and i, loc(c) its position in
+    its hom list (a normalized complex drops the face when c is an
+    identity), and hi = rho // (|H_{i-1}| stride_{i-1}) and
+    lo = rho mod stride_i are the digits above and below positions i-1, i.
+    A string's first generator is its block's offset plus its rank times
+    dim F(s_0).  The faces other than face 0 shift by the same tensor
+    index, so they are merged once per string.
     """
     label = label or f"gz[{category.name}]"
     projected = projected_generator_counts(category, functor, policy)
@@ -424,74 +446,108 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
     ring = functor.ring
     D = policy.max_degree
     table = MorphismTable(category, category.objects(policy.max_object))
-    fdim = {o: functor.dim(o) for o in table.objects}
-    # faces onto degenerate strings are zero in the normalized quotient
-    degenerate = table.identities if normalized else frozenset()
-    for i in degenerate:
-        if not functor.matrix(table[i]).equals(
-                SparseMatrix.identity(ring, fdim[table.source[i]])):
-            raise ComplexError(f"{label}: the functor does not send "
-                               f"{table[i]} to the identity")
-    strings = []
-    offsets = []
-    dims = []
-    for n in range(D + 2):
-        sts = _strings_for_degree(table, n, normalized)
-        strings.append(sts)
-        offs = []
-        total = 0
-        for (src, _) in sts:
-            offs.append(total)
-            total += fdim[src]
-        offsets.append(offs)
-        dims.append(total)
-        if dims[n] != expected[n]:
-            raise ComplexError("projected and enumerated sizes disagree")
-    # strings of the top degree are never a face, so their index waits
-    # until something looks one up
-    string_index = {n: _positions(strings[n]) for n in range(D + 1)}
+    objects = table.objects
+    fdim = {o: functor.dim(o) for o in objects}
+    if normalized:
+        for i in table.identities:
+            if not functor.matrix(table[i]).equals(
+                    SparseMatrix.identity(ring, fdim[table.source[i]])):
+                raise ComplexError(f"{label}: the functor does not send "
+                                   f"{table[i]} to the identity")
+    homs = _hom_lists(table, normalized)
+    # position of each id in its hom list; None for an identity of a
+    # normalized complex, whose faces onto degenerate strings are zero
+    loc = [None] * len(table)
+    for h in homs.values():
+        for k, i in enumerate(h):
+            loc[i] = k
 
     p = ring.characteristic
+    minus = p - 1 if p else -1
     size = len(table)
     composites = table.composites
     compose = table.compose
-    target = table.target
-    face0 = [None] * size   # functor matrix columns of each first morphism
+    # functor matrix columns of each first morphism, reduced once
+    face0 = [None] * size
+    strings, offsets, dims = [], [], []
     boundaries = {}
-    for n in range(1, D + 2):
-        cols = []
-        idx_prev = string_index[n - 1]
-        offs_prev = offsets[n - 1]
-        for src, ids in strings[n]:
-            first = ids[0]
-            fcols = face0[first]
-            if fcols is None:
-                fcols = face0[first] = functor.matrix(table[first]).cols
-            # face 0 pushes the coefficient through the first morphism; the
-            # others compose adjacent morphisms or drop the last one
-            base0 = offs_prev[idx_prev[target[first], ids[1:]]]
-            faces = []
-            sign = -1
-            for i in range(1, n):
-                c = composites.get(ids[i] * size + ids[i - 1])
-                if c is None:
-                    c = compose(ids[i], ids[i - 1])
-                if c not in degenerate:
-                    faces.append((sign, offs_prev[
-                        idx_prev[src, ids[:i - 1] + (c,) + ids[i + 1:]]]))
-                sign = -sign
-            faces.append((sign, offs_prev[idx_prev[src, ids[:-1]]]))
-            for t in range(fdim[src]):
-                col = {base0 + r: v for r, v in fcols[t].items()}
-                for fsign, tgt_base in faces:
-                    r = tgt_base + t
-                    col[r] = col.get(r, 0) + fsign
-                cols.append(_reduced(col, p))
-        boundaries[n] = SparseMatrix(ring, dims[n - 1], dims[n], cols)
+    prev = None   # block offsets of degree n - 1
+    for n in range(D + 2):
+        sts, offs, cols = [], [], []
+        here = {}
+        total = 0
+        for seq, hs in _blocks(objects, homs, n):
+            src = seq[0]
+            f = fdim[src]
+            here[seq] = total
+            if not n:
+                sts.append((src, ()))
+                offs.append(total)
+                total += f
+                continue
+            stride = [1] * n
+            for k in range(n - 1, 0, -1):
+                stride[k - 1] = stride[k] * len(hs[k])
+            first_base, first_dim = prev[seq[1:]], fdim[seq[1]]
+            last_base, last_size = prev[seq[:-1]], len(hs[-1])
+            last_sign = minus if n % 2 else 1
+            mids = [(i, minus if i % 2 else 1, prev.get(seq[:i] + seq[i + 1:]),
+                     stride[i - 1] * len(hs[i - 1]),
+                     len(homs.get((seq[i - 1], seq[i + 1]), ())), stride[i])
+                    for i in range(1, n)]
+            for rho, ids in enumerate(itertools.product(*hs)):
+                sts.append((src, ids))
+                offs.append(total)
+                total += f
+                first = ids[0]
+                fcols = face0[first]
+                if fcols is None:
+                    fcols = face0[first] = [
+                        _reduced(col, p)
+                        for col in functor.matrix(table[first]).cols]
+                base0 = first_base + rho % stride[0] * first_dim
+                faces = {}
+                count = 1
+                for i, sign, base, above, width, below in mids:
+                    c = composites.get(ids[i] * size + ids[i - 1])
+                    if c is None:
+                        c = compose(ids[i], ids[i - 1])
+                    k = loc[c]
+                    if k is not None:
+                        r = base + ((rho // above * width + k) * below
+                                    + rho % below) * f
+                        faces[r] = faces.get(r, 0) + sign
+                        count += 1
+                r = last_base + rho // last_size * f
+                faces[r] = faces.get(r, 0) + last_sign
+                if len(faces) < count:
+                    # two faces on one string: their sum may vanish
+                    faces = _reduced(faces, p)
+                if base0 in faces:
+                    # face 0 is another face's string: add, then reduce
+                    for t in range(f):
+                        col = {base0 + r: v for r, v in fcols[t].items()}
+                        for r, v in faces.items():
+                            col[r + t] = col.get(r + t, 0) + v
+                        cols.append(_reduced(col, p))
+                    continue
+                for t in range(f):
+                    col = {base0 + r: v for r, v in fcols[t].items()}
+                    for r, v in faces.items():
+                        col[r + t] = v
+                    cols.append(col)
+        if total != expected[n]:
+            raise ComplexError("projected and enumerated sizes disagree")
+        strings.append(sts)
+        offsets.append(offs)
+        dims.append(total)
+        if n:
+            boundaries[n] = SparseMatrix(ring, dims[n - 1], total, cols)
+        prev = here
 
     return TruncatedComplex(ring, policy, dims, boundaries, label=label,
-                            strings=strings, string_index=string_index,
-                            offsets=offsets, functor=functor, morphisms=table,
+                            strings=strings, offsets=offsets,
+                            functor=functor, morphisms=table,
                             counts=projected)
 
 

@@ -1,7 +1,7 @@
 """Exact homology of truncated complexes.
 
-Every rank, field solve and kernel sample runs through one streaming column
-elimination, ``_eliminate``, on integer columns: residues mod p over F_p,
+Every rank runs through one streaming column elimination,
+``_eliminate``, on integer columns: residues mod p over F_p,
 fraction-free over Z and over Q (each rational column scaled to integers).
 It keeps its pivots in Gauss-Jordan form, each zero at every other pivot's
 leading row, so a column is reduced in one pass over its own entries and
@@ -18,8 +18,10 @@ echelon-first: every column whose largest row index no earlier column has
 goes first, each independent of those before it, and the rest follow in
 their original order.  Rank does not depend on column order, so only the
 count of columns streamed before the bound stops the stream changes.
-Solves and kernel samples keep the natural order, because their tracked
-combinations index the original columns.
+With ``track`` the kernel also keeps, per column, its combination of
+the streamed columns; the field solves and cycle samples of the tests run
+on it in natural order, because those combinations index the original
+columns.
 
 The rank streams of a complex are chained by clearing (Chen-Kerber, "a
 twist"; de Silva-Morozov-Vejdemo-Johansson): the stream of d_n starts with
@@ -76,8 +78,8 @@ A complex keeps each boundary's diagonal
 (``TruncatedComplex.smith_diagonal``), so the homology report and the
 universal-coefficient check of one complex share one stream per boundary.
 
-Also hosts the is-a-boundary solver used by the chain-homotopy
-verification and the universal-coefficient dimension check.
+The universal-coefficient dimension check, ``uct_check``, reads the
+integral Smith data and the homology mod p of one complex.
 """
 from __future__ import annotations
 
@@ -353,54 +355,6 @@ def integer_rank(M: SparseMatrix) -> int:
     return _rank(M)
 
 
-def matrix_rank(M: SparseMatrix) -> int:
-    return field_rank(M) if M.ring.is_field else integer_rank(M)
-
-
-def field_solve(A: SparseMatrix, b: dict):
-    """Solve ``A x = b`` over a field.
-
-    ``b`` streams through the kernel after the columns of ``A``; it reduces
-    to zero exactly when the system is consistent, and then its tracked
-    combination gives the solution.  Returns a sparse solution dict or None
-    (callers certify refusals with the rank criterion)."""
-    ring = A.ring
-    p = _modulus(ring)
-    scales: list = []
-    cols = _columns(A.cols + [b], p, scales)
-    *_, (pivot, expr) = _eliminate(cols, p, track=True)
-    if pivot:
-        return None
-    # sum_j expr[j] scales[j] A_j + expr[n] scales[n] b = 0
-    den = ring.from_int(-expr.pop(A.ncols) * scales[A.ncols])
-    return {j: ring.div(ring.from_int(c * scales[j]), den)
-            for j, c in expr.items()}
-
-
-def field_kernel_sample(complex_, degree: int, limit: int = 10):
-    """Up to ``limit`` cycles in the given degree, as sparse vectors.
-
-    Every degree-zero chain is a cycle; in higher degrees kernel vectors of
-    the boundary are the tracked combinations of the columns that reduce to
-    zero in the kernel."""
-    ring = complex_.ring
-    if degree == 0:
-        dim = complex_.dimension(0)
-        return [{i: ring.one()} for i in range(min(limit, dim))]
-    A = complex_.boundary(degree)
-    p = _modulus(ring)
-    scales: list = []
-    out = []
-    for pivot, expr in _eliminate(_columns(A.cols, p, scales), p,
-                                  track=True):
-        if not pivot:
-            out.append({j: ring.from_int(c * scales[j])
-                        for j, c in expr.items()})
-            if len(out) >= limit:
-                break
-    return out
-
-
 def _scaled(col) -> dict:
     """A column over Q with a ``Fraction`` entry, scaled to ints."""
     return next(_columns((col,), 0))
@@ -426,9 +380,14 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
     product becomes X_j = sum_k v_jk P_k = sum_r c_rj 2^(B r): one
     big-integer multiply-add per nonzero of d_n.  With
 
-        bound = max |w| * max_j sum_k |v_jk|,   so that |c_rj| <= bound,
+        bound = max |w| * N,   N >= max_j sum_k |v_jk|,   so |c_rj| <= bound,
 
-    either test below is exact.
+    either test below is exact.  Over F_p, N = L * max |v|, L the longest
+    column of d_n and max |v| read off the lift, which is built once per
+    distinct value: no pass in Python over the columns.  Over Q and Z, N is
+    max_j sum_k |v_jk| itself, each column at its integer scale, because
+    there a value set costs as much as that pass and a looser N widens
+    every slot.
 
     Zero test (Q, Z, and F_p when bound < p): B = bound.bit_length(), so
     |c_rj| < 2^B.  X_j = 0 iff every c_rj = 0: at the lowest r0 with
@@ -453,9 +412,8 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
         h = (p - 1) // 2
         lift = {v: (v + h) % p - h
                 for v in set(chain.from_iterable(map(dict.values, d_n.cols)))}
-        size = {v: abs(w) for v, w in lift.items()}
-        norm = max((sum(map(size.__getitem__, col.values()))
-                    for col in d_n.cols), default=0)
+        norm = max(map(len, d_n.cols), default=0) * max(
+            map(abs, lift.values()), default=0)
         prev = [{r: x for r, w in col.items() if (x := (w + h) % p - h)}
                 for col in d_prev.cols]
     else:
@@ -797,46 +755,6 @@ def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
 def compute_homology(complex_, up_to: int | None = None) -> HomologyResult:
     return homology_over_Z(complex_, up_to) if complex_.ring == ZZ \
         else homology_over_field(complex_, up_to)
-
-
-@dataclass
-class BoundaryWitness:
-    degree: int
-    witness: dict | None
-    rank_matrix: int | None = None
-    rank_augmented: int | None = None
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.witness is not None
-
-
-def solve_is_boundary(complex_, degree: int, z: dict) -> BoundaryWitness:
-    """Witness ``z = d w`` with ``w`` one degree up, or a certified refusal,
-    over a field (over Z it raises ``HomologyError``).
-
-    ``z`` must be a cycle; refusals come with the rank certificate
-    rank(A) < rank(A | z)."""
-    ring = complex_.ring
-    if not ring.is_field:
-        raise HomologyError("boundary solving needs a field")
-    if degree >= 1:
-        bz = complex_.boundary(degree).apply(z)
-        if bz:
-            raise HomologyError("input vector is not a cycle")
-    A = complex_.boundary(degree + 1)
-    sol = field_solve(A, z)
-    if sol is not None:
-        check = A.apply(sol)
-        if check != {r: v for r, v in z.items() if not ring.is_zero(v)}:
-            raise HomologyError("solver produced an invalid witness")
-        return BoundaryWitness(degree, sol)
-    # refusal certificate
-    aug = SparseMatrix(ring, A.nrows, A.ncols + 1,
-                       [dict(c) for c in A.cols] + [dict(z)])
-    return BoundaryWitness(degree, None,
-                           rank_matrix=matrix_rank(A),
-                           rank_augmented=matrix_rank(aug))
 
 
 # ---------------------------------------------------------------------------

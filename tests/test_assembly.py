@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperoct import complexes as cx, croscat as cc, invalg as ia
+from hyperoct import slominska as sl
 from hyperoct.barfun import BarFunctor, EXTENDED, FULL, IDEAL
 from hyperoct.homology import compute_homology
 from hyperoct.matrices import SparseMatrix
@@ -100,6 +101,87 @@ def test_ids_follow_hom_enumeration_and_d_squared_vanishes(kind, ring_name):
     assert table.morphisms == expected
     assert all(table.id[f] == i for i, f in enumerate(expected))
     assert C.check_dsquared()
+
+
+# -- block arithmetic against string lookup ---------------------------------
+
+def oracle_boundaries(C, normalized):
+    """The boundaries of ``C`` with every face located by looking its
+    string up in a table of all strings of the degree below, accumulated
+    face by face and reduced once per column."""
+    ring, functor, table = C.ring, C.functor, C.morphisms
+    p = ring.characteristic
+    degenerate = table.identities if normalized else frozenset()
+    out = {}
+    for n in range(1, C.policy.max_degree + 2):
+        index = {s: i for i, s in enumerate(C.strings[n - 1])}
+        offs = C.offsets[n - 1]
+        cols = []
+        for src, ids in C.strings[n]:
+            first = ids[0]
+            fcols = functor.matrix(table[first]).cols
+            base0 = offs[index[table.target[first], ids[1:]]]
+            faces = []
+            sign = -1
+            for i in range(1, n):
+                c = table.compose(ids[i], ids[i - 1])
+                if c not in degenerate:
+                    faces.append((sign, offs[
+                        index[src, ids[:i - 1] + (c,) + ids[i + 1:]]]))
+                sign = -sign
+            faces.append((sign, offs[index[src, ids[:-1]]]))
+            for t in range(functor.dim(src)):
+                col = {base0 + r: v for r, v in fcols[t].items()}
+                for fsign, base in faces:
+                    col[base + t] = col.get(base + t, 0) + fsign
+                if p:
+                    col = {r: v % p for r, v in col.items() if v % p}
+                else:
+                    col = {r: v for r, v in col.items() if v}
+                cols.append(col)
+        out[n] = cols
+    return out
+
+
+def typed(cols):
+    """Each column as its (row, value, value type) triples, in key order."""
+    return [[(r, v, type(v)) for r, v in col.items()] for col in cols]
+
+
+ORACLE_KINDS = {
+    "deltaH": (cx.build_full_complex, False),
+    "epi": (cx.build_epi_complex, True),
+    "epi-standard": (standard_epi_complex, False),
+    "extended": (cx.build_extended_complex, False),
+    "slominska": (sl.slominska_complex, True),
+}
+GRID = ((0, 2), (1, 1), (1, 2), (2, 1))
+ORACLE_RINGS = ("q", "z", "f3", "f2147483647")
+# the full and extended complexes project 3M generators at (2, 1), over the
+# default cap, and take a second per ring at (1, 2); the coinvariant
+# functor needs characteristic zero
+ORACLE_CASES = (
+    [(kind, "c2", N, D, ring_name) for kind in ("epi", "epi-standard")
+     for N, D in GRID for ring_name in ORACLE_RINGS]
+    + [(kind, "c2", N, D, ring_name) for kind in ("deltaH", "extended")
+       for N, D in GRID[:2] for ring_name in ORACLE_RINGS]
+    + [(kind, "c2", 1, 2, ring_name) for kind in ("deltaH", "extended")
+       for ring_name in ("q", "f2147483647")]
+    + [("slominska", "c2", N, D, "q") for N, D in GRID]
+    + [(kind, "c2", 1, 3, ring_name) for kind in ("epi", "epi-standard")
+       for ring_name in ("q", "f3")]
+    + [("slominska", "c3", 3, 2, "q"), ("epi", "c3", 1, 2, "f3")])
+
+
+@pytest.mark.parametrize("kind,algebra,N,D,ring_name", ORACLE_CASES)
+def test_block_arithmetic_matches_string_lookup(kind, algebra, N, D,
+                                                ring_name):
+    construct, normalized = ORACLE_KINDS[kind]
+    A = ia.builtin_algebra(algebra, ring_by_name(ring_name))
+    C = construct(A, cx.TruncationPolicy(N, D))
+    expected = oracle_boundaries(C, normalized)
+    for n, cols in expected.items():
+        assert typed(C.boundary(n).cols) == typed(cols)
 
 
 # -- the normalized epimorphism complex --------------------------------------

@@ -500,6 +500,22 @@ def test_timing_records_streamed_columns_per_degree(tmp_path):
     assert 2 * rank["d3"]["cols"] < rank["d3"]["of"]
 
 
+@pytest.mark.parametrize("pipeline", ["epi", "reduced"])
+def test_timing_records_boundary_nnz_per_degree(pipeline, monkeypatch):
+    seen = []
+    real = cli.compute_homology
+    monkeypatch.setattr(cli, "compute_homology",
+                        lambda cpx: seen.append(cpx) or real(cpx))
+    report, code = cli.run(cli.JobSpec("c3", "q", pipeline, [1], 2))
+    assert code == 0
+    nnz = report["timing"]["N=1"]["nnz"]
+    assert list(nnz) == list(report["timing"]["N=1"]["eliminated"])
+    assert len(seen) == len(nnz)
+    for cpx, counts in zip(seen, nnz.values()):
+        assert counts == [cpx.boundary(n).nnz() for n in (1, 2, 3)]
+        assert all(counts)
+
+
 def integral_rank_timing(tmp_path, n, degree):
     """Sizes and rank stats of c2 epi over Z at (n, degree), after checking
     that every boundary's unit pivots and lattice fit its shape, and that

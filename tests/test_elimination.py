@@ -14,6 +14,8 @@ from hyperoct.matrices import SparseMatrix
 from hyperoct.complexes import TruncationPolicy, TruncatedComplex
 from hyperoct import homology as hom
 
+from solvers import field_kernel_sample, field_solve
+
 PRIMES = (2, 3, 5, 2147483647)
 
 entries = st.integers(-4, 4)
@@ -121,7 +123,7 @@ def test_kernel_callers_leave_their_columns_as_they_were(pair, ring):
     before = copy.deepcopy((d_prev.cols, d_n.cols))
     if ring.is_field:
         hom.field_rank(d_n)
-        hom.field_solve(d_prev, d_prev.cols[0])
+        field_solve(d_prev, d_prev.cols[0])
     else:
         hom.integer_rank(d_n)
     try:
@@ -219,12 +221,12 @@ def test_solve_witnesses_satisfy_the_system(rows, x0, b_free):
     for ring in (QQ, GF(3), GF(2147483647)):
         A = over(ring, rows)
         b = A.apply({j: ring.from_int(v) for j, v in enumerate(x0[:nc]) if v})
-        x = hom.field_solve(A, b)
+        x = field_solve(A, b)
         assert x is not None and A.apply(x) == b
         # an arbitrary right-hand side is solved exactly when it adds no rank
         b = {i: ring.from_int(v) for i, v in enumerate(b_free[:nr])
              if not ring.is_zero(ring.from_int(v))}
-        x = hom.field_solve(A, b)
+        x = field_solve(A, b)
         p = None if ring == QQ else ring.p
         aug = [r + [b_free[i]] for i, r in enumerate(rows)]
         if x is None:
@@ -239,7 +241,7 @@ def test_kernel_samples_are_cycles(rows, limit):
     nr, nc = len(rows), len(rows[0])
     for ring in (QQ, GF(2)):
         C = toy_complex(ring, [nr, nc], {1: rows})
-        sample = hom.field_kernel_sample(C, 1, limit)
+        sample = field_kernel_sample(C, 1, limit)
         p = None if ring == QQ else ring.p
         assert len(sample) == min(limit, nc - oracle_rank(rows, p))
         for z in sample:
@@ -315,18 +317,18 @@ def test_gauss_jordan_stream_on_planted_rank_matrices(rows, slack, rnd):
             continue
         x0 = {j: ring.from_int(rnd.randint(-2, 2)) for j in range(nc)}
         b = M.apply({j: v for j, v in x0.items() if not ring.is_zero(v)})
-        x = hom.field_solve(M, b)
+        x = field_solve(M, b)
         assert x is not None and M.apply(x) == b
         b = {i: v for i in range(nr)
              if not ring.is_zero(v := ring.from_int(rnd.randint(-2, 2)))}
-        x = hom.field_solve(M, b)
+        x = field_solve(M, b)
         aug = [r + [b.get(i, 0)] for i, r in enumerate(rows)]
         if x is None:
             assert oracle_rank(aug, p) > rank
         else:
             assert M.apply(x) == b
         C = toy_complex(ring, [nr, nc], {1: rows})
-        sample = hom.field_kernel_sample(C, 1, nc)
+        sample = field_kernel_sample(C, 1, nc)
         assert len(sample) == nc - rank
         for z in sample:
             assert z and M.apply(z) == {}
@@ -487,6 +489,18 @@ def test_dsquared_certificate_on_vanishing_pairs(data, stacked, draw):
     # the word-size prime with an integer product of exactly p
     (GF(BIG), [[BIG // 2, 1]], [[2], [1]], True),
     (GF(BIG), [[BIG // 2, 1], [1, 0]], [[2], [1]], False),
+    # the longest column of d_n and its largest entry in different
+    # columns: over F_5 the bound, 1 * 3 * 2 = 6, exceeds every column's
+    # max |w| * sum |v|, at most 3, and takes the offset test where those
+    # sums would take the zero test; over Z the bound is the largest sum
+    (GF(5), [[1, -1, 0]], [[1, 0], [1, 0], [1, 2]], True),
+    (GF(5), [[1, -1, 1]], [[1, 0], [1, 0], [1, 2]], False),
+    (ZZ, [[0, 1, -1]], [[1, 3], [1, 0], [1, 0]], True),
+    (ZZ, [[1, 1, -1]], [[1, 3], [1, 0], [1, 0]], False),
+    # over F_3 every lifted entry is +-1, so the bound is the longest
+    # column, here 3 = p: the integer products 3 are multiples of p
+    (GF(3), [[1, 1, 1]], [[1, 1], [1, 2], [1, 0]], True),
+    (GF(3), [[1, 1, 1]], [[1, 1], [1, 1], [1, 0]], False),
 ])
 def test_dsquared_certificate_edge_pairs(ring, left, right, vanishes):
     assert verdicts(sparse(ring, left, len(right)),
@@ -497,7 +511,7 @@ def integer_kernel(d1):
     """Integer vectors spanning the kernel of d1 over Q."""
     nc = len(d1[0])
     out = []
-    for z in hom.field_kernel_sample(toy_complex(QQ, [len(d1), nc], {1: d1}),
+    for z in field_kernel_sample(toy_complex(QQ, [len(d1), nc], {1: d1}),
                                      1, nc):
         scale = lcm(*(v.denominator for v in z.values()))
         out.append([int(z.get(i, 0) * scale) for i in range(nc)])
