@@ -183,9 +183,6 @@ class BarFunctorView:
     def matrix(self, f):
         return self.functor.evaluate(f)
 
-    def label(self, obj, idx):
-        return self.functor.basis(obj).label(idx)
-
 
 class MorphismTable:
     """The morphisms among the objects of a truncated category, numbered once.
@@ -250,10 +247,11 @@ class TruncatedComplex:
     ``dims`` are the generators it has.
 
     A complex is not changed after construction.  Its derived data, the
-    positions of the degree-n strings (``string_index``) and over Z the
-    Smith diagonal of each boundary (``smith_diagonal``), is built on
-    first use and never rebuilt, so every solve of the same complex reads
-    one column stream per boundary.
+    positions of the degree-n strings (``string_index``), the d^2
+    certificate of each pair (``dsquared_vanishes``) and over Z the Smith
+    diagonal of each boundary (``smith_diagonal``), is built on first use
+    and never rebuilt, so every solve of the same complex reads one
+    certificate per pair and one column stream per boundary.
     """
 
     def __init__(self, ring: Ring, policy: TruncationPolicy, dims, boundaries,
@@ -271,6 +269,8 @@ class TruncatedComplex:
         self.functor = functor
         self.morphisms = morphisms
         self._smith: dict = {}
+        self._dsquared: dict = {}
+        self._integral_dsquared: dict = {}
         if len(self.dims) != policy.max_degree + 2:
             raise ComplexError("dims must cover degrees 0..D+1")
         for n in range(1, policy.max_degree + 2):
@@ -299,41 +299,54 @@ class TruncatedComplex:
         return index
 
     def smith_diagonal(self, n: int):
-        """A diagonal equivalent to d_n over Z and its stream's stats,
-        ``{units, left}`` (see ``homology._smith_diagonal``), built on first
-        use.  The diagonal is a tuple; the stats are a new dict per call."""
+        """A diagonal with the rank and invariant factors of d_n over Z,
+        and its stream's stats (see ``homology._smith_diagonal``), built on
+        first use.  The streams are chained as ``homology_over_Z``
+        describes: the stream of d_n, n >= 2, needs that of d_{n-1} and a
+        certified d_{n-1} d_n = 0, and raises ``HomologyError`` without it.
+        The diagonal is a tuple; the stats are a new dict per call."""
         entry = self._smith.get(n)
         if entry is None:
+            seeds, bound = (), self.dims[n - 1]
+            if n >= 2:
+                below, _ = self.smith_diagonal(n - 1)
+                homology.require_dsquared(self, n)
+                seeds = self._smith[n - 1][2]
+                bound -= sum(1 for d in below if d)
             stats: dict = {}
-            diag = homology._smith_diagonal(self.boundary(n), stats)
-            entry = self._smith[n] = (tuple(diag), stats["units"],
-                                      tuple(stats["left"]))
-        diag, units, left = entry
-        return diag, {"units": units, "left": list(left)}
+            pivots: list = []
+            diag = homology._smith_diagonal(self.boundary(n), stats, bound,
+                                            seeds, pivots)
+            entry = self._smith[n] = (tuple(diag), stats, tuple(pivots))
+        diag, stats, _ = entry
+        return diag, dict(stats, left=list(stats["left"]))
 
     def generator_counts(self):
         return list(self.counts)
 
+    def dsquared_vanishes(self, n: int) -> bool:
+        """Whether d_{n-1} d_n = 0 (``check_dsquared_pair``), checked on
+        first use and kept.  A reduction mod p of an integer complex also
+        reads the pairs that complex has found zero: zero over Z is zero
+        mod p, but not conversely, so nothing a reduction finds goes back
+        to the integer complex."""
+        ok = self._dsquared.get(n)
+        if ok is None:
+            ok = self._integral_dsquared.get(n, False)
+            if not ok:
+                try:
+                    check_dsquared_pair(self.boundary(n - 1),
+                                        self.boundary(n), n)
+                    ok = True
+                except HomologyError:
+                    ok = False
+            self._dsquared[n] = ok
+        return ok
+
     def check_dsquared(self) -> bool:
         """d_{n-1} d_n = 0 for every built pair, on integer columns."""
-        try:
-            for n in range(2, self.policy.max_degree + 2):
-                check_dsquared_pair(self.boundary(n - 1), self.boundary(n), n)
-        except HomologyError:
-            return False
-        return True
-
-    def generator_label(self, n: int, index: int) -> str:
-        if self.strings is None:
-            return f"g{n}:{index}"
-        offs = self.offsets[n]
-        si = _offset_bisect(offs, index)
-        src, ids = self.strings[n][si]
-        tensor_idx = index - offs[si]
-        tens = self.functor.label(src, tensor_idx) if self.functor else str(tensor_idx)
-        body = (",".join(str(self.morphisms[i]) for i in reversed(ids))
-                if ids else f"[{src}]")
-        return f"({body}; {tens})"
+        return all(self.dsquared_vanishes(n)
+                   for n in range(2, self.policy.max_degree + 2))
 
     def __repr__(self):
         return (f"TruncatedComplex({self.label}, {self.policy.tag()}, "
@@ -342,17 +355,6 @@ class TruncatedComplex:
 
 def _positions(items) -> dict:
     return {s: i for i, s in enumerate(items)}
-
-
-def _offset_bisect(offsets, index):
-    lo, hi = 0, len(offsets) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if offsets[mid] <= index:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def projected_generator_counts(category, functor, policy: TruncationPolicy,
@@ -730,14 +732,17 @@ def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
         for col in M.cols:
             cols.append({r: v % p for r, v in col.items() if v % p})
         boundaries[n] = SparseMatrix(field, M.nrows, M.ncols, cols)
-    return TruncatedComplex(field, complex_.policy, complex_.dims, boundaries,
-                            label=f"{complex_.label} mod {p}",
-                            strings=complex_.strings,
-                            string_index=complex_._string_index,
-                            offsets=complex_.offsets,
-                            functor=complex_.functor,
-                            morphisms=complex_.morphisms,
-                            counts=complex_.counts)
+    reduced = TruncatedComplex(field, complex_.policy, complex_.dims,
+                               boundaries, label=f"{complex_.label} mod {p}",
+                               strings=complex_.strings,
+                               string_index=complex_._string_index,
+                               offsets=complex_.offsets,
+                               functor=complex_.functor,
+                               morphisms=complex_.morphisms,
+                               counts=complex_.counts)
+    # read, never written: see TruncatedComplex.dsquared_vanishes
+    reduced._integral_dsquared = complex_._dsquared
+    return reduced
 
 
 def tensor_with_coefficients(complex_: TruncatedComplex,
@@ -756,25 +761,6 @@ def tensor_with_coefficients(complex_: TruncatedComplex,
     if not components:
         raise ComplexError("zero coefficient module")
     return TensoredComplex(complex_, module, components)
-
-
-# ---------------------------------------------------------------------------
-# epimorphism construction
-# ---------------------------------------------------------------------------
-
-def induced_epi_morphism(psi: IFasMorphism, under: IFasMorphism) -> IFasMorphism:
-    """The unique epimorphism completing the image-factorization square.
-
-    ``under`` is an object of the under-category (a morphism out of the
-    anchor object) and ``psi`` maps it to ``psi o under``; the induced
-    morphism connects the epimorphism parts of the two objects."""
-    mono, _ = factorize_ifas(under)
-    composed = ifas_compose(psi, mono)
-    mono2, epi2 = factorize_ifas(composed)
-    target_mono, _ = factorize_ifas(ifas_compose(psi, under))
-    if mono2 != target_mono:
-        raise ComplexError("image factorization square failed to close")
-    return epi2
 
 
 # ---------------------------------------------------------------------------

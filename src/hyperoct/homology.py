@@ -18,10 +18,6 @@ echelon-first: every column whose largest row index no earlier column has
 goes first, each independent of those before it, and the rest follow in
 their original order.  Rank does not depend on column order, so only the
 count of columns streamed before the bound stops the stream changes.
-With ``track`` the kernel also keeps, per column, its combination of
-the streamed columns; the field solves and cycle samples of the tests run
-on it in natural order, because those combinations index the original
-columns.
 
 The rank streams of a complex are chained by clearing (Chen-Kerber, "a
 twist"; de Silva-Morozov-Vejdemo-Johansson): the stream of d_n starts with
@@ -34,10 +30,9 @@ e_J, has b = c - a in ker d_{n-1}, so b = 0: it depends on the earlier
 columns and e_J exactly when it depends on the earlier columns alone.  So
 every column is a pivot or not as before, and the stream stops at the
 same column, its bound raised by |J| (to dim C_{n-1}).  Only the fill on
-the rows J goes: an entry there costs the subtraction of an empty tail.
+the rows J goes: an entry there only drops out.
 A boundary with more rows than columns is streamed by rows, takes no
-seeds and hands none on.  Over Z there is no clearing: dropping the
-coordinates J is a projection that can change the torsion.
+seeds and hands none on.  Over Z only unit pivots clear (below).
 
 Integer homology goes through a Smith form, whose diagonal gives both rank
 and torsion.  ``_smith_diagonal`` streams the columns of a boundary once
@@ -77,6 +72,46 @@ small block once per boundary.  Memory is the unit pivots and the lattice.
 A complex keeps each boundary's diagonal
 (``TruncatedComplex.smith_diagonal``), so the homology report and the
 universal-coefficient check of one complex share one stream per boundary.
+
+The integral streams of a complex are chained too, once d_{n-1} d_n = 0 is
+certified (``check_dsquared_pair`` is exact over Z).  Clearing with unit
+pivots only: the stream of d_n starts with e_r, empty tail, for each
+column r of d_{n-1} that became a unit pivot, the set J; a column that
+went into the lattice is never seeded.  A seed only drops a coordinate (it
+has no tail, and no tail or lattice vector has an entry on a leading row),
+so the seeded stream is the plain stream of pi(d_n), pi dropping the
+coordinates J, plus |J| units.  On their leading rows R, the unit pivots
+of d_{n-1} are the columns J times a unimodular matrix: each is a column
+of J less multiples of earlier unit pivots and of its own stream's seeds,
+which are zero on R, and no lattice vector is ever added to one.  There
+they are the identity, so d_{n-1}[R, J] is unimodular.  pi is injective on
+ker d_{n-1}: a kernel vector k on J has d_{n-1}[R, J] k_J = 0, so k = 0.
+Its image is saturated: if m w = pi(k), k in the kernel, write k = y + m w
+with y on J; then d_{n-1}[R, J] y_J = -m d_{n-1}(w)[R], so y is in m Z^J,
+and k / m is an integer kernel vector with pi(k / m) = w.  So pi maps ker
+d_{n-1} onto a direct summand, and im d_n, inside it, to a sublattice with
+the same quotient: pi(d_n) has the rank and invariant factors of d_n.
+
+Early exit: rank d_n <= bound = dim C_{n-1} - rank d_{n-1} (certified by
+the d^2 check; dim C_0 for d_1), so the echelon-first stream stops once
+its units and lattice vectors reach the bound.  Every later column of
+pi(d_n) lies in the rational span of the streamed prefix P, so im P is a
+sublattice of im pi(d_n) of the same rank, and the final torsion T is a
+quotient of the prefix torsion T_P (each is S / im, S the saturation of
+both images): no prime outside T_P divides T, and T has no more factors
+divisible by p than T_P.  The factors divisible by p number rank_Q -
+rank_Fp, for d_n and for P alike, and rank_Q P = rank_Q d_n.  So T and T_P
+have the same p-part once T_P's p-part is (Z/p)^k, every exponent 1, and
+every column lies in the mod-p span of P.  ``_witness_flags`` finds, for
+each prime of T_P, the columns outside the mod-p span of P by one packed
+pass against a basis of that span's left kernel (built from the unit
+pivots' tails and the lattice mod p, and packed and tested as
+``check_dsquared_pair`` packs and tests).  Only the flagged columns are
+streamed.  If the torsion of the enlarged prefix has every exponent 1,
+each of its primes is one of T_P, so every unstreamed column lies in its
+mod-p span, and the stream stops.  Otherwise, or when trial division
+cannot factor a torsion order, the rest is streamed as before.  Over Z the
+d^2 check runs even without ``--verify``: the bound needs it.
 
 The universal-coefficient dimension check, ``uct_check``, reads the
 integral Smith data and the homology mod p of one complex.
@@ -147,8 +182,7 @@ def _subtract(target: dict, c: int, source: dict, p: int = 0):
 
 
 def _eliminate(cols, p: int = 0, bound: int | None = None,
-               track: bool = False, lead: dict | None = None,
-               tails: dict | None = None):
+               lead: dict | None = None, tails: dict | None = None):
     """Stream integer columns through one Gauss-Jordan column form.
 
     A pivot is kept as its leading row r, its leading entry (1 mod p; only
@@ -168,27 +202,26 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
     that +-1 and +-2 stay small ints for a word-size prime.  With
     ``p == 0`` elimination is fraction-free: a column is scaled by the lcm
     of the leading entries it meets, a back-substituted pivot by the new
-    leading entry, and each is divided by the gcd of its entries (and of
-    its tracked combination's).
+    leading entry, and each is divided by the gcd of its entries.
 
-    Yields ``(pivot, expr)`` per streamed column: whether it became a
-    pivot, and (with ``track``, for a dependent column) the combination of
-    streamed columns, by index, that vanishes.  Streaming stops once the
-    rank reaches ``bound``.  A caller that passes ``lead`` and ``tails``
-    owns the pivots they hold: pivot r is
+    Yields, per streamed column, whether it became a pivot.  Streaming
+    stops once the rank reaches ``bound``.  A caller that passes ``lead``
+    and ``tails`` owns the pivots they hold: pivot r is
     ``lead.get(r, 1) e_r + tails[r]``."""
     h = (p - 1) // 2
     lead = {} if lead is None else lead
     tails = {} if tails is None else tails
-    exprs: dict = {}
     where = defaultdict(list)
-    for j, col in enumerate(cols):
+    for col in cols:
         if bound is not None and len(tails) >= bound:
             return
         vec, hits = {}, []
         for k, v in col.items():
-            if k in tails:
-                hits.append(k)
+            t = tails.get(k)
+            if t is not None:
+                # an empty tail only drops the entry
+                if t:
+                    hits.append(k)
             elif p:
                 v = (v + h) % p - h
                 if v:
@@ -200,7 +233,6 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
             scale = lcm(*[lead.get(k, 1) for k in hits])
             if scale != 1:
                 vec = {k: v * scale for k, v in vec.items()}
-        expr = {j: scale} if track else {}
         for k in hits:
             if p:
                 c = (col[k] + h) % p - h
@@ -209,59 +241,48 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
             else:
                 c = col[k] * (scale // lead.get(k, 1))
             _subtract(vec, c, tails[k], p)
-            if track:
-                _subtract(expr, c, exprs[k], p)
-        if not p and (vec or track):
-            g = gcd(*vec.values(), *expr.values())
+        if not p and vec:
+            g = gcd(*vec.values())
             if g != 1:
                 vec = {i: w // g for i, w in vec.items()}
-                expr = {i: w // g for i, w in expr.items()}
         if not vec:
-            yield False, expr
+            yield False
             continue
         r = max(vec)
         a = vec.pop(r)
         if p and a != 1:
             c = pow(a, -1, p)
             vec = {i: (w * c + h) % p - h for i, w in vec.items()}
-            expr = {i: (w * c + h) % p - h for i, w in expr.items()}
             a = 1
         elif a < 0:
             a = -a
             vec = {i: -w for i, w in vec.items()}
-            expr = {i: -w for i, w in expr.items()}
         for q in where.pop(r, ()):
             t = tails[q]
             c = t.pop(r, None)
             if c is None:
                 continue
-            e = exprs[q] if track else {}
             for i in vec.keys() - t.keys():
                 where[i].append(q)
             if a != 1:
                 lead[q] = lead.get(q, 1) * a
-                for d in (t, e):
-                    for i in d:
-                        d[i] *= a
+                for i in t:
+                    t[i] *= a
             _subtract(t, c, vec, p)
-            _subtract(e, c, expr, p)
             # copied, because a dict keeps its size after deletions
             tails[q] = t = dict(t)
             if not p:
-                g = gcd(lead.get(q, 1), *t.values(), *e.values())
+                g = gcd(lead.get(q, 1), *t.values())
                 if g != 1:
                     lead[q] //= g
-                    for d in (t, e):
-                        for i in d:
-                            d[i] //= g
+                    for i in t:
+                        t[i] //= g
         if a != 1:
             lead[r] = a
         tails[r] = dict(vec)
-        if track:
-            exprs[r] = expr
         for i in vec:
             where[i].append(r)
-        yield True, None
+        yield True
 
 
 def _fresh_first(cols, order: list | None = None):
@@ -320,7 +341,7 @@ def _rank(M: SparseMatrix, bound: int | None = None,
     order: list = []
     cols = _columns(_fresh_first(M.cols, order), p)
     rank = streamed = 0
-    for pivot, _ in _eliminate(cols, p, limit, tails=tails):
+    for pivot in _eliminate(cols, p, limit, tails=tails):
         if pivot:
             rank += 1
             if pivots is not None:
@@ -417,6 +438,7 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
         prev = [{r: x for r, w in col.items() if (x := (w + h) % p - h)}
                 for col in d_prev.cols]
     else:
+        lift = None
         norm = max(map(_norm, d_n.cols), default=0)
         scales: list = []
         prev = list(_columns(d_prev.cols, 0, scales))
@@ -428,47 +450,74 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
                        default=0)
     if not bound:
         return
-    offset = p and bound >= p
-    if offset:
-        K = -(-bound // p) * p
-        s = p.bit_length()
-        B = (2 * K // p).bit_length() + s
-        unit = ((1 << B * d_prev.nrows) - 1) // ((1 << B) - 1)
-        OFF, HIGH = K * unit, (((1 << s) - 1) << (B - s)) * unit
-    else:
-        B = bound.bit_length()
+    B, OFF, HIGH = _slots(bound, p, d_prev.nrows)
     packed = [sum(w << B * r for r, w in col.items()) for col in prev]
-    for col in d_n.cols:
+    if not all(_vanishing(packed, d_n.cols, lift, p, OFF, HIGH)):
+        raise HomologyError(f"d{n - 1} d{n} is not zero: not a chain complex")
+
+
+def _slots(bound: int, p: int, nslots: int):
+    """``(B, OFF, HIGH)`` of a packed test whose slot sums lie in
+    [-bound, bound]: the slot width, and for the offset test (mod p with
+    bound >= p) the offset K in every slot and the mask of every slot's top
+    s bits, both 0 for the zero test (see ``check_dsquared_pair``)."""
+    if not (p and bound >= p):
+        return bound.bit_length(), 0, 0
+    K = -(-bound // p) * p
+    s = p.bit_length()
+    B = (2 * K // p).bit_length() + s
+    unit = ((1 << B * nslots) - 1) // ((1 << B) - 1)
+    return B, K * unit, (((1 << s) - 1) << (B - s)) * unit
+
+
+def _vanishing(packed: list, cols, lift: dict | None, p: int, OFF: int,
+               HIGH: int):
+    """Per column c of ``cols``, whether X = sum_k c_k packed[k] has every
+    slot zero (mod p when ``OFF``, by the offset test), with the slot
+    constants of ``_slots``.  ``lift`` maps each entry of ``cols`` to the
+    integer it stands for mod p; without it a column's entries are read as
+    they are, and a column with a ``Fraction`` entry at its integer
+    scale."""
+    for col in cols:
         x = 0
-        if p:
-            for k, v in col.items():
-                x += lift[v] * packed[k]
-        else:
+        if lift is None:
             for k, v in col.items():
                 x += v * packed[k]
             if type(x) is not int:
                 x = sum(v * packed[k] for k, v in _scaled(col).items())
-        if offset:
+        else:
+            for k, v in col.items():
+                x += lift[v] * packed[k]
+        if OFF:
             q, r = divmod(x + OFF, p)
             x = r or q & HIGH
-        if x:
-            raise HomologyError(
-                f"d{n - 1} d{n} is not zero: not a chain complex")
+        yield not x
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form: a unit-pivot stream, a folded lattice, a dense finisher
 # ---------------------------------------------------------------------------
 
-def _smith_diagonal(M: SparseMatrix, stats: dict | None = None) -> list:
-    """A diagonal equivalent to ``M`` over Z: one 1 per unit pivot of the
-    column stream, then the dense finisher's diagonal of the lattice (the
-    argument is in the module docstring).  ``stats``, when given, receives
-    the unit count and the lattice's shape, [rows its vectors touch,
-    vectors]."""
+def _smith_diagonal(M: SparseMatrix, stats: dict | None = None,
+                    bound: int | None = None, seeds=(),
+                    pivots: list | None = None) -> list:
+    """A diagonal with the rank and invariant factors of ``M`` over Z: one
+    1 per unit pivot of the column stream, then the dense finisher's
+    diagonal of the lattice (the argument is in the module docstring).
+
+    ``seeds``, ``bound`` and ``pivots`` chain the streams of a complex (see
+    ``homology_over_Z``): ``seeds`` are the columns of the boundary d below
+    ``M`` that became unit pivots, for which d M = 0 must hold, and each
+    enters the stream as a unit pivot e_r with an empty tail; ``bound``,
+    an upper bound on the rank, lets the stream stop early, the torsion
+    certified mod p; ``pivots`` receives the indices of the columns of
+    ``M`` that became unit pivots.  ``stats``, when given, receives the
+    unit pivots (seeds not counted), the lattice's shape, [rows its vectors
+    touch, vectors], the columns streamed (``cols``) out of the total
+    (``of``) and whether the stream stopped early (``early_exit``)."""
     if M.ring != ZZ:
         raise HomologyError("integer diagonalization needs the integer ring")
-    tails: dict = {}
+    tails: dict = {r: {} for r in seeds}
     where = defaultdict(list)
     lattice: dict = {}
 
@@ -491,20 +540,24 @@ def _smith_diagonal(M: SparseMatrix, stats: dict | None = None) -> list:
             vec = {i: w for i in support
                    if (w := b * u.get(i, 0) - a * vec.get(i, 0))}
 
-    for col in M.cols:
+    def stream(j):
+        col = cols[j]
         vec, hits = {}, []
         for k, v in col.items():
-            if k in tails:
-                hits.append(k)
-            else:
+            t = tails.get(k)
+            if t is None:
                 vec[k] = v
+            elif t:
+                hits.append(k)
         for k in hits:
             _subtract(vec, col[k], tails[k])
-        r = max((i for i, v in vec.items() if v == 1 or v == -1),
-                default=None)
-        if r is None:
+        units = [i for i, v in vec.items() if v == 1 or v == -1]
+        if not units:
             fold(vec)
-            continue
+            return
+        r = max(units)
+        if pivots is not None:
+            pivots.append(j)
         if vec.pop(r) == -1:
             vec = {i: -w for i, w in vec.items()}
         for q in where.pop(r, ()):
@@ -526,14 +579,130 @@ def _smith_diagonal(M: SparseMatrix, stats: dict | None = None) -> list:
         for u in met.values():
             _subtract(u, u.pop(r), vec)
             fold(u)
-    rows = sorted(set().union(*lattice.values()))
-    index = {i: a for a, i in enumerate(rows)}
-    left = SparseMatrix(ZZ, len(rows), len(lattice),
-                        [{index[i]: v for i, v in lattice[k].items()}
-                         for k in sorted(lattice)])
+
+    def finish():
+        rows = sorted(set().union(*lattice.values()))
+        index = {i: a for a, i in enumerate(rows)}
+        left = SparseMatrix(ZZ, len(rows), len(lattice),
+                            [{index[i]: v for i, v in lattice[k].items()}
+                             for k in sorted(lattice)])
+        return left, diagonalize_integer_matrix(left)
+
+    cols = M.cols
+    limit = None if bound is None else bound + len(tails)
+    order: list = []
+    rest: list = []
+    for _ in _fresh_first(cols, order):
+        if rest or limit is not None and len(tails) + len(lattice) >= limit:
+            rest.append(order[-1])
+        else:
+            stream(order[-1])
+    left, diag = finish()
+    factors = _invariant_factors(diag) if rest else []
+    if factors:
+        # stopped at the bound: the torsion is a quotient of this one
+        primes = _primes(factors)
+        if primes is not None:
+            flagged = set()
+            for p in primes:
+                flagged.update(
+                    _witness_flags(M, rest, tails, lattice.values(), p))
+            for j in rest:
+                if j in flagged:
+                    stream(j)
+            rest = [j for j in rest if j not in flagged]
+            left, diag = finish()
+            factors = _invariant_factors(diag)
+        if factors and (primes is None or any(
+                f % (p * p) == 0 for f in factors for p in primes)):
+            for j in rest:
+                stream(j)
+            rest = []
+            left, diag = finish()
     if stats is not None:
-        stats.update(units=len(tails), left=[left.nrows, left.ncols])
-    return [1] * len(tails) + diagonalize_integer_matrix(left)
+        stats.update(units=len(tails) - len(seeds),
+                     left=[left.nrows, left.ncols], cols=M.ncols - len(rest),
+                     of=M.ncols, early_exit=bool(rest))
+    return [1] * (len(tails) - len(seeds)) + diag
+
+
+_TRIAL = 1 << 10
+
+
+def _primes(factors) -> set | None:
+    """The primes dividing ``factors``, or None when trial division by the
+    integers below ``_TRIAL`` leaves a cofactor it cannot show prime."""
+    primes = set()
+    for f in factors:
+        d = 2
+        while d * d <= f:
+            if d >= _TRIAL:
+                return None
+            if f % d == 0:
+                primes.add(d)
+                while f % d == 0:
+                    f //= d
+            d += 1
+        if f > 1:
+            primes.add(f)
+    return primes
+
+
+def _witness_flags(M: SparseMatrix, rest: list, tails: dict, lattice,
+                   p: int) -> list:
+    """The columns j in ``rest`` of ``M`` outside the mod-p span of the
+    unit pivots ``tails`` (pivot r = e_r + tails[r]) and the ``lattice``
+    vectors, found by one packed pass against a basis of that span's left
+    kernel mod p.
+
+    The lattice mod p is put in Gauss-Jordan form, pivot q = e_q + t_q
+    (``_eliminate``); its rows lie off the unit pivots' leading rows.  A
+    row that leads neither is free.  y is in the left kernel exactly when
+    y_q = -sum_i t_q[i] y_i and y_r = -sum_i tails[r][i] y_i, the free
+    coordinates arbitrary, so one witness per free row f (y_f = 1, every
+    other free coordinate 0) spans it, and a column lies in the span iff
+    every witness is 0 on it mod p.  Witness f is slot f of a packed row
+    as in ``check_dsquared_pair``: W_f = 2^(B f) on a free row, and on a
+    leading row the packed sum of its pivot's tail, so W_q and W_r are
+    linear in the W_i and no slot is reduced.  With every residue lifted to
+    (-p/2, p/2], a slot of W holds at most ``ybound`` in absolute value,
+    and slot f of sum_k c_k W_k, which is witness f on column c, at most
+    L max|c_k| ybound, L the longest column."""
+    h = (p - 1) // 2
+    pivots: dict = {}
+    for _ in _eliminate(lattice, p, tails=pivots):
+        pass
+    free = [i for i in range(M.nrows) if i not in tails and i not in pivots]
+    if not free:
+        return []
+    most = max(h, 1)
+    units = {}
+    ybound = most if pivots else 1
+    for r, t in tails.items():
+        if t:
+            terms = units[r] = [(i, x) for i, w in t.items()
+                                if (x := (w + h) % p - h)]
+            ybound = max(ybound, sum(
+                abs(x) * (most if i in pivots else 1) for i, x in terms))
+    cols = M.cols
+    values: set = set()
+    for j in rest:
+        values.update(cols[j].values())
+    lift = {v: (v + h) % p - h for v in values}
+    bound = max(len(cols[j]) for j in rest) * max(
+        map(abs, lift.values()), default=0) * ybound
+    if not bound:
+        return []
+    B, OFF, HIGH = _slots(bound, p, len(free))
+    packed = [0] * M.nrows
+    for f, i in enumerate(free):
+        packed[i] = 1 << B * f
+    for q, t in pivots.items():
+        packed[q] = -sum(w * packed[i] for i, w in t.items())
+    for r, terms in units.items():
+        packed[r] = -sum(x * packed[i] for i, x in terms)
+    return [j for j, zero in zip(rest, _vanishing(
+        packed, (cols[j] for j in rest), lift, p, OFF, HIGH)) if not zero]
 
 
 def _xgcd(a, b):
@@ -655,9 +824,10 @@ class HomologyResult:
     ring_name: str
     betti: list
     torsion: list = field(default_factory=list)
-    # per boundary "d<n>": over a field, the kernel's columns streamed, of
-    # how many, and whether the rank bound stopped the stream early; over Z,
-    # the unit pivots of the column stream and the lattice's shape
+    # per boundary "d<n>": the kernel's columns streamed, of how many, and
+    # whether the stream stopped early (at the rank bound, or over Z once
+    # the torsion was certified mod p); over Z also the unit pivots of the
+    # column stream and the lattice's shape
     rank_stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -671,6 +841,13 @@ class HomologyResult:
     @property
     def degrees(self):
         return range(len(self.betti))
+
+
+def require_dsquared(complex_, n: int):
+    """Raise unless d_{n-1} d_n = 0 in ``complex_``, read from its
+    certificate memo (``TruncatedComplex.dsquared_vanishes``)."""
+    if not complex_.dsquared_vanishes(n):
+        raise HomologyError(f"d{n - 1} d{n} is not zero: not a chain complex")
 
 
 def homology_over_field(complex_, up_to: int | None = None) -> HomologyResult:
@@ -692,7 +869,7 @@ def homology_over_field(complex_, up_to: int | None = None) -> HomologyResult:
     alone.  Each column is a pivot or not as without the seeds, the stream
     stops at the same column, and the rank is the pivot count less |J|,
     bounded by bound + |J| = dim C_{n-1}.  Only the fill on the rows J
-    goes: an entry there costs one subtraction of an empty tail.  A
+    goes: an entry there only drops out.  A
     boundary streamed by rows (more rows than columns) is neither seeded
     nor a source of seeds."""
     ring = complex_.ring
@@ -708,7 +885,7 @@ def homology_over_field(complex_, up_to: int | None = None) -> HomologyResult:
         d_n = complex_.boundary(n)
         bound = None
         if n >= 2:
-            check_dsquared_pair(complex_.boundary(n - 1), d_n, n)
+            require_dsquared(complex_, n)
             bound = complex_.dimension(n - 1) - ranks[n - 1]
         pivots: list = []
         ranks[n] = field_rank(d_n, bound=bound,
@@ -731,7 +908,11 @@ def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
     diagonal is the column stream's units followed by the dense finisher's
     diagonal of the lattice.  The diagonals are the complex's own
     (``TruncatedComplex.smith_diagonal``): each is computed once, on the
-    first solve that needs it, and read by every later one."""
+    first solve that needs it, and read by every later one.  The stream of
+    d_n is cleared by the unit pivot columns of d_{n-1} and bounded by
+    dim C_{n-1} - rank d_{n-1}, both after d_{n-1} d_n = 0 is certified
+    (module docstring); a pair that is not zero raises ``HomologyError``,
+    as over a field."""
     if complex_.ring != ZZ:
         raise HomologyError("homology_over_Z needs the integer ring")
     D = complex_.policy.max_degree
@@ -774,13 +955,14 @@ def uct_check(complex_, p: int, modp: HomologyResult | None = None) -> dict:
     if complex_.ring != ZZ:
         raise HomologyError("the coefficient check starts from an integer complex")
     field = GF(p)
-    if modp is None:
-        from .complexes import reduce_mod_p
-        modp = homology_over_field(reduce_mod_p(complex_, p))
-    elif modp.ring_name != field.name:
+    if modp is not None and modp.ring_name != field.name:
         raise HomologyError(f"homology over {modp.ring_name} given for the "
                             f"check at p = {p}")
     integral = homology_over_Z(complex_)
+    if modp is None:
+        # after the integral solve, whose d^2 certificates the reduction reads
+        from .complexes import reduce_mod_p
+        modp = homology_over_field(reduce_mod_p(complex_, p))
     report = {"prime": p, "degrees": [], "ok": True}
     for n in integral.degrees:
         tensor_dim = integral.betti[n] + sum(

@@ -450,6 +450,3 @@ class BasicTensorBasis:
 
     def __len__(self):
         return len(self.tuples)
-
-    def label(self, k: int) -> str:
-        return "(" + ",".join(self.algebra.basis_names[i] for i in self.tuples[k]) + ")"

@@ -300,9 +300,6 @@ class CoinvariantFunctorView:
     def dim(self, X):
         return self.module(X).dim
 
-    def label(self, X, idx):
-        return f"coinv{X}:{idx}"
-
     def matrix(self, f: PosetMorphism) -> SparseMatrix:
         cached = self._matrices.get(f)
         if cached is not None:

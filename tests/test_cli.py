@@ -141,6 +141,27 @@ def test_verify_certifies_each_dsquared_pair_once(monkeypatch):
     assert len({(id(a), id(b)) for a, b in pairs}) == 2
 
 
+def test_integral_job_certifies_each_dsquared_pair_once(monkeypatch):
+    # the integral solve certifies (d1, d2) and (d2, d3) for its bounds; the
+    # report's dsquared status, the z/2 component and the coefficient check
+    # read those certificates
+    pairs = []
+    real = homology.check_dsquared_pair
+
+    def counting(d_prev, d_n, n):
+        pairs.append(n)
+        return real(d_prev, d_n, n)
+
+    monkeypatch.setattr(homology, "check_dsquared_pair", counting)
+    monkeypatch.setattr(complexes, "check_dsquared_pair", counting)
+    report, code = cli.run(cli.JobSpec("c2", "z", "epi", [1], 2,
+                                       coefficients="z/2", verify=True))
+    assert code == 0
+    assert report["verifications"]["N=1/dsquared[epi]"] == "pass"
+    assert report["verifications"]["N=1/uct[p=2]"] == "pass"
+    assert pairs == [2, 3]
+
+
 def test_custom_algebra_spec(tmp_path):
     # the sign algebra: two-element group over the rationals
     spec = {
@@ -370,9 +391,9 @@ def test_each_boundary_is_streamed_once_over_the_integers(module,
     calls = []
     smith = homology._smith_diagonal
 
-    def counted(M, stats=None):
+    def counted(M, stats=None, bound=None, seeds=(), pivots=None):
         calls.append(M)
-        return smith(M, stats)
+        return smith(M, stats, bound, seeds, pivots)
 
     monkeypatch.setattr(homology, "_smith_diagonal", counted)
     report, code = cli.run(cli.JobSpec("c2", "z", "epi", [1], 2,
@@ -533,6 +554,9 @@ def integral_rank_timing(tmp_path, n, degree):
         units, (rows, cols) = rank[f"d{k}"]["units"], rank[f"d{k}"]["left"]
         assert units + rows <= sizes[k - 1] and units + cols <= sizes[k]
         assert cols <= rows
+        stats = rank[f"d{k}"]
+        assert stats["of"] == sizes[k] and stats["cols"] <= stats["of"]
+        assert stats["early_exit"] == (stats["cols"] < stats["of"])
     return report, sizes, rank
 
 
@@ -546,6 +570,8 @@ def test_timing_records_unit_pivots_over_the_integers(tmp_path):
     assert rank["d3"]["units"] == sizes[2] - betti[2] - rank_d2 - 1
     rows, cols = rank["d3"]["left"]
     assert rows * cols < sizes[2] * sizes[3] // 50
+    # the torsion of d2 and d3 is certified mod 2 before their last columns
+    assert rank["d2"]["early_exit"] and rank["d3"]["early_exit"]
     # at N = 2 thousands of columns of d2 are left over after the unit
     # pivots; the lattice folds them into no more vectors than rows
     report, sizes, rank = integral_rank_timing(tmp_path, 2, 1)

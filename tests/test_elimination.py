@@ -11,7 +11,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperoct.rings import QQ, ZZ, GF
 from hyperoct.matrices import SparseMatrix
-from hyperoct.complexes import TruncationPolicy, TruncatedComplex
+from hyperoct import invalg as ia
+from hyperoct.complexes import (TruncationPolicy, TruncatedComplex,
+                                build_epi_complex, reduce_mod_p)
 from hyperoct import homology as hom
 
 from solvers import field_kernel_sample, field_solve
@@ -797,3 +799,123 @@ def test_integral_solves_of_one_complex_agree_with_fresh_ones(data, k):
             stats["units"] = -1
             stats["left"].append(0)
     assert over_z(C) == full
+
+
+# -- the cleared, bounded integral stream -------------------------------------
+
+# orders of the planted torsion: primes, prime powers, mixed products, and
+# a prime above the range of the early exit's trial division
+ORDERS = (1, 2, 3, 4, 9, 8, 6, 12, 25, 2147483647)
+
+
+@st.composite
+def planted_torsion_complexes(draw):
+    """Dims and dense boundaries of an integer complex: Z in one degree, Z
+    --k--> Z for orders k from ``ORDERS``, and extra columns in each d_n
+    that are random multiples of cycles of C_{n-1} (some of which cut a
+    planted order down), all conjugated by random unimodular changes of
+    basis."""
+    top = draw(st.integers(1, 3))
+    rnd = draw(st.randoms(use_true_random=False))
+    dims = [0] * (top + 1)
+    cycles = {n: [] for n in range(top + 1)}
+    for n in draw(st.lists(st.integers(0, top), max_size=3)):
+        cycles[n].append(dims[n])
+        dims[n] += 1
+    entries = {n: [] for n in range(1, top + 1)}
+    for n, k in draw(st.lists(st.tuples(st.integers(1, top),
+                                        st.sampled_from(ORDERS)),
+                              max_size=5)):
+        cycles[n - 1].append(dims[n - 1])
+        entries[n].append((dims[n - 1], dims[n], k))
+        dims[n - 1] += 1
+        dims[n] += 1
+    for n in range(1, top + 1):
+        for _ in range(draw(st.integers(0, 4)) if cycles[n - 1] else 0):
+            for r in rnd.sample(cycles[n - 1],
+                                rnd.randint(1, len(cycles[n - 1]))):
+                entries[n].append((r, dims[n], rnd.choice((1, 2, 3, 4, 6))))
+            dims[n] += 1
+    bases = [unimodular(rnd, d) for d in dims]
+    rows = {}
+    for n in range(1, top + 1):
+        d = [[0] * dims[n] for _ in range(dims[n - 1])]
+        for r, c, k in entries[n]:
+            d[r][c] += k
+        if dims[n] and dims[n - 1]:
+            d = matmul(matmul(bases[n - 1][0], d), bases[n][1])
+        rows[n] = d
+    return dims, rows
+
+
+def integer_complex(dims, rows):
+    """The complex of dense integer boundaries ``rows[n]`` (empty when a
+    dimension is 0), with a zero top boundary."""
+    mats = {n: SparseMatrix.from_entries(
+        ZZ, dims[n - 1], dims[n],
+        [(i, j, v) for i, row in enumerate(d) for j, v in enumerate(row)
+         if v]) for n, d in rows.items()}
+    mats[len(dims)] = SparseMatrix(ZZ, dims[-1], 0)
+    return TruncatedComplex(ZZ, TruncationPolicy(0, len(dims) - 1),
+                            list(dims) + [0], mats, label="planted")
+
+
+def smith_summary(diag):
+    return sum(1 for d in diag if d), hom._invariant_factors(diag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_torsion_complexes())
+# the prefix [4] reaches the bound, and the column 2 lies in its span mod 2
+# but halves it: the exit needs every exponent 1
+@example(([1, 2], {1: [[4, 2]]}))
+# the prefix [2] vanishes mod 2, so the witness is free on its row and
+# flags the column 3, which the lattice over Z would hide
+@example(([1, 2], {1: [[2, 3]]}))
+# column 0 of d1 is a lattice vector until column 1 makes a unit on its
+# row; seeding it too would drop all of d2
+@example(([1, 2, 1], {1: [[2, 1]], 2: [[1], [-2]]}))
+def test_seeded_bounded_smith_streams_match_plain_ones(data):
+    # the stream of each d_n, cleared by the unit pivot columns of d_{n-1}
+    # and stopped at dim C_{n-1} - rank d_{n-1} with its torsion certified
+    # mod p, has the rank and invariant factors of the plain stream and of
+    # the dense Smith form
+    dims, rows = data
+    C = integer_complex(dims, rows)
+    for n in range(1, len(dims) + 1):
+        d = C.boundary(n)
+        diag, stats = C.smith_diagonal(n)
+        summary = smith_summary(diag)
+        assert summary == smith_summary(hom._smith_diagonal(d))
+        assert summary == smith_summary(hom.diagonalize_integer_matrix(d))
+        assert stats["of"] == d.ncols
+        assert stats["early_exit"] == (stats["cols"] < stats["of"])
+
+
+def test_an_exponent_above_one_streams_every_column():
+    # c2 epi at (1, 3) over Z: the prefix of d4 that reaches the bound
+    # already has the torsion [2, 2, 4]; 4 is not square-free, so the
+    # stream goes on to the last column, and the factors are the plain
+    # stream's
+    algebra = ia.cyclic_group_algebra(2, ZZ)
+    C = build_epi_complex(algebra, TruncationPolicy(1, 3))
+    diag, stats = C.smith_diagonal(4)
+    assert hom._invariant_factors(diag) == [2, 2, 4]
+    assert smith_summary(diag) == smith_summary(
+        hom._smith_diagonal(C.boundary(4)))
+    assert (stats["cols"], stats["early_exit"]) == (5602, False)
+    assert C.smith_diagonal(3)[1]["early_exit"]
+
+
+def test_dsquared_certificates_pass_from_z_to_its_reductions_only():
+    # d1 d2 = [2]: zero mod 2, not over Z.  Solving the reduction first
+    # must not make the integer complex a chain complex (that a reduction
+    # reads the pairs certified over Z is
+    # test_integral_job_certifies_each_dsquared_pair_once)
+    C = toy_complex(ZZ, [1, 2, 1], {1: [[1, 1]], 2: [[1], [1]]})
+    assert hom.homology_over_field(reduce_mod_p(C, 2)).betti == [0, 0, 0]
+    assert not C.check_dsquared()
+    with pytest.raises(hom.HomologyError):
+        hom.homology_over_Z(C)
+    with pytest.raises(hom.HomologyError):
+        hom.homology_over_field(reduce_mod_p(C, 3))
