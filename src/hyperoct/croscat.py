@@ -131,21 +131,8 @@ def hyp_compose(a: HypElement, b: HypElement) -> HypElement:
     return HypElement(signs, perm_compose(a.perm, b.perm))
 
 
-def hyp_inverse(a: HypElement) -> HypElement:
-    pinv = perm_inverse(a.perm)
-    signs = tuple(a.signs[pinv[p]] for p in range(a.n + 1))
-    return HypElement(signs, pinv)
-
-
 def hyp_group_order(n: int) -> int:
     return (2 ** (n + 1)) * factorial(n + 1)
-
-
-def hyp_enumerate(n: int):
-    """All elements of the group on [n], in deterministic order."""
-    for perm in itertools.permutations(range(n + 1)):
-        for signs in itertools.product((0, 1), repeat=n + 1):
-            yield HypElement(signs, perm)
 
 
 def hyp_closure(generators) -> set:
@@ -252,10 +239,6 @@ class DeltaHMorphism:
 
     def __str__(self):
         return f"({self.phi}, {self.g})"
-
-
-def deltah_identity(n: int) -> DeltaHMorphism:
-    return DeltaHMorphism(delta_identity(n), hyp_identity(n))
 
 
 # words of group generators are lists of ("t", k) / ("th", k) in composition
@@ -618,42 +601,12 @@ def factorize_ifas(f: IFasMorphism):
 
 
 # ---------------------------------------------------------------------------
-# monoidal structure on the extended category
+# the extended category
 # ---------------------------------------------------------------------------
-
-def object_sum(n: int, m: int) -> int:
-    """Disjoint union of objects; the empty object (-1) is the unit."""
-    return n + m + 1
-
 
 def initial_morphism(m: int) -> IFasMorphism:
     """The unique morphism out of the empty object."""
     return IFasMorphism(EMPTY_OBJECT, m, tuple(() for _ in range(m + 1)))
-
-
-def monoidal_product(f: IFasMorphism, h: IFasMorphism) -> IFasMorphism:
-    """Block disjoint union of morphisms in the extended category."""
-    src = object_sum(f.source, h.source)
-    tgt = object_sum(f.target, h.target)
-    shift_src = f.source + 1
-    fibers = list(f.preimages)
-    fibers.extend(tuple((p + shift_src, lab) for p, lab in fiber)
-                  for fiber in h.preimages)
-    return IFasMorphism(src, tgt, tuple(fibers))
-
-
-def monoidal_symmetry(n: int, m: int) -> IFasMorphism:
-    """Block transposition [n] + [m] -> [m] + [n], all labels trivial."""
-    total = object_sum(n, m)
-    if total == EMPTY_OBJECT:
-        return IFasMorphism(EMPTY_OBJECT, EMPTY_OBJECT, ())
-    fibers = []
-    for j in range(total + 1):
-        if j <= m:
-            fibers.append(((j + n + 1, 0),))
-        else:
-            fibers.append(((j - m - 1, 0),))
-    return IFasMorphism(total, total, tuple(fibers))
 
 
 def extended_hom(a: int, b: int):

@@ -88,10 +88,10 @@ class SparseMatrix:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
         ring = self.ring
-        out = SparseMatrix(ring, self.nrows, other.ncols)
         mul, add, is_zero = ring.mul, ring.add, ring.is_zero
         mycols = self.cols
-        for j, ocol in enumerate(other.cols):
+        cols = []
+        for ocol in other.cols:
             acc: dict = {}
             for k, v in ocol.items():
                 for r, w in mycols[k].items():
@@ -105,8 +105,8 @@ class SparseMatrix:
                             del acc[r]
                         else:
                             acc[r] = s
-            out.cols[j] = acc
-        return out
+            cols.append(acc)
+        return SparseMatrix(ring, self.nrows, other.ncols, cols)
 
     __matmul__ = matmul
 
@@ -134,10 +134,10 @@ class SparseMatrix:
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_same_shape(other)
         ring = self.ring
-        out = SparseMatrix(ring, self.nrows, self.ncols)
-        for j in range(self.ncols):
-            col = dict(self.cols[j])
-            for r, v in other.cols[j].items():
+        cols = []
+        for mine, theirs in zip(self.cols, other.cols):
+            col = dict(mine)
+            for r, v in theirs.items():
                 cur = col.get(r)
                 if cur is None:
                     col[r] = v
@@ -147,8 +147,8 @@ class SparseMatrix:
                         del col[r]
                     else:
                         col[r] = s
-            out.cols[j] = col
-        return out
+            cols.append(col)
+        return SparseMatrix(ring, self.nrows, self.ncols, cols)
 
     def sub(self, other: "SparseMatrix") -> "SparseMatrix":
         return self.add(other.scale(self.ring.neg(self.ring.one())))
@@ -184,15 +184,6 @@ class SparseMatrix:
                     col[nr] = v
             out.cols[new_j] = col
         return out
-
-    def restrict_rows_complement_is_zero(self, row_indices, col_indices) -> bool:
-        """True iff every column in col_indices is supported inside row_indices."""
-        keep = set(row_indices)
-        for j in col_indices:
-            for r in self.cols[j]:
-                if r not in keep:
-                    return False
-        return True
 
     # -- predicates --------------------------------------------------------
 

@@ -337,9 +337,3 @@ def slominska_complex(algebra: InvolutiveAlgebra, policy: TruncationPolicy,
     functor = CoinvariantFunctorView(algebra)
     return build_gz_complex(poset, functor, policy, max_generators,
                             label="slominska", normalized=True)
-
-
-def slominska_homology(algebra: InvolutiveAlgebra, policy: TruncationPolicy,
-                       max_generators: int = DEFAULT_MAX_GENERATORS):
-    from .homology import homology_over_field
-    return homology_over_field(slominska_complex(algebra, policy, max_generators))

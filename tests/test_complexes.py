@@ -1,7 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperoct.rings import QQ, ZZ, GF
 from hyperoct import croscat as cc, invalg as ia
@@ -11,6 +13,7 @@ from hyperoct.homology import homology_over_field
 from hyperoct.matrices import SparseMatrix
 from hyperoct.slominska import SubsetPoset
 
+from oracles import supported_in_rows
 from solvers import field_kernel_sample, solve_is_boundary
 
 
@@ -160,9 +163,7 @@ def test_split_dimensions_and_blocks():
     # block structure is genuinely diagonal in the nerve boundary
     for n in (1, 2):
         M = nerve.boundary(n)
-        ci_rows = [m._nerve_index(n - 1, si, t) for si, t in m.ci_gens[n - 1]]
-        ci_cols = [m._nerve_index(n, si, t) for si, t in m.ci_gens[n]]
-        assert M.restrict_rows_complement_is_zero(ci_rows, ci_cols)
+        assert supported_in_rows(M, m.ci_index[n - 1], m.ci_index[n])
 
 
 def test_ideal_summand_dimension_formula():
@@ -331,6 +332,161 @@ def test_zero_anchored_contraction_exact():
     out = cx.zero_anchored_contraction(cx.TruncationPolicy(1, 1), QQ)
     assert out["ok"]
     assert all(out["identities"].values())
+
+
+# -- index-map checks, each shown to fail on a wrong map ----------------------
+
+def test_moving_one_chi_image_fails_chi_chain_map():
+    m = machinery(3)
+    images, cols = m.chi().images[1], m.epi.boundary(1).cols
+    images[0] = next(k for k, col in enumerate(cols) if col != cols[images[0]])
+    res = m.verify_chain_theorem()
+    assert res["chi_chain_map"] is False
+    assert res["inclusion_chain_map"] is True
+
+
+def test_moving_one_inclusion_image_fails_the_retraction():
+    m = machinery(3)
+    images = m.inclusion().images[1]
+    images[0] = images[1]
+    res = m.verify_chain_theorem()
+    assert res["chi_after_inclusion_is_identity"] is False
+    assert res["chi_chain_map"] is True
+
+
+def test_a_negated_homotopy_fails_the_homotopy_identity():
+    # degree 0 fixes the sign, so negating the homotopy above it is wrong
+    m = machinery(2)
+    h = m.homotopy()
+    h[1] = h[1].neg()
+    res = m.verify_chain_theorem()
+    assert res["homotopy_identity"] is False
+    assert res["homotopy_sign"] == 1
+
+
+def test_a_wrong_degeneracy_fails_the_zero_anchored_contraction(monkeypatch):
+    # the extra degeneracy prepends the sign flip of [0], not its identity
+    flip = cc.hyp_to_ifas(cc.hyp_t(0, 0))
+    identity = cx.ifas_identity
+    monkeypatch.setattr(cx, "ifas_identity",
+                        lambda n: flip if n == 0 else identity(n))
+    out = cx.zero_anchored_contraction(cx.TruncationPolicy(1, 1), QQ)
+    assert out["ok"] is False
+
+
+def test_an_entry_across_the_summands_breaks_the_split():
+    m = machinery(2)
+    # a unit generator's boundary column gains an ideal row
+    col = m.nerve.boundary(1).cols[m.nerve.offsets[1][0]]
+    col[m.ci_index[0][0]] = QQ.one()
+    with pytest.raises(cx.ComplexError, match="splitting"):
+        m._split()
+
+
+def _index_map(source, target, images):
+    return cx.ChainMap(source, target, images, label="test map")
+
+
+def _product_oracle(f):
+    """d_t M == M d_s on the matrices of the map, by sparse products."""
+    return all(f.target.boundary(n).matmul(f.matrix(n)).equals(
+        f.matrix(n - 1).matmul(f.source.boundary(n))) for n in (1, 2))
+
+
+def _complex(ring, dims, d1, d2):
+    return cx.TruncatedComplex(ring, cx.TruncationPolicy(0, 1), dims, {
+        1: SparseMatrix(ring, dims[0], dims[1], d1),
+        2: SparseMatrix(ring, dims[1], dims[2], d2)})
+
+
+INDEX_MAP_RINGS = [QQ, ZZ, GF(3), GF(2147483647)]
+
+
+def _scalars(ring):
+    p = ring.characteristic
+    if p:
+        return st.integers(1, p - 1)
+    ints = st.integers(-3, 3).filter(bool)
+    if ring == ZZ:
+        return ints
+    return st.one_of(ints, st.fractions(-3, 3, max_denominator=4).filter(
+        lambda q: q.denominator > 1))
+
+
+@st.composite
+def index_map_cases(draw):
+    """A random map of small complexes that sends each generator to one
+    generator, not injective in general.  Most source columns lift their
+    target column: each entry goes to a row over its target row, or is split
+    in two there, and a pair v, -v may land on one target row and cancel."""
+    ring = draw(st.sampled_from(INDEX_MAP_RINGS))
+    scalar = _scalars(ring)
+    tdims = [draw(st.integers(1, 3)) for _ in range(3)]
+    sdims = [draw(st.integers(1, 5)) for _ in range(3)]
+    images = {n: draw(st.lists(st.integers(0, tdims[n] - 1),
+                               min_size=sdims[n], max_size=sdims[n]))
+              for n in range(3)}
+    tcols = {n: [draw(st.dictionaries(st.integers(0, tdims[n - 1] - 1),
+                                      scalar, max_size=3))
+                 for _ in range(tdims[n])] for n in (1, 2)}
+    scols = {}
+    for n in (1, 2):
+        over = {}
+        for r, t in enumerate(images[n - 1]):
+            over.setdefault(t, []).append(r)
+        scols[n] = []
+        for j in range(sdims[n]):
+            if not draw(st.integers(0, 3)):
+                scols[n].append(draw(st.dictionaries(
+                    st.integers(0, sdims[n - 1] - 1), scalar, max_size=4)))
+                continue
+            col = {}
+            for t, v in tcols[n][images[n][j]].items():
+                rows = draw(st.permutations(over.get(t, [])))
+                if len(rows) >= 2 and draw(st.booleans()):
+                    a = draw(scalar)
+                    b = ring.sub(v, a)
+                    col[rows[0]] = a
+                    if b:
+                        col[rows[1]] = b
+                elif rows:
+                    col[rows[0]] = v
+            pairs = [rs for rs in over.values()
+                     if len([r for r in rs if r not in col]) >= 2]
+            if pairs and draw(st.booleans()):
+                r1, r2 = [r for r in draw(st.sampled_from(pairs))
+                          if r not in col][:2]
+                v = draw(scalar)
+                col[r1], col[r2] = v, ring.neg(v)
+            scols[n].append(col)
+    source = _complex(ring, sdims, scols[1], scols[2])
+    target = _complex(ring, tdims, tcols[1], tcols[2])
+    return _index_map(source, target, images)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_map_cases())
+def test_index_map_check_agrees_with_the_product_oracle(f):
+    assert f.commutes_with_boundaries() == _product_oracle(f)
+
+
+@pytest.mark.parametrize("ring", INDEX_MAP_RINGS, ids=str)
+def test_index_map_collisions_that_cancel(ring):
+    # source rows 0 and 1 both land on target row 0: v and -v cancel in
+    # d_1's column 0, and over Q two halves add up to the integer 1
+    v = 2 if ring.characteristic else Fraction(1, 2)
+    half = Fraction(1, 2) if ring == QQ else 1
+    one = 1 if ring == QQ else ring.add(half, half)
+    source = _complex(ring, [2, 2, 1], [{0: v, 1: ring.neg(v)},
+                                        {0: half, 1: half}], [{}])
+    images = {0: [0, 0], 1: [0, 1], 2: [0]}
+    for tcol, ok in (({}, True), ({0: 1}, False)):
+        target = _complex(ring, [1, 2, 1], [tcol, {0: one}], [{}])
+        f = _index_map(source, target, images)
+        assert f.commutes_with_boundaries() is ok is _product_oracle(f)
+    wrong = _complex(ring, [1, 2, 1], [{}, {}], [{}])
+    f = _index_map(source, wrong, images)
+    assert f.commutes_with_boundaries() is False is _product_oracle(f)
 
 
 def test_extended_complex_agrees_with_full():

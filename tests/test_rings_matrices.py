@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from hyperoct.rings import QQ, ZZ, GF, RingError, ring_by_name
 from hyperoct.matrices import SparseMatrix
+from oracles import supported_in_rows
 
 
 def test_ring_parsing():
@@ -54,8 +55,8 @@ def test_submatrix_and_block_support():
     m = SparseMatrix.from_dense(ZZ, [[1, 0, 5], [0, 2, 0], [0, 0, 3]])
     sub = m.submatrix([0, 2], [0, 2])
     assert sub.to_dense() == [[1, 5], [0, 3]]
-    assert m.restrict_rows_complement_is_zero([0, 2], [2])
-    assert not m.restrict_rows_complement_is_zero([0], [1])
+    assert supported_in_rows(m, [0, 2], [2])
+    assert not supported_in_rows(m, [0], [1])
 
 
 rationals = st.one_of(st.integers(-60, 60), st.fractions(max_denominator=12))
