@@ -51,6 +51,12 @@ column is reduced once more only when face 0 lands on another face's
 string.  The position of each string (``TruncatedComplex.string_index``)
 is built on first use, by the chain maps that need it.
 
+Every complex built from a category comes from ``build_gz_complex``: the
+full, extended, nerve and normalized epimorphism complexes with a
+``BarFunctorView``, the Slominska complex on the subset poset, and the
+zero-anchored cone of ``zero_anchored_contraction``, which is the standard
+complex of the representable functor k[Hom(0, -)] (``ZeroAnchoredView``).
+
 The normalized epimorphism complex
 ----------------------------------
 
@@ -1153,60 +1159,63 @@ def _contraction_identities(boundary, h, eta_row: int, p: int,
     return out
 
 
+class ZeroAnchoredView:
+    """The representable functor k[Hom(0, -)] over Delta H: the basis at o
+    is Hom(0, o) in ``croscat.enumerate_hom`` order, and f sends g to
+    f o g."""
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+
+    def dim(self, obj):
+        return croscat.hom_size(0, obj)
+
+    def matrix(self, f):
+        rows = _positions(croscat.enumerate_hom(0, f.target))
+        one = self.ring.one()
+        return SparseMatrix(self.ring, len(rows), self.dim(f.source),
+                            [{rows[ifas_compose(f, g)]: one}
+                             for g in croscat.enumerate_hom(0, f.source)])
+
+
+def zero_anchored_complex(policy: TruncationPolicy, ring: Ring,
+                          max_generators: int = DEFAULT_MAX_GENERATORS
+                          ) -> TruncatedComplex:
+    """The complex of strings anchored at the smallest object: the standard
+    complex of k[Hom(0, -)] over Delta H (``ZeroAnchoredView``).  Its
+    generator (g; f_1, ..., f_n) is the string (g, f_1, ..., f_n) of n + 1
+    composable morphisms from object 0; face 0 is F(f_1) g = f_1 o g, the
+    middle faces compose and the last face drops.  ``max_generators`` caps
+    each degree's projected count, before any string is enumerated."""
+    return build_gz_complex(DeltaHCategory(), ZeroAnchoredView(ring), policy,
+                            max_generators, label="zero-anchored")
+
+
 def zero_anchored_contraction(policy: TruncationPolicy, ring: Ring,
                               max_generators: int = DEFAULT_MAX_GENERATORS) -> dict:
     """Exact cone contraction of the complex of strings anchored at the
     smallest object (pre-quotient form of the unit summand).
 
     Degree n is spanned by strings of n+1 composable morphisms whose first
-    morphism starts at object 0; prepending the identity of object 0 is an
-    extra degeneracy and the contraction identities hold on the nose, inside
-    the truncation, because only object 0 is inserted."""
-    table = MorphismTable(DeltaHCategory(), range(policy.max_object + 1))
+    morphism starts at object 0 (``zero_anchored_complex``); prepending the
+    identity of object 0 is an extra degeneracy and the contraction
+    identities hold on the nose, inside the truncation, because only
+    object 0 is inserted.  The degeneracy sends generator (g; f_1, ...,
+    f_n) to (id_0; g, f_1, ..., f_n), an index map."""
+    cpx = zero_anchored_complex(policy, ring, max_generators)
     D = policy.max_degree
-    label = "zero-anchored"
-    # strings of length n+1 ids with source object fixed to 0
-    strings = []
-    index = []
-    total_guard = 0
-    for n in range(D + 2):
-        sts = []
-        for objseq in itertools.product(table.objects, repeat=n + 1):
-            seq = (0,) + objseq
-            homs = [table.hom[seq[i], seq[i + 1]] for i in range(n + 1)]
-            if all(homs):
-                sts.extend(itertools.product(*homs))
-        total_guard += len(sts)
-        if total_guard > max_generators:
-            raise ResourceCapExceeded(label, n, total_guard, max_generators)
-        strings.append(sts)
-        index.append(_positions(sts))
-    p = ring.characteristic
-    boundaries = {}
-    for n in range(1, D + 2):
-        cols = []
-        for ids in strings[n]:
-            col = {}
-            sign = 1
-            for i in range(n + 1):
-                if i < n:
-                    tgt = ids[:i] + (table.compose(ids[i + 1], ids[i]),) \
-                        + ids[i + 2:]
-                else:
-                    tgt = ids[:-1]
-                r = index[n - 1][tgt]
-                col[r] = col.get(r, 0) + sign
-                sign = -sign
-            cols.append(_reduced(col, p))
-        boundaries[n] = SparseMatrix(ring, len(strings[n - 1]), len(strings[n]), cols)
-    dims = [len(s) for s in strings]
-    # extra degeneracy: prepend the identity of object 0, as index maps
-    ident0 = table.id[ifas_identity(0)]
-    h = {n: [index[n + 1][(ident0,) + ids] for ids in strings[n]]
-         for n in range(D + 1)}
-    results = _contraction_identities(boundaries.__getitem__, h,
-                                      index[0][(ident0,)], p, D)
-    return {"identities": results, "dims": dims,
+    table = cpx.morphisms
+    # position of id_0 in Hom(0, 0), the basis at the strings from 0
+    unit = table.id[ifas_identity(0)] - table.hom[0, 0].start
+    h = {}
+    for n in range(D + 1):
+        index, offsets = cpx.string_index(n + 1), cpx.offsets[n + 1]
+        h[n] = [offsets[index[0, (g,) + ids]] + unit
+                for src, ids in cpx.strings[n] for g in table.hom[0, src]]
+    eta_row = cpx.offsets[0][cpx.string_index(0)[0, ()]] + unit
+    results = _contraction_identities(cpx.boundary, h, eta_row,
+                                      ring.characteristic, D)
+    return {"identities": results, "dims": cpx.dims,
             "ok": all(results.values())}
 
 

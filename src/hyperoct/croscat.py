@@ -413,13 +413,6 @@ class IFasMorphism:
         if sorted(seen) != list(range(self.source + 1)):
             raise CategoryError("fibers must partition the source")
 
-    def underlying(self) -> tuple:
-        out = [None] * (self.source + 1)
-        for i, fiber in enumerate(self.preimages):
-            for p, _ in fiber:
-                out[p] = i
-        return tuple(out)
-
     def is_epi(self) -> bool:
         return all(self.preimages)
 

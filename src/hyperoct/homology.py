@@ -39,15 +39,18 @@ and torsion.  ``_smith_diagonal`` streams the columns of a boundary once
 and keeps none of them.  It keeps unit pivots in Gauss-Jordan form, pivot
 r being e_r plus a tail on the rows that lead no unit pivot, and a lattice:
 integer vectors on those same rows, in echelon form, one per leading row.
-A column reduces in one pass, subtracting the unit pivot of each leading
-row among its entries.  A residual with an entry +-1 becomes a unit pivot
-at its largest such row, negated if that entry is -1; it is
-back-substituted into every unit pivot whose tail has that row, and
-subtracted from every lattice vector with an entry there, which is then
-folded again.  Any other residual is folded into the lattice: against
-vector u with lead a at the residual v's largest row, whose entry there is
-b, v -= (b/a) u when a divides b, and otherwise, with x a + y b = g =
-gcd(a, b) from ``_xgcd``,
+The unit pivots are ``_eliminate``'s Gauss-Jordan form with every lead 1,
+run through its two helpers: a column reduces in one pass
+(``_reduce_column``), subtracting the unit pivot of each leading row
+among its entries, and a residual with an entry +-1 becomes a unit pivot
+at its largest such row, negated if that entry is -1, and is
+back-substituted into every unit pivot whose tail has that row
+(``_install_pivot``, which never divides a pivot with lead 1).  The new
+pivot is then subtracted from every lattice vector with an entry there,
+which is folded again.  Any other residual is folded into the lattice:
+against vector u with lead a at the residual v's largest row, whose entry
+there is b, v -= (b/a) u when a divides b, and otherwise, with
+x a + y b = g = gcd(a, b) from ``rings.xgcd``,
 
     (u, v) <- (x u + y v, (b/g) u - (a/g) v),   determinant -1,
 
@@ -124,7 +127,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .matrices import SparseMatrix
-from .rings import QQ, ZZ, GF
+from .rings import QQ, ZZ, GF, xgcd
 
 
 class HomologyError(ValueError):
@@ -181,21 +184,105 @@ def _subtract(target: dict, c: int, source: dict, p: int = 0):
             del target[i]
 
 
+def _reduce_column(col: dict, tails: dict, lead: dict, p: int) -> dict:
+    """The residual of ``col`` against the pivots ``tails`` (pivot r is
+    ``lead.get(r, 1) e_r + tails[r]``, its tail on rows that lead no
+    pivot): one pass over the column's own entries, subtracting the pivot
+    of each leading row among them.  The residual lies on non-leading rows
+    only.  Mod ``p`` its entries are kept in (-p/2, p/2]; with ``p == 0``
+    it is fraction-free, scaled by the lcm of the leading entries it meets
+    (1 when ``lead`` is empty)."""
+    h = (p - 1) // 2
+    vec, hits = {}, []
+    for k, v in col.items():
+        t = tails.get(k)
+        if t is None:
+            if p:
+                v = (v + h) % p - h
+                if not v:
+                    continue
+            vec[k] = v
+        elif t:
+            # an empty tail only drops the entry
+            hits.append(k)
+    scale = 1
+    if hits and lead and not p:
+        scale = lcm(*[lead.get(k, 1) for k in hits])
+        if scale != 1:
+            vec = {k: v * scale for k, v in vec.items()}
+    for k in hits:
+        if p:
+            c = (col[k] + h) % p - h
+            if not c:
+                continue
+        else:
+            c = col[k] * (scale // lead.get(k, 1))
+        _subtract(vec, c, tails[k], p)
+    return vec
+
+
+def _install_pivot(vec: dict, r: int, tails: dict, lead: dict, where,
+                   p: int) -> dict:
+    """Make the residual ``vec`` the pivot of its row ``r`` and keep the
+    pivots in Gauss-Jordan form; returns the new pivot's tail.
+
+    The pivot is scaled to lead 1 mod ``p``, and negated to a positive
+    lead with ``p == 0``.  It is back-substituted into each pivot whose
+    tail has row ``r``, found through ``where`` (row -> pivots whose tail
+    listed it; an entry may since be gone, and the pivot is then skipped);
+    with a lead a != 1 that pivot is first scaled by a, and a pivot with a
+    lead in ``lead`` is then divided by the gcd of its lead and tail.  No
+    other pivot is divided: its gcd is gcd(1, ...) = 1, and in the Smith
+    stream, whose ``lead`` stays empty, a division would not be
+    unimodular."""
+    h = (p - 1) // 2
+    a = vec.pop(r)
+    if p and a != 1:
+        c = pow(a, -1, p)
+        vec = {i: (w * c + h) % p - h for i, w in vec.items()}
+        a = 1
+    elif a < 0:
+        a = -a
+        vec = {i: -w for i, w in vec.items()}
+    for q in where.pop(r, ()):
+        t = tails[q]
+        c = t.pop(r, None)
+        if c is None:
+            continue
+        for i in vec.keys() - t.keys():
+            where[i].append(q)
+        if a != 1:
+            lead[q] = lead.get(q, 1) * a
+            for i in t:
+                t[i] *= a
+        _subtract(t, c, vec, p)
+        # copied, because a dict keeps its size after deletions
+        tails[q] = t = dict(t)
+        if q in lead:
+            g = gcd(lead[q], *t.values())
+            if g != 1:
+                lead[q] //= g
+                for i in t:
+                    t[i] //= g
+    if a != 1:
+        lead[r] = a
+    tails[r] = dict(vec)
+    for i in vec:
+        where[i].append(r)
+    return vec
+
+
 def _eliminate(cols, p: int = 0, bound: int | None = None,
                lead: dict | None = None, tails: dict | None = None):
     """Stream integer columns through one Gauss-Jordan column form.
 
     A pivot is kept as its leading row r, its leading entry (1 mod p; only
     entries other than 1 are held, in ``lead``) and its tail, the entries
-    off r.  Every tail lies on rows that lead no
-    pivot: a new pivot is back-substituted into each pivot whose tail has
-    its leading row, found through ``where`` (row -> pivots whose tail
-    listed it; an entry may since be gone, and the pivot is then skipped).
-    So a column reduces in one pass over its own entries, subtracting the
-    pivot of each leading row among them.  The residual lies on
-    non-leading rows only, and the column depends on the earlier ones
-    exactly when it is empty; otherwise it becomes the pivot of its
-    largest row.
+    off r.  Every tail lies on rows that lead no pivot, so a column
+    reduces in one pass over its own entries (``_reduce_column``).  The
+    column depends on the earlier ones exactly when nothing is left of
+    it; otherwise the residual becomes the pivot of its largest row and is
+    back-substituted into the others (``_install_pivot``).
 
     Columns are read as they are: mod ``p`` any representative of a
     residue will do, and the kernel's entries are kept in (-p/2, p/2], so
@@ -208,39 +295,13 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
     stops once the rank reaches ``bound``.  A caller that passes ``lead``
     and ``tails`` owns the pivots they hold: pivot r is
     ``lead.get(r, 1) e_r + tails[r]``."""
-    h = (p - 1) // 2
     lead = {} if lead is None else lead
     tails = {} if tails is None else tails
     where = defaultdict(list)
     for col in cols:
         if bound is not None and len(tails) >= bound:
             return
-        vec, hits = {}, []
-        for k, v in col.items():
-            t = tails.get(k)
-            if t is not None:
-                # an empty tail only drops the entry
-                if t:
-                    hits.append(k)
-            elif p:
-                v = (v + h) % p - h
-                if v:
-                    vec[k] = v
-            else:
-                vec[k] = v
-        scale = 1
-        if hits and not p:
-            scale = lcm(*[lead.get(k, 1) for k in hits])
-            if scale != 1:
-                vec = {k: v * scale for k, v in vec.items()}
-        for k in hits:
-            if p:
-                c = (col[k] + h) % p - h
-                if not c:
-                    continue
-            else:
-                c = col[k] * (scale // lead.get(k, 1))
-            _subtract(vec, c, tails[k], p)
+        vec = _reduce_column(col, tails, lead, p)
         if not p and vec:
             g = gcd(*vec.values())
             if g != 1:
@@ -248,40 +309,7 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
         if not vec:
             yield False
             continue
-        r = max(vec)
-        a = vec.pop(r)
-        if p and a != 1:
-            c = pow(a, -1, p)
-            vec = {i: (w * c + h) % p - h for i, w in vec.items()}
-            a = 1
-        elif a < 0:
-            a = -a
-            vec = {i: -w for i, w in vec.items()}
-        for q in where.pop(r, ()):
-            t = tails[q]
-            c = t.pop(r, None)
-            if c is None:
-                continue
-            for i in vec.keys() - t.keys():
-                where[i].append(q)
-            if a != 1:
-                lead[q] = lead.get(q, 1) * a
-                for i in t:
-                    t[i] *= a
-            _subtract(t, c, vec, p)
-            # copied, because a dict keeps its size after deletions
-            tails[q] = t = dict(t)
-            if not p:
-                g = gcd(lead.get(q, 1), *t.values())
-                if g != 1:
-                    lead[q] //= g
-                    for i in t:
-                        t[i] //= g
-        if a != 1:
-            lead[r] = a
-        tails[r] = dict(vec)
-        for i in vec:
-            where[i].append(r)
+        _install_pivot(vec, max(vec), tails, lead, where, p)
         yield True
 
 
@@ -518,6 +546,8 @@ def _smith_diagonal(M: SparseMatrix, stats: dict | None = None,
     if M.ring != ZZ:
         raise HomologyError("integer diagonalization needs the integer ring")
     tails: dict = {r: {} for r in seeds}
+    # every unit pivot leads with 1, so ``lead`` stays empty
+    lead: dict = {}
     where = defaultdict(list)
     lattice: dict = {}
 
@@ -532,7 +562,7 @@ def _smith_diagonal(M: SparseMatrix, stats: dict | None = None,
             if b % a == 0:
                 _subtract(vec, b // a, u)
                 continue
-            x, y, g = _xgcd(a, b)
+            x, y, g = xgcd(a, b)
             a, b = a // g, b // g
             support = u.keys() | vec.keys()
             lattice[r] = {i: w for i in support
@@ -541,38 +571,15 @@ def _smith_diagonal(M: SparseMatrix, stats: dict | None = None,
                    if (w := b * u.get(i, 0) - a * vec.get(i, 0))}
 
     def stream(j):
-        col = cols[j]
-        vec, hits = {}, []
-        for k, v in col.items():
-            t = tails.get(k)
-            if t is None:
-                vec[k] = v
-            elif t:
-                hits.append(k)
-        for k in hits:
-            _subtract(vec, col[k], tails[k])
+        vec = _reduce_column(cols[j], tails, lead, 0)
         units = [i for i, v in vec.items() if v == 1 or v == -1]
         if not units:
             fold(vec)
             return
-        r = max(units)
         if pivots is not None:
             pivots.append(j)
-        if vec.pop(r) == -1:
-            vec = {i: -w for i, w in vec.items()}
-        for q in where.pop(r, ()):
-            t = tails[q]
-            c = t.pop(r, None)
-            if c is None:
-                continue
-            for i in vec.keys() - t.keys():
-                where[i].append(q)
-            _subtract(t, c, vec)
-            # copied, because a dict keeps its size after deletions
-            tails[q] = dict(t)
-        tails[r] = dict(vec)
-        for i in vec:
-            where[i].append(r)
+        r = max(units)
+        vec = _install_pivot(vec, r, tails, lead, where, 0)
         met = {k: u for k, u in lattice.items() if r in u}
         for k in met:
             del lattice[k]
@@ -705,17 +712,6 @@ def _witness_flags(M: SparseMatrix, rest: list, tails: dict, lattice,
         packed, (cols[j] for j in rest), lift, p, OFF, HIGH)) if not zero]
 
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return x0, y0, a
-
-
 def diagonalize_integer_matrix(M: SparseMatrix):
     """Diagonal entries of a diagonal form D = S A T reached by unimodular
     row and column operations.  Divisibility of the diagonal is not
@@ -768,7 +764,7 @@ def diagonalize_integer_matrix(M: SparseMatrix):
                 if v % p == 0:
                     row_op(k, i, 1, 0, -(v // p), 1)
                 else:
-                    x, y, g = _xgcd(p, v)
+                    x, y, g = xgcd(p, v)
                     row_op(k, i, x, y, -(v // g), p // g)
             if all(D[i][k] == 0 for i in range(k + 1, m)):
                 pass
@@ -782,7 +778,7 @@ def diagonalize_integer_matrix(M: SparseMatrix):
                 if v % p == 0:
                     col_op(k, j, 1, 0, -(v // p), 1)
                 else:
-                    x, y, g = _xgcd(p, v)
+                    x, y, g = xgcd(p, v)
                     col_op(k, j, x, y, -(v // g), p // g)
             if all(D[i][k] == 0 for i in range(k + 1, m)) and \
                     all(D[k][j] == 0 for j in range(k + 1, n)):

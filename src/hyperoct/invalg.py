@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .rings import Ring, QQ, ZZ
+from .rings import Ring, QQ, ZZ, xgcd
 
 
 class AlgebraError(ValueError):
@@ -293,7 +293,7 @@ def _kernel_basis_of_functional(ring, eps):
                 gcd_val = e
                 continue
             # combine: find x, y with x*gcd_val + y*e = g
-            x, y, g = _xgcd(gcd_val, e)
+            x, y, g = xgcd(gcd_val, e)
             new_v = [x * a + y * b for a, b in zip(v, basis_i)]
             # kernel row: (e/g) * v - (gcd_val/g) * basis_i
             rows.append([(e // g) * a - (gcd_val // g) * b
@@ -316,17 +316,6 @@ def _kernel_basis_of_functional(ring, eps):
         row[pivot] = ring.neg(ring.div(eps[i], eps[pivot]))
         rows.append(row)
     return rows
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return x0, y0, a
 
 
 def _dot(ring, row, vec):

@@ -150,9 +150,6 @@ class SparseMatrix:
             cols.append(col)
         return SparseMatrix(ring, self.nrows, self.ncols, cols)
 
-    def sub(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.add(other.scale(self.ring.neg(self.ring.one())))
-
     def scale(self, s) -> "SparseMatrix":
         ring = self.ring
         if ring.is_zero(s):

@@ -211,6 +211,18 @@ class PrimeField(Ring):
         return self.div(num % self.p, den % self.p)
 
 
+def xgcd(a, b):
+    """(x, y, g) with x a + y b = g = gcd(a, b) >= 0, for ints a and b."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return x0, y0, a
+
+
 QQ = Rationals()
 ZZ = Integers()
 

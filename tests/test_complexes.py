@@ -13,7 +13,7 @@ from hyperoct.homology import homology_over_field
 from hyperoct.matrices import SparseMatrix
 from hyperoct.slominska import SubsetPoset
 
-from oracles import supported_in_rows
+from oracles import supported_in_rows, zero_anchored_by_strings
 from solvers import field_kernel_sample, solve_is_boundary
 
 
@@ -332,6 +332,37 @@ def test_zero_anchored_contraction_exact():
     out = cx.zero_anchored_contraction(cx.TruncationPolicy(1, 1), QQ)
     assert out["ok"]
     assert all(out["identities"].values())
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, GF(2), GF(3)], ids=str)
+@pytest.mark.parametrize("N,D", [(0, 2), (1, 1), (1, 2)])
+def test_zero_anchored_complex_matches_the_string_oracle(N, D, ring):
+    # generator offsets[n][si] + k is the string (id of g_k,) + ids, g_k
+    # the k-th morphism of Hom(0, src) for the degree-n string (src, ids)
+    policy = cx.TruncationPolicy(N, D)
+    cpx = cx.zero_anchored_complex(policy, ring)
+    oracle = zero_anchored_by_strings(policy, ring)
+    hom = cpx.morphisms.hom
+    to_old = [[oracle["index"][n][(g,) + ids]
+               for src, ids in cpx.strings[n] for g in hom[0, src]]
+              for n in range(D + 2)]
+    assert cpx.dims == oracle["dims"]
+    for n in range(1, D + 2):
+        rows, old = to_old[n - 1], oracle["boundaries"][n].cols
+        for j, col in enumerate(cpx.boundary(n).cols):
+            assert {rows[r]: v for r, v in col.items()} == old[to_old[n][j]]
+    out = cx.zero_anchored_contraction(policy, ring)
+    assert out["dims"] == oracle["dims"]
+    assert out["identities"] == oracle["identities"]
+    assert out["ok"] and all(oracle["identities"].values())
+
+
+def test_the_zero_anchored_cap_is_checked_per_degree_before_enumeration():
+    with pytest.raises(cx.ResourceCapExceeded) as err:
+        cx.zero_anchored_contraction(cx.TruncationPolicy(1, 1), QQ,
+                                     max_generators=1000)
+    exc = err.value
+    assert (exc.label, exc.degree, exc.projected) == ("zero-anchored", 2, 3544)
 
 
 # -- index-map checks, each shown to fail on a wrong map ----------------------
