@@ -269,10 +269,11 @@ class TruncatedComplex:
 
     A complex is not changed after construction.  Its derived data, the
     positions of the degree-n strings (``string_index``), the d^2
-    certificate of each pair (``dsquared_vanishes``) and over Z the Smith
-    diagonal of each boundary (``smith_diagonal``), is built on first use
-    and never rebuilt, so every solve of the same complex reads one
-    certificate per pair and one column stream per boundary.
+    certificate of each pair (``dsquared_vanishes``) and the column stream
+    of each boundary over the complex's ring (``boundary_stream``), is
+    built on first use and never rebuilt, so every solve of the same
+    complex reads one certificate per pair and one column stream per
+    boundary.
     """
 
     def __init__(self, ring: Ring, policy: TruncationPolicy, dims, boundaries,
@@ -289,7 +290,7 @@ class TruncatedComplex:
         self.offsets = offsets
         self.functor = functor
         self.morphisms = morphisms
-        self._smith: dict = {}
+        self._streams: dict = {}
         self._dsquared: dict = {}
         self._integral_dsquared: dict = {}
         if len(self.dims) != policy.max_degree + 2:
@@ -319,28 +320,26 @@ class TruncatedComplex:
             index = self._string_index[n] = _positions(self.strings[n])
         return index
 
-    def smith_diagonal(self, n: int):
-        """A diagonal with the rank and invariant factors of d_n over Z,
-        and its stream's stats (see ``homology._smith_diagonal``), built on
-        first use.  The streams are chained as ``homology_over_Z``
-        describes: the stream of d_n, n >= 2, needs that of d_{n-1} and a
-        certified d_{n-1} d_n = 0, and raises ``HomologyError`` without it.
-        The diagonal is a tuple; the stats are a new dict per call."""
-        entry = self._smith.get(n)
+    def boundary_stream(self, n: int) -> homology.ColumnStream:
+        """The column stream of d_n over the complex's ring
+        (``homology.column_stream``), built on first use: its rank,
+        invariant factors, stats and pivot columns.  This is where the
+        streams are chained (``homology`` module docstring): the stream of
+        d_n, n >= 2, needs that of d_{n-1} and a certified d_{n-1} d_n = 0,
+        and raises ``HomologyError`` without it; it is seeded by the pivot
+        columns of d_{n-1} and stops at dim C_{n-1} - rank d_{n-1}, and d_1
+        at dim C_0.  The stats are a new dict per call."""
+        entry = self._streams.get(n)
         if entry is None:
             seeds, bound = (), self.dims[n - 1]
             if n >= 2:
-                below, _ = self.smith_diagonal(n - 1)
+                below = self.boundary_stream(n - 1)
                 homology.require_dsquared(self, n)
-                seeds = self._smith[n - 1][2]
-                bound -= sum(1 for d in below if d)
-            stats: dict = {}
-            pivots: list = []
-            diag = homology._smith_diagonal(self.boundary(n), stats, bound,
-                                            seeds, pivots)
-            entry = self._smith[n] = (tuple(diag), stats, tuple(pivots))
-        diag, stats, _ = entry
-        return diag, dict(stats, left=list(stats["left"]))
+                seeds, bound = below.pivots, bound - below.rank
+            entry = self._streams[n] = homology.column_stream(
+                self.boundary(n), bound, seeds)
+        return entry._replace(stats={k: list(v) if type(v) is list else v
+                                     for k, v in entry.stats.items()})
 
     def generator_counts(self):
         return list(self.counts)

@@ -6,8 +6,8 @@ fraction-free over Z and over Q (each rational column scaled to integers).
 It keeps its pivots in Gauss-Jordan form, each zero at every other pivot's
 leading row, so a column is reduced in one pass over its own entries and
 is dependent exactly when nothing is left of it.  The stream stops once
-the rank reaches a caller's bound; ``homology_over_field`` bounds rank d_n
-by dim ker d_{n-1}, which it certifies first by checking d_{n-1} d_n = 0
+the rank reaches a caller's bound; a complex bounds rank d_n by
+dim ker d_{n-1}, which it certifies first by checking d_{n-1} d_n = 0
 exactly, on integer columns scaled as the kernel's are.  The check,
 ``check_dsquared_pair``, is Kronecker substitution: each column of d_{n-1}
 is packed into one Python int with a fixed-width slot per row, so a
@@ -19,20 +19,34 @@ goes first, each independent of those before it, and the rest follow in
 their original order.  Rank does not depend on column order, so only the
 count of columns streamed before the bound stops the stream changes.
 
-The rank streams of a complex are chained by clearing (Chen-Kerber, "a
-twist"; de Silva-Morozov-Vejdemo-Johansson): the stream of d_n starts with
-one unit pivot e_r, with an empty tail, for each column r of d_{n-1} that
-became a pivot, the set J.  This is exact.  The d^2 check gives
-im d_n in ker d_{n-1}; the columns J are independent under d_{n-1}, so
-ker d_{n-1} meets span(e_J) in 0, and rank(d_n | e_J) = rank d_n + |J|.
-A column of d_n that is a + b, with a spanned by earlier columns and b by
-e_J, has b = c - a in ker d_{n-1}, so b = 0: it depends on the earlier
-columns and e_J exactly when it depends on the earlier columns alone.  So
-every column is a pivot or not as before, and the stream stops at the
-same column, its bound raised by |J| (to dim C_{n-1}).  Only the fill on
-the rows J goes: an entry there only drops out.
-A boundary with more rows than columns is streamed by rows, takes no
-seeds and hands none on.  Over Z only unit pivots clear (below).
+Every boundary, over every ring, is one column stream (``column_stream``:
+``field_rank`` over a field, ``_smith_diagonal`` over Z), and the streams
+of a complex are chained in one place, ``TruncatedComplex.boundary_stream``:
+the stream of d_n needs that of d_{n-1} and a certified d_{n-1} d_n = 0,
+is seeded by the pivot columns of d_{n-1}, stops at
+dim C_{n-1} - rank d_{n-1} (dim C_0 for d_1) and hands its own pivot
+columns on.  ``homology_over_field`` and ``homology_over_Z`` read the same
+chain, and the homology report and the universal-coefficient check of one
+complex share one stream per boundary.
+
+The seeds are clearing (Chen-Kerber, "a twist"; de Silva-Morozov-
+Vejdemo-Johansson): the stream of d_n starts with one unit pivot e_r, with
+an empty tail, for each column r of d_{n-1} that became a pivot, the set
+J.  This is exact.  The d^2 check gives im d_n in ker d_{n-1}; the columns
+J are independent under d_{n-1}, so ker d_{n-1} meets span(e_J) in 0, and
+rank(d_n | e_J) = rank d_n + |J|.  A column of d_n that is a + b, with a
+spanned by earlier columns and b by e_J, has b = c - a in ker d_{n-1}, so
+b = 0: it depends on the earlier columns and e_J exactly when it depends
+on the earlier columns alone.  So every column is a pivot or not as
+before, and the stream stops at the same column, its bound raised by |J|
+(to dim C_{n-1}).  Only the fill on the rows J goes: an entry there only
+drops out.  At the end of the stream every tail lies on rows that lead no
+pivot and are no seed, and there are
+dim C_{n-1} - rank d_{n-1} - rank d_n = beta_{n-1} of them (none when the
+stream stopped at its bound).  So a boundary with more rows than columns,
+as at the top of a truncation, streams its columns with tails no longer
+than the Betti number below it.  Over Z only unit pivots clear (below),
+and the tails lie on the rows that lead no unit pivot of either stream.
 
 Integer homology goes through a Smith form, whose diagonal gives both rank
 and torsion.  ``_smith_diagonal`` streams the columns of a boundary once
@@ -72,13 +86,9 @@ one 1 per unit pivot, then the Smith form of L.  Lattice vectors lead on
 distinct rows, so they are independent and no more than the rows they
 touch; ``diagonalize_integer_matrix``, the dense finisher, runs on that
 small block once per boundary.  Memory is the unit pivots and the lattice.
-A complex keeps each boundary's diagonal
-(``TruncatedComplex.smith_diagonal``), so the homology report and the
-universal-coefficient check of one complex share one stream per boundary.
 
-The integral streams of a complex are chained too, once d_{n-1} d_n = 0 is
-certified (``check_dsquared_pair`` is exact over Z).  Clearing with unit
-pivots only: the stream of d_n starts with e_r, empty tail, for each
+Over Z the chain clears with unit pivots only (``check_dsquared_pair`` is
+exact over Z): the stream of d_n starts with e_r, empty tail, for each
 column r of d_{n-1} that became a unit pivot, the set J; a column that
 went into the lattice is never seeded.  A seed only drops a coordinate (it
 has no tail, and no tail or lattice vector has an entry on a leading row),
@@ -125,6 +135,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .matrices import SparseMatrix
 from .rings import QQ, ZZ, GF, xgcd
@@ -343,28 +354,21 @@ def _fresh_first(cols, order: list | None = None):
 def _rank(M: SparseMatrix, bound: int | None = None,
           stats: dict | None = None, seeds=(),
           pivots: list | None = None) -> int:
-    """Rank through the kernel, streaming the longer side in echelon-first
+    """Rank through the kernel, streaming the columns in echelon-first
     order (``_fresh_first``).
 
-    Fill-in and pivot count stay bounded by the short side, which also caps
-    the rank, so the stream always stops once the rank reaches it.  The
-    rank of a set of columns does not depend on their order.  The first
-    group's columns are independent, so when most of the rank lies in that
-    group, as for the epi boundaries, a bounded stream reduces far fewer
-    dependent columns before it stops.
+    The rank of a set of columns does not depend on their order.  The
+    first group's columns are independent, so when most of the rank lies
+    in that group, as for the epi boundaries, a bounded stream reduces far
+    fewer dependent columns before it stops.  The row count caps the rank,
+    so the stream also stops once the rank reaches it.
 
-    When ``M`` is streamed by its columns, ``seeds`` (rows of ``M``) enter
-    the stream as unit pivots e_r with empty tails, which count towards
-    neither the rank nor ``bound``, and ``pivots`` receives the index in
-    ``M`` of each column that becomes a pivot.  A transposed ``M`` takes no
-    seeds and reports no pivots."""
+    ``seeds`` (rows of ``M``) enter the stream as unit pivots e_r with
+    empty tails, which count towards neither the rank nor ``bound``, and
+    ``pivots`` receives the index in ``M`` of each column that becomes a
+    pivot."""
     p = _modulus(M.ring)
-    tails: dict = {}
-    if M.nrows > M.ncols:
-        M = M.transpose()
-        pivots = None
-    else:
-        tails = {r: {} for r in seeds}
+    tails = {r: {} for r in seeds}
     limit = M.nrows if bound is None else min(bound + len(tails), M.nrows)
     order: list = []
     cols = _columns(_fresh_first(M.cols, order), p)
@@ -389,11 +393,10 @@ def field_rank(M: SparseMatrix, bound: int | None = None,
     stream stops once the rank reaches it.  ``stats``, when given, receives
     the columns streamed (``cols``) out of the total (``of``) and whether
     the stream stopped early (``early_exit``).  ``pivots`` and ``seeds``
-    chain the ranks of a complex (see ``homology_over_field``): ``pivots``
-    receives the indices of the columns of ``M`` that became pivots, and
-    ``seeds`` are those of the boundary d below ``M``, for which
-    d M = 0 must hold.  An ``M`` with more rows than columns is streamed
-    by rows: it ignores ``seeds`` and reports no pivots."""
+    chain the ranks of a complex (module docstring): ``pivots`` receives
+    the indices of the columns of ``M`` that became pivots, and ``seeds``
+    are those of the boundary d below ``M``, for which d M = 0 must
+    hold."""
     if not M.ring.is_field:
         raise HomologyError("field_rank needs a field")
     return _rank(M, bound, stats, seeds, pivots)
@@ -526,19 +529,19 @@ def _vanishing(packed: list, cols, lift: dict | None, p: int, OFF: int,
 # Smith normal form: a unit-pivot stream, a folded lattice, a dense finisher
 # ---------------------------------------------------------------------------
 
-def _smith_diagonal(M: SparseMatrix, stats: dict | None = None,
-                    bound: int | None = None, seeds=(),
+def _smith_diagonal(M: SparseMatrix, bound: int | None = None,
+                    stats: dict | None = None, seeds=(),
                     pivots: list | None = None) -> list:
     """A diagonal with the rank and invariant factors of ``M`` over Z: one
     1 per unit pivot of the column stream, then the dense finisher's
     diagonal of the lattice (the argument is in the module docstring).
 
-    ``seeds``, ``bound`` and ``pivots`` chain the streams of a complex (see
-    ``homology_over_Z``): ``seeds`` are the columns of the boundary d below
-    ``M`` that became unit pivots, for which d M = 0 must hold, and each
-    enters the stream as a unit pivot e_r with an empty tail; ``bound``,
-    an upper bound on the rank, lets the stream stop early, the torsion
-    certified mod p; ``pivots`` receives the indices of the columns of
+    ``seeds``, ``bound`` and ``pivots`` chain the streams of a complex
+    (module docstring), as for ``field_rank``: ``seeds`` are the columns of
+    the boundary d below ``M`` that became unit pivots, for which d M = 0
+    must hold, and each enters the stream as a unit pivot e_r with an
+    empty tail; ``bound``, an upper bound on the rank, lets the stream stop
+    early, the torsion certified mod p; ``pivots`` receives the indices of the columns of
     ``M`` that became unit pivots.  ``stats``, when given, receives the
     unit pivots (seeds not counted), the lattice's shape, [rows its vectors
     touch, vectors], the columns streamed (``cols``) out of the total
@@ -846,87 +849,71 @@ def require_dsquared(complex_, n: int):
         raise HomologyError(f"d{n - 1} d{n} is not zero: not a chain complex")
 
 
+class ColumnStream(NamedTuple):
+    """One boundary's column stream: its rank, its invariant factors (over
+    Z; none over a field), the stream's stats and the columns that became
+    pivots (unit pivots over Z), which seed the stream above."""
+
+    rank: int
+    factors: tuple
+    stats: dict
+    pivots: tuple
+
+
+def column_stream(M: SparseMatrix, bound: int | None = None,
+                  seeds=()) -> ColumnStream:
+    """The column stream of ``M`` over its ring, ``bound`` and ``seeds`` as
+    ``field_rank`` and ``_smith_diagonal`` take them."""
+    stats: dict = {}
+    pivots: list = []
+    if M.ring.is_field:
+        rank = field_rank(M, bound, stats, seeds, pivots)
+        factors = ()
+    else:
+        diag = _smith_diagonal(M, bound, stats, seeds, pivots)
+        rank = sum(1 for d in diag if d)
+        factors = tuple(_invariant_factors(diag))
+    return ColumnStream(rank, factors, stats, tuple(pivots))
+
+
+def _homology(complex_, up_to: int | None) -> HomologyResult:
+    """Betti numbers, and over Z the invariant factors, of the degrees up
+    to ``up_to`` (the policy's maximum at most), by rank-nullity from the
+    complex's chained streams (``TruncatedComplex.boundary_stream``), which
+    raise ``HomologyError`` on a pair d_{n-1} d_n that is not zero.  The
+    torsion of degree n is that of d_{n+1}, whose image is a sublattice of
+    the kernel of d_n, a direct summand."""
+    D = complex_.policy.max_degree
+    if up_to is not None:
+        D = min(D, up_to)
+    streams = [complex_.boundary_stream(n) for n in range(1, D + 2)]
+    ranks = [0] + [s.rank for s in streams]
+    betti = [complex_.dimension(n) - ranks[n] - ranks[n + 1]
+             for n in range(D + 1)]
+    torsion = [list(s.factors) for s in streams] \
+        if complex_.ring == ZZ else []
+    stats = {f"d{n}": s.stats for n, s in enumerate(streams, 1)}
+    return HomologyResult(complex_.ring.name, betti, torsion,
+                          rank_stats=stats)
+
+
 def homology_over_field(complex_, up_to: int | None = None) -> HomologyResult:
     """Betti numbers via rank-nullity; needs the boundary one degree above
     the last reported degree.  ``up_to`` caps the reported degrees (and the
-    ranks computed) below the policy's maximum.
-
-    rank d_n is bounded by dim ker d_{n-1} = dim C_{n-1} - rank d_{n-1}
-    once d_{n-1} d_n = 0 has been checked; for d_1 it is dim C_0, the row
-    count, which caps the rank without any check.
-
-    The stream of d_n is cleared by d_{n-1}: it starts with one unit pivot
-    e_r, with an empty tail, per column r of d_{n-1} that became a pivot
-    (the set J).  The check gives im d_n in ker d_{n-1}, and the columns J
-    are independent under d_{n-1}, so ker d_{n-1} meets span(e_J) in 0.
-    If a column c of d_n is a + b with a spanned by earlier columns and b
-    by e_J, then b = c - a lies in ker d_{n-1}, so b = 0: a column depends
-    on the earlier ones and e_J exactly when it depends on the earlier ones
-    alone.  Each column is a pivot or not as without the seeds, the stream
-    stops at the same column, and the rank is the pivot count less |J|,
-    bounded by bound + |J| = dim C_{n-1}.  Only the fill on the rows J
-    goes: an entry there only drops out.  A
-    boundary streamed by rows (more rows than columns) is neither seeded
-    nor a source of seeds."""
-    ring = complex_.ring
-    if not ring.is_field:
+    ranks computed) below the policy's maximum."""
+    if not complex_.ring.is_field:
         raise HomologyError("homology_over_field needs a field")
-    D = complex_.policy.max_degree
-    if up_to is not None:
-        D = min(D, up_to)
-    ranks = {0: 0}
-    stats = {}
-    below: list = []
-    for n in range(1, D + 2):
-        d_n = complex_.boundary(n)
-        bound = None
-        if n >= 2:
-            require_dsquared(complex_, n)
-            bound = complex_.dimension(n - 1) - ranks[n - 1]
-        pivots: list = []
-        ranks[n] = field_rank(d_n, bound=bound,
-                              stats=stats.setdefault(f"d{n}", {}),
-                              seeds=below, pivots=pivots)
-        below = pivots
-    betti = []
-    for n in range(D + 1):
-        b = complex_.dimension(n) - ranks[n] - ranks[n + 1]
-        betti.append(b)
-    return HomologyResult(ring.name, betti, rank_stats=stats)
+    return _homology(complex_, up_to)
 
 
 def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
-    """Free rank and invariant factors per degree via Smith normal form.
-
-    The kernel of an integer matrix is a direct summand, so the torsion of
-    degree n is read off the normal form of the boundary from degree n+1;
-    the same diagonal gives the boundary's rank as its nonzero count.  Each
-    diagonal is the column stream's units followed by the dense finisher's
-    diagonal of the lattice.  The diagonals are the complex's own
-    (``TruncatedComplex.smith_diagonal``): each is computed once, on the
-    first solve that needs it, and read by every later one.  The stream of
-    d_n is cleared by the unit pivot columns of d_{n-1} and bounded by
-    dim C_{n-1} - rank d_{n-1}, both after d_{n-1} d_n = 0 is certified
-    (module docstring); a pair that is not zero raises ``HomologyError``,
-    as over a field."""
+    """Free rank and invariant factors per degree via Smith normal form,
+    ``up_to`` as for ``homology_over_field``: each boundary's diagonal is
+    the column stream's units followed by the dense finisher's diagonal of
+    the lattice, and gives its rank and invariant factors."""
     if complex_.ring != ZZ:
         raise HomologyError("homology_over_Z needs the integer ring")
-    D = complex_.policy.max_degree
-    if up_to is not None:
-        D = min(D, up_to)
-    ranks = {0: 0}
-    torsions = {}
-    stats = {}
-    for n in range(1, D + 2):
-        diag, stats[f"d{n}"] = complex_.smith_diagonal(n)
-        ranks[n] = sum(1 for d in diag if d != 0)
-        torsions[n] = _invariant_factors(diag)
-    betti = []
-    torsion = []
-    for n in range(D + 1):
-        betti.append(complex_.dimension(n) - ranks[n] - ranks[n + 1])
-        torsion.append(torsions[n + 1])
-    return HomologyResult("Z", betti, torsion, rank_stats=stats)
+    return _homology(complex_, up_to)
 
 
 def compute_homology(complex_, up_to: int | None = None) -> HomologyResult:

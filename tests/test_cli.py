@@ -391,9 +391,9 @@ def test_each_boundary_is_streamed_once_over_the_integers(module,
     calls = []
     smith = homology._smith_diagonal
 
-    def counted(M, stats=None, bound=None, seeds=(), pivots=None):
+    def counted(M, *args):
         calls.append(M)
-        return smith(M, stats, bound, seeds, pivots)
+        return smith(M, *args)
 
     monkeypatch.setattr(homology, "_smith_diagonal", counted)
     report, code = cli.run(cli.JobSpec("c2", "z", "epi", [1], 2,

@@ -7,7 +7,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (Phase, assume, example, given, settings,
+                        strategies as st)
 
 from hyperoct.rings import QQ, ZZ, GF
 from hyperoct.matrices import SparseMatrix
@@ -19,6 +20,12 @@ from hyperoct import homology as hom
 from solvers import field_kernel_sample, field_solve
 
 PRIMES = (2, 3, 5, 2147483647)
+
+# the kernel tests on large random matrices report a failure as found:
+# shrinking a broken back-substitution or pivot division there takes
+# minutes, without a word from pytest, where the unshrunk example fails
+# within seconds
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 entries = st.integers(-4, 4)
 
@@ -171,7 +178,7 @@ def test_bounded_rank_stops_at_a_true_bound(rows, slack):
         stats = {}
         assert hom.field_rank(M, bound=rank + slack, stats=stats) == \
             hom.field_rank(M)
-        assert stats["of"] == max(M.nrows, M.ncols)
+        assert stats["of"] == M.ncols
         assert stats["cols"] <= stats["of"]
         assert stats["early_exit"] == (stats["cols"] < stats["of"])
 
@@ -195,14 +202,13 @@ def test_echelon_first_stream_matches_the_oracle(rows, dups, zeros, slack):
                     (GF(2147483647), 2147483647)):
         rank = oracle_rank(rows, p)
         M = over(ring, rows)
-        # the kernel streams the longer side: rows when there are more rows
-        side = rows if nr > nc else [list(c) for c in zip(*rows)]
-        vecs = [{k: w for k, v in enumerate(vec) if (w := v % p if p else v)}
-                for vec in side]
-        ordered = [[vec.get(k, 0) for k in range(len(side[0]))]
+        # the kernel streams the columns, and the row count caps the rank
+        vecs = [{k: w for k, v in enumerate(col) if (w := v % p if p else v)}
+                for col in zip(*rows)]
+        ordered = [[vec.get(k, 0) for k in range(nr)]
                    for vec in hom._fresh_first(vecs)]
         for bound in (None, rank + slack):
-            limit = min(nr, nc) if bound is None else min(bound, nr, nc)
+            limit = nr if bound is None else min(bound, nr)
             # the stream takes columns until its prefix has rank ``limit``,
             # or takes them all; zero columns count as streamed
             expected = next((k for k in range(len(ordered) + 1)
@@ -295,7 +301,7 @@ def streamed_prefix(ordered, limit, p):
     return lo
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(planted_rank_matrices(), st.integers(0, 3),
        st.randoms(use_true_random=False))
 def test_gauss_jordan_stream_on_planted_rank_matrices(rows, slack, rnd):
@@ -304,12 +310,11 @@ def test_gauss_jordan_stream_on_planted_rank_matrices(rows, slack, rnd):
                     (GF(PRIMES[-1]), PRIMES[-1])):
         rank = oracle_rank(rows, p)
         M = over(ring, rows)
-        side = rows if nr > nc else [list(c) for c in zip(*rows)]
-        vecs = [{k: w for k, v in enumerate(vec) if (w := v % p if p else v)}
-                for vec in side]
-        ordered = [[vec.get(k, 0) for k in range(len(side[0]))]
+        vecs = [{k: w for k, v in enumerate(col) if (w := v % p if p else v)}
+                for col in zip(*rows)]
+        ordered = [[vec.get(k, 0) for k in range(nr)]
                    for vec in hom._fresh_first(vecs)]
-        cols = streamed_prefix(ordered, min(rank + slack, nr, nc), p)
+        cols = streamed_prefix(ordered, min(rank + slack, nr), p)
         stats = {}
         assert hom._rank(M, rank + slack, stats) == rank
         assert stats == {"cols": cols, "of": len(ordered),
@@ -564,7 +569,7 @@ def kernel_chains(draw):
 @given(kernel_chains())
 def test_cleared_rank_streams_match_plain_ones(mats):
     # the complex, and its dual (the transposes in reverse order), so that
-    # every boundary is streamed once by columns and once by rows
+    # every boundary is streamed as it is and transposed, tall or wide
     dual = [[list(r) for r in zip(*d)] for d in reversed(mats)]
     for chain_ in (mats, dual):
         dims = [len(chain_[0])] + [len(d[0]) for d in chain_]
@@ -583,9 +588,6 @@ def test_cleared_rank_streams_match_plain_ones(mats):
                     ranks[n]
                 assert res.rank_stats[f"d{n}"] == stats
                 # the pivots reported are independent columns of d_n
-                if M.nrows > M.ncols:
-                    assert pivots == []
-                    continue
                 assert len(set(pivots)) == len(pivots) == ranks[n]
                 if pivots:
                     assert oracle_rank([[r[j] for j in pivots] for r in d],
@@ -602,7 +604,7 @@ def permuted(rows, rnd):
     return [[r[c] for c in cols] for r in rows]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 @given(int_matrices(max_rows=8, max_cols=9), st.randoms(use_true_random=False))
 def test_unit_stream_agrees_with_the_dense_smith_form(rows, rnd):
     M = over(ZZ, rows)
@@ -612,7 +614,7 @@ def test_unit_stream_agrees_with_the_dense_smith_form(rows, rnd):
     assert rank == oracle_rank(rows)
     for mat in (M, over(ZZ, permuted(rows, rnd))):
         stats = {}
-        diag = hom._smith_diagonal(mat, stats)
+        diag = hom._smith_diagonal(mat, stats=stats)
         assert sum(1 for d in diag if d) == rank
         assert hom._invariant_factors(diag) == factors
         assert hom.invariant_factors(mat) == factors
@@ -884,8 +886,8 @@ def test_seeded_bounded_smith_streams_match_plain_ones(data):
     C = integer_complex(dims, rows)
     for n in range(1, len(dims) + 1):
         d = C.boundary(n)
-        diag, stats = C.smith_diagonal(n)
-        summary = smith_summary(diag)
+        stream = C.boundary_stream(n)
+        summary, stats = (stream.rank, list(stream.factors)), stream.stats
         assert summary == smith_summary(hom._smith_diagonal(d))
         assert summary == smith_summary(hom.diagonalize_integer_matrix(d))
         assert stats["of"] == d.ncols
@@ -899,12 +901,12 @@ def test_an_exponent_above_one_streams_every_column():
     # stream's
     algebra = ia.cyclic_group_algebra(2, ZZ)
     C = build_epi_complex(algebra, TruncationPolicy(1, 3))
-    diag, stats = C.smith_diagonal(4)
-    assert hom._invariant_factors(diag) == [2, 2, 4]
-    assert smith_summary(diag) == smith_summary(
+    stream = C.boundary_stream(4)
+    assert stream.factors == (2, 2, 4)
+    assert (stream.rank, [2, 2, 4]) == smith_summary(
         hom._smith_diagonal(C.boundary(4)))
-    assert (stats["cols"], stats["early_exit"]) == (5602, False)
-    assert C.smith_diagonal(3)[1]["early_exit"]
+    assert (stream.stats["cols"], stream.stats["early_exit"]) == (5602, False)
+    assert C.boundary_stream(3).stats["early_exit"]
 
 
 def test_dsquared_certificates_pass_from_z_to_its_reductions_only():

@@ -336,6 +336,20 @@ def test_strict_strings_keep_the_homology(tag, n, d):
     assert homology_over_field(C).betti == homology_over_field(standard).betti
 
 
+def test_tall_top_boundary_is_a_cleared_column_stream():
+    # d3 of c3 at (3, 2) has more rows (2190) than columns (1152): like
+    # every boundary it streams its columns, seeded by the pivot columns of
+    # d2, and reports its own pivots
+    C = sl.slominska_complex(algebra("c3"), TruncationPolicy(3, 2))
+    assert homology_over_field(C).betti == [0, 0, 1]
+    d3 = C.boundary_stream(3)
+    assert d3.stats == {"cols": 1152, "of": 1152, "early_exit": False}
+    assert d3.rank == 1151
+    M = C.boundary(3)
+    assert len(set(d3.pivots)) == d3.rank
+    assert field_rank(M.submatrix(range(M.nrows), d3.pivots)) == 1151
+
+
 def test_slominska_complex_dsquared():
     A = ia.cyclic_group_algebra(2, QQ)
     C = sl.slominska_complex(A, TruncationPolicy(1, 1))
