@@ -92,9 +92,9 @@ class BarFunctor:
         algebra = self.algebra
         ring = self.ring
         ideal_only = self.variant == IDEAL
-        mat = SparseMatrix(ring, len(tgt), len(src))
+        cols = []
         unit = algebra.unit
-        for col_index, letters in enumerate(src.tuples):
+        for letters in src.tuples:
             # one product vector per target slot
             slot_vectors = []
             for fiber in f.preimages:
@@ -117,7 +117,7 @@ class BarFunctor:
             for v in slot_vectors:
                 sup = [(i, c) for i, c in enumerate(v) if not ring.is_zero(c)]
                 supports.append(sup)
-            col = mat.cols[col_index]
+            col = {}
             for combo in itertools.product(*supports):
                 coeff = ring.one()
                 key = tuple(i for i, _ in combo)
@@ -128,7 +128,7 @@ class BarFunctor:
                     raise FunctorError("tensor expansion left the basis")
                 cur = col.get(row)
                 col[row] = coeff if cur is None else ring.add(cur, coeff)
-            for row in [r for r, v in col.items() if ring.is_zero(v)]:
-                del col[row]
+            cols.append(col)
+        mat = SparseMatrix(ring, len(tgt), len(src), cols)
         self._memo.setdefault(f, mat)
         return mat

@@ -30,26 +30,24 @@ homotopy act on.
 Morphism ids
 ------------
 
-Assembly runs on ints.  A ``MorphismTable`` numbers the morphisms among the
-objects of the truncated category once, in ``category.hom`` enumeration
-order, and fills composition into an int table on first use; a degree-n
-string is ``(source object, tuple of n morphism ids)`` and every complex
-built from a category carries its table as ``morphisms``.  The reduced
-machinery adds image factorization as an id table and runs the epimorphism
-construction once per (string, nonzero tensor positions), since the ideal
-letters only pick the tensor index.
-
-The degree-n strings come in blocks, one per object sequence s with
-nonempty hom lists H_k = H(s_k, s_{k+1}), in product order, and the
-strings of a block are the product of its hom lists, the last varying
-fastest.  So a string is its block and its local rank, the mixed-radix
-number of its ids' positions in their hom lists, and every face is found
-by arithmetic on that rank (``build_gz_complex``), not by looking a tuple
-up.  Boundary columns hold plain scalars, reduced mod p over a prime
-field; the faces other than face 0 are merged once per string, and a
-column is reduced once more only when face 0 lands on another face's
-string.  The position of each string (``TruncatedComplex.string_index``)
-is built on first use, by the chain maps that need it.
+Assembly runs on ints: a ``MorphismTable`` numbers the morphisms once, a
+degree-n string is ``(source object, tuple of n morphism ids)``, and the
+reduced machinery runs the epimorphism construction once per (string,
+nonzero tensor positions), since the ideal letters only pick the tensor
+index.  The degree-n strings come in blocks, one per object sequence s
+with nonempty hom lists H_k = H(s_k, s_{k+1}), in product order, each the
+product of its hom lists, the last varying fastest.  So a string is its
+block and its local rank, the mixed-radix number of its ids' positions in
+their hom lists, and every face is found by arithmetic on that rank
+(``build_gz_complex``), not by looking a tuple up.  Boundary columns hold
+plain scalars, reduced mod p over a prime field, and go straight into the
+compressed columns of the boundary (``matrices``) through a
+``ColumnWriter``; no list of dict columns is built.  The faces other than
+face 0 are merged once per string.  When face 0 lands on another face's
+string, or the string has one column, each column is a dict, reduced
+where faces met, its leading row put first; otherwise all the string's
+columns are laid out at once by a layout cached per shape of the
+functor's columns (``_string_layout``).
 
 Every complex built from a category comes from ``build_gz_complex``: the
 full, extended, nerve and normalized epimorphism complexes with a
@@ -85,21 +83,22 @@ Chain maps as index maps
 
 Chi, the inclusion, the nerve-to-standard comparison and the extra
 degeneracies of the unit summand send each generator to one generator with
-coefficient one, so a ``ChainMap`` stores ``images[n]``, the target index
-of each degree-n generator.  Column j of d M is the target boundary's
-column ``images[n][j]``; column j of M d is the source boundary's column j
-with each row r moved to ``images[n - 1][r]``, and entries that land on one
-row are added and reduced as a boundary column is (mod p, zeros dropped),
-so v and p - v cancel.  One dict comparison per column checks d M = M d.
-Composites are composites of index lists (chi o inclusion = id compares a
-list with ``range``; id - inclusion o chi has at most two entries per
-column), and only the homotopy, an alternating sum, is a matrix.
+coefficient one, so a ``ChainMap`` stores the target index of each
+generator, and d M = M d is checked column by column with no product
+(``ChainMap.commutes_with_boundaries``).  Composites are composites of
+index lists (chi o inclusion = id compares a list with ``range``; id -
+inclusion o chi has at most two entries per column), and only the
+homotopy, an alternating sum, is a matrix.
 """
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
+from operator import add, itemgetter, sub
 
 from . import croscat, homology
 from .barfun import BarFunctor, FULL, IDEAL, EXTENDED
@@ -107,7 +106,7 @@ from .croscat import (EMPTY_OBJECT, IFasMorphism, factorize_ifas, ifas_compose,
                       ifas_identity, ifas_injection)
 from .homology import HomologyError, check_dsquared_pair
 from .invalg import InvolutiveAlgebra, adapt_basis_to_augmentation, AlgebraError
-from .matrices import SparseMatrix
+from .matrices import ColumnWriter, SparseMatrix, combination, lead_first
 from .rings import Ring, RingError, GF, ZZ
 
 DEFAULT_MAX_GENERATORS = 2_000_000
@@ -431,6 +430,31 @@ def _reduced(col: dict, p: int) -> dict:
     return col
 
 
+def _string_layout(lengths: tuple, m: int, faces_lead: bool) -> tuple:
+    """Where the entries of one string's columns come from, for a string
+    whose face 0 has functor columns of the given ``lengths`` and whose
+    other faces are m rows.  With the string's m face rows, largest first,
+    and then face 0's rows in one list, and their values in another, in
+    the same order, entry e of the string's columns is row
+    ``at(rows)[e] + shift[e]`` (shift the tensor index t of the column for
+    a face, 0 for face 0) and value ``at(values)[e]``, and column t ends at
+    ``ends[t]``.  The part on the higher string comes first in every
+    column, its largest row first, so the column's leading row does."""
+    at, shift, ends = [], [], []
+    e = m
+    for t, n in enumerate(lengths):
+        own = (range(e, e + n), [0] * n)
+        e += n
+        faces = (range(m), [t] * m)
+        for part in ((faces, own) if faces_lead else (own, faces)):
+            at += part[0]
+            shift += part[1]
+        ends.append(len(at))
+    # itemgetter gives no tuple for fewer than two indices
+    return (itemgetter(*at) if len(at) > 1 else
+            lambda seq: tuple(map(seq.__getitem__, at))), shift, ends
+
+
 def build_gz_complex(category, functor, policy: TruncationPolicy,
                      max_generators: int = DEFAULT_MAX_GENERATORS,
                      label: str | None = None,
@@ -489,13 +513,25 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
     size = len(table)
     composites = table.composites
     compose = table.compose
-    # functor matrix columns of each first morphism, reduced once
+    # per first morphism: its functor columns, reduced once, each as its
+    # rows (largest first) and values; all their rows and all their values
+    # in one list each; and the numbered tuple of their lengths
     face0 = [None] * size
+    # string layouts (``_string_layout``), and the functor column lengths
+    # they depend on, numbered
+    layouts, shapes = {}, {}
     strings, offsets, dims = [], [], []
     boundaries = {}
     prev = None   # block offsets of degree n - 1
     for n in range(D + 2):
-        sts, offs, cols = [], [], []
+        sts, offs = [], []
+        if n:
+            writer = ColumnWriter(dims[-1])
+            rows, vals, ends = writer.buffer
+            flush_at = writer.FLUSH
+            # columns written as dicts, their leading row first, not yet
+            # handed to the writer: a few, as a dict takes far more memory
+            pending = []
         here = {}
         total = 0
         for seq, hs in _blocks(objects, homs, n):
@@ -518,15 +554,28 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
                      len(homs.get((seq[i - 1], seq[i + 1]), ())), stride[i])
                     for i in range(1, n)]
             for rho, ids in enumerate(itertools.product(*hs)):
+                if len(pending) >= 256:
+                    writer.extend(pending)
+                    pending.clear()
+                if len(rows) >= flush_at:
+                    writer.flush()
                 sts.append((src, ids))
                 offs.append(total)
                 total += f
                 first = ids[0]
-                fcols = face0[first]
-                if fcols is None:
-                    fcols = face0[first] = [
-                        _reduced(col, p)
-                        for col in functor.matrix(table[first]).cols]
+                entry = face0[first]
+                if entry is None:
+                    F = functor.matrix(table[first])
+                    fcols = [_reduced(F.column(t), p) for t in range(F.ncols)]
+                    fcols = [(rs, list(map(col.__getitem__, rs)))
+                             for col in fcols
+                             for rs in [sorted(col, reverse=True)]]
+                    lengths = tuple(len(rs) for rs, _ in fcols)
+                    entry = face0[first] = (
+                        fcols, [r for rs, _ in fcols for r in rs],
+                        [v for _, vs in fcols for v in vs],
+                        shapes.setdefault(lengths, (len(shapes), lengths)))
+                fcols, rows0, vals0, shape = entry
                 base0 = first_base + rho % stride[0] * first_dim
                 faces = {}
                 count = 1
@@ -547,24 +596,44 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
                     faces = _reduced(faces, p)
                 if base0 in faces:
                     # face 0 is another face's string: add, then reduce
-                    for t in range(f):
-                        col = {base0 + r: v for r, v in fcols[t].items()}
+                    for t, (rs, vs) in enumerate(fcols):
+                        col = dict(zip(map(base0.__add__, rs), vs))
                         for r, v in faces.items():
                             col[r + t] = col.get(r + t, 0) + v
-                        cols.append(_reduced(col, p))
+                        pending.append(lead_first(_reduced(col, p)))
                     continue
-                for t in range(f):
-                    col = {base0 + r: v for r, v in fcols[t].items()}
-                    for r, v in faces.items():
-                        col[r + t] = v
-                    cols.append(col)
+                if f == 1:
+                    # one column: face 0 joins the faces' dict
+                    for r, v in zip(*fcols[0]):
+                        faces[base0 + r] = v
+                    pending.append({max(faces): 0, **faces} if faces else {})
+                    continue
+                if pending:
+                    writer.extend(pending)
+                    pending.clear()
+                # face 0 and the other faces lie on different strings, so
+                # the part on the higher string leads every column
+                frows = sorted(faces, reverse=True)
+                key = (shape[0], len(frows), bool(frows) and frows[0] > base0)
+                layout = layouts.get(key)
+                if layout is None:
+                    layout = layouts[key] = _string_layout(shape[1], *key[1:])
+                at, shift, cends = layout
+                fvals = list(map(faces.__getitem__, frows))
+                fvals += vals0
+                frows += map(base0.__add__, rows0)
+                end = len(writer.rows) + len(rows)
+                rows += map(add, at(frows), shift)
+                vals += at(fvals)
+                ends += map(end.__add__, cends)
         if total != expected[n]:
             raise ComplexError("projected and enumerated sizes disagree")
         strings.append(sts)
         offsets.append(offs)
-        dims.append(total)
         if n:
-            boundaries[n] = SparseMatrix(ring, dims[n - 1], total, cols)
+            writer.extend(pending)
+            boundaries[n] = writer.matrix(ring, total)
+        dims.append(total)
         prev = here
 
     return TruncatedComplex(ring, policy, dims, boundaries, label=label,
@@ -587,7 +656,9 @@ class RelationCertificate:
     element e_x, so it vanishes iff the functor is functorial on
     (g, alpha), whatever the tail.  The
     certificate therefore checks the pairs: all of them up to the
-    configured bound, a random sample beyond it."""
+    configured bound, a random sample beyond it.  A pair is checked column
+    by column, with no product matrix: column x of F(g o alpha) against
+    F(g) applied to column x of F(alpha)."""
 
     pairs_checked: int
     pairs_failed: int
@@ -600,25 +671,15 @@ class RelationCertificate:
 def relation_certificate(table: MorphismTable, functor,
                          exhaustive_pair_limit: int = 200_000,
                          seed: int = 11) -> RelationCertificate:
-    objs = table.objects
-    hom = table.hom
-    pair_count = 0
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                pair_count += len(hom[a, b]) * len(hom[b, c])
+    objs, hom = table.objects, table.hom
+    pair_count = sum(len(hom[a, b]) * len(hom[b, c])
+                     for a in objs for b in objs for c in objs)
     rng = random.Random(seed)
-    checked = failed = 0
-    exhaustive = pair_count <= exhaustive_pair_limit
-    triples = []
-    if exhaustive:
-        for a in objs:
-            for b in objs:
-                for c in objs:
-                    for alpha in hom[a, b]:
-                        for g in hom[b, c]:
-                            triples.append((alpha, g))
+    if pair_count <= exhaustive_pair_limit:
+        triples = [(alpha, g) for a in objs for b in objs for c in objs
+                   for alpha in hom[a, b] for g in hom[b, c]]
     else:
+        triples = []
         flat = [(a, b) for a in objs for b in objs if hom[a, b]]
         while len(triples) < 2000:
             a, b = rng.choice(flat)
@@ -626,23 +687,20 @@ def relation_certificate(table: MorphismTable, functor,
             if not bc:
                 continue
             _, c = rng.choice(bc)
-            alpha = rng.choice(hom[a, b])
-            g = rng.choice(hom[b, c])
-            triples.append((alpha, g))
-    matrices = [None] * len(table)
+            triples.append((rng.choice(hom[a, b]), rng.choice(hom[b, c])))
+    columns = [None] * len(table)
 
-    def matrix(i):
-        if matrices[i] is None:
-            matrices[i] = functor.matrix(table[i])
-        return matrices[i]
+    def cols(i):
+        # the columns of F(table[i]), read once through the accessor
+        if columns[i] is None:
+            M = functor.matrix(table[i])
+            columns[i] = [M.column(x) for x in range(M.ncols)]
+        return columns[i]
 
-    for alpha, g in triples:
-        lhs = matrix(table.compose(g, alpha))
-        rhs = matrix(g).matmul(matrix(alpha))
-        checked += 1
-        if not lhs.equals(rhs):
-            failed += 1
-    return RelationCertificate(checked, failed)
+    return RelationCertificate(len(triples), sum(
+        cols(table.compose(g, alpha)) != combination(functor.ring, cols(g),
+                                                     cols(alpha))
+        for alpha, g in triples))
 
 
 def build_nerve_variant(category, functor, policy: TruncationPolicy,
@@ -667,17 +725,20 @@ def build_nerve_variant(category, functor, policy: TruncationPolicy,
     return cpx, cert
 
 
-def _moved(col: dict, rows, p: int) -> dict:
-    """``col`` with each row r moved to ``rows[r]``; entries that land on
-    one row are added and then reduced as ``_reduced`` does."""
-    out = {rows[r]: v for r, v in col.items()}
-    if len(out) == len(col):
-        return out
-    out = {}
-    for r, v in col.items():
-        r = rows[r]
-        out[r] = out.get(r, 0) + v
-    return _reduced(out, p)
+def _moved(M: SparseMatrix, to, p: int):
+    """Every column of ``M``, in order, with each row r moved to ``to[r]``,
+    read in one pass over the arrays of ``M``; entries that land on one row
+    are added and then reduced as ``_reduced`` does."""
+    entries = zip(map(to.__getitem__, M.rows), M.vals)
+    for length in map(sub, M.starts[1:], M.starts[:-1]):
+        moved = list(islice(entries, length))
+        col = dict(moved)
+        if len(col) < length:
+            col = {}
+            for r, v in moved:
+                col[r] = col.get(r, 0) + v
+            col = _reduced(col, p)
+        yield col
 
 
 def _id_minus(first, second, p: int, sign: int = 1) -> list:
@@ -705,21 +766,19 @@ class ChainMap:
                for n, d in enumerate(self.source.dims)):
             raise ComplexError(f"{self.label}: images do not fit the source")
 
-    def matrix(self, n: int) -> SparseMatrix:
-        one = self.source.ring.one()
-        return SparseMatrix(self.source.ring, self.target.dimension(n),
-                            self.source.dimension(n),
-                            [{k: one} for k in self.images[n]])
-
     def commutes_with_boundaries(self) -> bool:
         """d_t M = M d_s: column j of d_t M is the target boundary's column
         ``images[n][j]``, and column j of M d_s the source boundary's column
         j with its rows moved by ``images[n - 1]``."""
         p = self.source.ring.characteristic
         for n in range(1, self.source.policy.max_degree + 2):
-            rows, cols = self.images[n - 1], self.target.boundary(n).cols
-            for k, col in zip(self.images[n], self.source.boundary(n).cols):
-                if cols[k] != _moved(col, rows, p):
+            target, seen = self.target.boundary(n), {}
+            for k, col in zip(self.images[n], _moved(
+                    self.source.boundary(n), self.images[n - 1], p)):
+                want = seen.get(k)
+                if want is None:
+                    want = seen[k] = target.column(k)
+                if want != col:
                     return False
         return True
 
@@ -735,7 +794,7 @@ def gz_nerve_iso(nerve: TruncatedComplex, gz: TruncatedComplex) -> ChainMap:
         raise ComplexError("variants disagree on generator counts")
     D = nerve.policy.max_degree
     for n in range(1, D + 2):
-        if nerve.boundary(n).cols != gz.boundary(n).cols:
+        if not nerve.boundary(n).equals(gz.boundary(n)):
             raise ComplexError("comparison map does not commute with "
                                "boundaries")
     return ChainMap(nerve, gz, {n: range(nerve.dims[n]) for n in range(D + 2)},
@@ -785,12 +844,8 @@ def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
     if complex_.ring != ZZ:
         raise ComplexError("mod-p reduction starts from an integer complex")
     field = GF(p)
-    boundaries = {}
-    for n, M in complex_.boundaries.items():
-        cols = []
-        for col in M.cols:
-            cols.append({r: v % p for r, v in col.items() if v % p})
-        boundaries[n] = SparseMatrix(field, M.nrows, M.ncols, cols)
+    boundaries = {n: _reduced_matrix(M, p, field)
+                  for n, M in complex_.boundaries.items()}
     reduced = TruncatedComplex(field, complex_.policy, complex_.dims,
                                boundaries, label=f"{complex_.label} mod {p}",
                                strings=complex_.strings,
@@ -802,6 +857,43 @@ def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
     # read, never written: see TruncatedComplex.dsquared_vanishes
     reduced._integral_dsquared = complex_._dsquared
     return reduced
+
+
+def _reduced_matrix(M: SparseMatrix, p: int, field) -> SparseMatrix:
+    """``M`` mod ``p``.  The residues are written in one pass; only the
+    columns where one vanishes are written again, their leading row found
+    anew, and the column starts after each move down by the entries it
+    dropped."""
+    starts, rows = M.starts, M.rows
+    vals = map(p.__rmod__, M.vals)
+    vals = array("q", vals) if p < 1 << 63 else list(vals)
+    if 0 not in vals:
+        return SparseMatrix.from_arrays(field, M.nrows, M.ncols, starts,
+                                        rows, vals)
+    hit = []
+    i = vals.index(0)
+    while True:
+        j = bisect_right(starts, i) - 1
+        hit.append(j)
+        try:
+            i = vals.index(0, starts[j + 1])
+        except ValueError:
+            break
+    writer = ColumnWriter(M.nrows)
+    if type(vals) is list:
+        writer.vals = []
+    done = dropped = 0   # columns before ``done`` are written
+    for j in hit + [M.ncols]:
+        writer.flush()
+        writer.starts.extend(map(dropped.__rsub__, starts[done + 1:j + 1]))
+        writer.rows += rows[starts[done]:starts[j]]
+        writer.vals += vals[starts[done]:starts[j]]
+        if j < M.ncols:
+            a, b = starts[j], starts[j + 1]
+            writer.extend([lead_first(dict(zip(rows[a:b], vals[a:b])))])
+            dropped = b - len(writer.rows) - len(writer.buffer[0])
+            done = j + 1
+    return writer.matrix(field, M.ncols)
 
 
 def tensor_with_coefficients(complex_: TruncatedComplex,
@@ -869,8 +961,10 @@ class ReducedMachinery:
         generator of string si is nerve generator ``offsets[n][si]``, the
         si-th generator of C_k, and the other nerve generators are those of
         C_I, in order (``ci_index[n]``).  One pass per boundary renumbers
-        the rows of each column in its summand; a row of the other summand
-        becomes ``None`` and breaks the splitting."""
+        the rows of each column in its summand, by a C-level ``map`` over
+        its slice of row indices; a row of the other summand becomes
+        ``None`` and breaks the splitting.  Both renumberings increase, so
+        a column's leading row stays first."""
         nerve = self.nerve
         D = self.policy.max_degree
         self.ci_index = []   # per degree: the nerve index of each C_I generator
@@ -888,17 +982,27 @@ class ReducedMachinery:
             ck_pos.append(ck)
         ci_bound, ck_bound = {}, {}
         for n in range(1, D + 2):
-            cols = nerve.boundary(n).cols
-            for bound, gens, rows in (
+            M = nerve.boundary(n)
+            for bound, gens, pos in (
                     (ci_bound, self.ci_index, ci_pos),
                     (ck_bound, nerve.offsets, ck_pos)):
-                moved = [{rows[n - 1][r]: v for r, v in cols[g].items()}
-                         for g in gens[n]]
-                if any(None in col for col in moved):
+                at = pos[n - 1].__getitem__
+                writer = ColumnWriter(len(gens[n - 1]))
+                rows, vals, ends = writer.buffer
+                starts, mrows, mvals = M.starts, M.rows, M.vals
+                try:
+                    for g in gens[n]:
+                        a, b = starts[g], starts[g + 1]
+                        rows += map(at, mrows[a:b])
+                        vals += mvals[a:b]
+                        ends.append(len(writer.rows) + len(rows))
+                        if len(rows) >= writer.FLUSH:
+                            writer.flush()
+                    bound[n] = writer.matrix(self.ring, len(gens[n]))
+                except TypeError:
+                    # a row of the other summand, None, is no row index
                     raise ComplexError("boundary does not preserve the "
-                                       "splitting")
-                bound[n] = SparseMatrix(self.ring, len(gens[n - 1]),
-                                        len(gens[n]), moved)
+                                       "splitting") from None
         self.c_ideal = TruncatedComplex(self.ring, self.policy,
                                         list(map(len, self.ci_index)),
                                         ci_bound, label="C_I")
@@ -1055,7 +1159,8 @@ class ReducedMachinery:
     def homotopy_identity_sign(self):
         """Empirical global sign: s with (d h + h d) == s (id - i chi)."""
         if self._homotopy_sign is None:
-            lhs = self.c_ideal.boundary(1).matmul(self.homotopy()[0]).cols
+            lhs = self.c_ideal.boundary(1).matmul(self.homotopy()[0])
+            lhs = [lhs.column(j) for j in range(lhs.ncols)]
             p = self.ring.characteristic
             chi, inc = self.chi().images[0], self.inclusion().images[0]
             if lhs == _id_minus(chi, inc, p):
@@ -1086,12 +1191,17 @@ class ReducedMachinery:
         ok_homotopy = True
         ok_on_image = True
         for n in range(D + 1):
-            lhs = self.c_ideal.boundary(n + 1).matmul(h[n])
+            up = self.c_ideal.boundary(n + 1).matmul(h[n])
+            cols = [up.column(j) for j in range(up.ncols)]
             if n >= 1:
-                lhs = lhs.add(h[n - 1].matmul(self.c_ideal.boundary(n)))
-            if lhs.cols != _id_minus(chi.images[n], inc.images[n], p, sign):
+                down = h[n - 1].matmul(self.c_ideal.boundary(n))
+                for j, col in enumerate(cols):
+                    for r, v in down.column(j).items():
+                        col[r] = col.get(r, 0) + v
+                    cols[j] = _reduced(col, p)
+            if cols != _id_minus(chi.images[n], inc.images[n], p, sign):
                 ok_homotopy = False
-            if any(lhs.cols[k] for k in inc.images[n]):
+            if any(cols[k] for k in inc.images[n]):
                 ok_on_image = False
         out["homotopy_identity"] = ok_homotopy
         out["homotopy_vanishes_on_epi_image"] = ok_on_image
@@ -1142,15 +1252,14 @@ def _contraction_identities(boundary, h, eta_row: int, p: int,
     augmentation eps onto one point and its section eta onto generator
     ``eta_row``: column j of d h is d's column ``h[n][j]``, and column j of
     h d is d's column j with its rows moved by ``h[n - 1]``."""
-    cols = boundary(1).cols
-    out = {0: [cols[k] for k in h[0]]
+    out = {0: list(map(boundary(1).column, h[0]))
            == _id_minus([0] * len(h[0]), [eta_row], p)}
     for n in range(1, top + 1):
-        upper, lower = boundary(n + 1).cols, boundary(n).cols
+        upper, lower = boundary(n + 1), boundary(n)
         out[n] = True
-        for j, k in enumerate(h[n]):
-            col = _moved(lower[j], h[n - 1], p)
-            for r, v in upper[k].items():
+        for j, k, col in zip(itertools.count(), h[n],
+                             _moved(lower, h[n - 1], p)):
+            for r, v in upper.column(k).items():
                 col[r] = col.get(r, 0) + v
             if _reduced(col, p) != {j: 1}:
                 out[n] = False

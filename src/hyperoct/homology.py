@@ -1,64 +1,59 @@
 """Exact homology of truncated complexes.
 
-Every rank runs through one streaming column elimination,
-``_eliminate``, on integer columns: residues mod p over F_p,
-fraction-free over Z and over Q (each rational column scaled to integers).
-It keeps its pivots in Gauss-Jordan form, each zero at every other pivot's
-leading row, so a column is reduced in one pass over its own entries and
-is dependent exactly when nothing is left of it.  The stream stops once
-the rank reaches a caller's bound; a complex bounds rank d_n by
-dim ker d_{n-1}, which it certifies first by checking d_{n-1} d_n = 0
-exactly, on integer columns scaled as the kernel's are.  The check,
-``check_dsquared_pair``, is Kronecker substitution: each column of d_{n-1}
-is packed into one Python int with a fixed-width slot per row, so a
-column of the product is a sum of one big-integer multiple per nonzero of
-d_n, and a zero test (or, mod a small prime, a test on the sum offset to
-non-negative slots) reads every slot at once.  Ranks stream their columns
-echelon-first: every column whose largest row index no earlier column has
-goes first, each independent of those before it, and the rest follow in
-their original order.  Rank does not depend on column order, so only the
-count of columns streamed before the bound stops the stream changes.
+Every rank runs through one streaming column elimination, ``_eliminate``,
+on integer columns: residues mod p over F_p, fraction-free over Z and Q
+(each rational column scaled to integers).  Its pivots are kept in
+Gauss-Jordan form, each zero at every other pivot's leading row, so a
+column is reduced in one pass over its own entries and is dependent
+exactly when nothing is left of it.  The stream stops once the rank
+reaches a caller's bound; a complex bounds rank d_n by dim ker d_{n-1},
+which it certifies first by checking d_{n-1} d_n = 0 exactly, on integer
+columns scaled as the kernel's are.  The check, ``check_dsquared_pair``,
+is Kronecker substitution: each column of d_{n-1} is packed into one
+Python int with a fixed-width slot per row, so a column of the product is
+a sum of one big-integer multiple per nonzero of d_n, and a zero test (or,
+mod a small prime, a test on the sum offset to non-negative slots) reads
+every slot at once.  Ranks stream their columns echelon-first: every
+column whose leading row no earlier column has goes first, each
+independent of those before it, then the rest in their original order.
+Rank does not depend on column order; only the count of columns streamed
+before the bound stops the stream does.
 
 Every boundary, over every ring, is one column stream (``column_stream``:
-``field_rank`` over a field, ``_smith_diagonal`` over Z), and the streams
-of a complex are chained in one place, ``TruncatedComplex.boundary_stream``:
-the stream of d_n needs that of d_{n-1} and a certified d_{n-1} d_n = 0,
-is seeded by the pivot columns of d_{n-1}, stops at
-dim C_{n-1} - rank d_{n-1} (dim C_0 for d_1) and hands its own pivot
-columns on.  ``homology_over_field`` and ``homology_over_Z`` read the same
-chain, and the homology report and the universal-coefficient check of one
-complex share one stream per boundary.
+``field_rank`` over a field, ``_smith_diagonal`` over Z), chained in one
+place, ``TruncatedComplex.boundary_stream``: the stream of d_n needs that
+of d_{n-1} and a certified d_{n-1} d_n = 0, is seeded by the pivot
+columns of d_{n-1}, stops at dim C_{n-1} - rank d_{n-1} (dim C_0 for d_1)
+and hands its own pivot columns on.  ``homology_over_field`` and
+``homology_over_Z`` read that chain, so the homology report and the
+universal-coefficient check of one complex share one stream per boundary.
 
 The seeds are clearing (Chen-Kerber, "a twist"; de Silva-Morozov-
 Vejdemo-Johansson): the stream of d_n starts with one unit pivot e_r, with
 an empty tail, for each column r of d_{n-1} that became a pivot, the set
 J.  This is exact.  The d^2 check gives im d_n in ker d_{n-1}; the columns
-J are independent under d_{n-1}, so ker d_{n-1} meets span(e_J) in 0, and
-rank(d_n | e_J) = rank d_n + |J|.  A column of d_n that is a + b, with a
-spanned by earlier columns and b by e_J, has b = c - a in ker d_{n-1}, so
-b = 0: it depends on the earlier columns and e_J exactly when it depends
-on the earlier columns alone.  So every column is a pivot or not as
-before, and the stream stops at the same column, its bound raised by |J|
-(to dim C_{n-1}).  Only the fill on the rows J goes: an entry there only
-drops out.  At the end of the stream every tail lies on rows that lead no
-pivot and are no seed, and there are
-dim C_{n-1} - rank d_{n-1} - rank d_n = beta_{n-1} of them (none when the
-stream stopped at its bound).  So a boundary with more rows than columns,
-as at the top of a truncation, streams its columns with tails no longer
-than the Betti number below it.  Over Z only unit pivots clear (below),
-and the tails lie on the rows that lead no unit pivot of either stream.
+J are independent under d_{n-1}, so ker d_{n-1} meets span(e_J) in 0.  A
+column c of d_n that is a + b, a spanned by earlier columns and b by e_J,
+has b = c - a in ker d_{n-1}, so b = 0: c depends on the earlier columns
+and e_J exactly when it depends on the earlier columns alone.  So every
+column is a pivot or not as before, and the stream stops at the same
+column, its bound raised by |J| (to dim C_{n-1}); only the fill on the
+rows J goes.  At the end every tail lies on rows that lead no pivot and
+are no seed: dim C_{n-1} - rank d_{n-1} - rank d_n = beta_{n-1} of them
+(none when the stream stopped at its bound), so a boundary with more rows
+than columns streams its columns with tails no longer than the Betti
+number below it.  Over Z only unit pivots clear (below), and the tails
+lie on the rows that lead no unit pivot of either stream.
 
-Integer homology goes through a Smith form, whose diagonal gives both rank
-and torsion.  ``_smith_diagonal`` streams the columns of a boundary once
-and keeps none of them.  It keeps unit pivots in Gauss-Jordan form, pivot
-r being e_r plus a tail on the rows that lead no unit pivot, and a lattice:
-integer vectors on those same rows, in echelon form, one per leading row.
-The unit pivots are ``_eliminate``'s Gauss-Jordan form with every lead 1,
-run through its two helpers: a column reduces in one pass
-(``_reduce_column``), subtracting the unit pivot of each leading row
-among its entries, and a residual with an entry +-1 becomes a unit pivot
-at its largest such row, negated if that entry is -1, and is
-back-substituted into every unit pivot whose tail has that row
+Integer homology goes through a Smith form, whose diagonal gives rank and
+torsion.  ``_smith_diagonal`` streams the columns of a boundary once and
+keeps none of them: it keeps unit pivots in Gauss-Jordan form, pivot r
+being e_r plus a tail on the rows that lead no unit pivot, and a lattice
+of integer vectors on those same rows, in echelon form, one per leading
+row.  The unit pivots run through ``_eliminate``'s two helpers: a column
+reduces in one pass (``_reduce_column``), and a residual with an entry
++-1 becomes a unit pivot at its largest such row, negated if that entry is
+-1, and is back-substituted into every unit pivot whose tail has that row
 (``_install_pivot``, which never divides a pivot with lead 1).  The new
 pivot is then subtracted from every lattice vector with an entry there,
 which is folded again.  Any other residual is folded into the lattice:
@@ -71,70 +66,66 @@ x a + y b = g = gcd(a, b) from ``rings.xgcd``,
 which leaves u the lead g and v none there; v goes on to its next largest
 row, and joins the lattice at a row that leads no vector.
 
-The result is equivalent to the boundary M.  Every step is a column
-operation of determinant +-1 on the current columns: adding a multiple of
-one column to another, negating a column, or the 2x2 fold step.  So M is
-equivalent to the matrix of the unit pivots, the lattice vectors and zero
-columns.  Every row that leads a unit pivot is zero in every other vector:
-a residual has none, the pivot made on a row clears it from the tails
-(through the row -> pivots ``where`` index, as in ``_eliminate``) and from
-the lattice, and the vectors a fold combines are zero there already.  With
-the unit rows and pivots first, that matrix is [[I, 0], [T, L]], and
-subtracting multiples of the unit rows clears T without touching L, whose
-entries on those rows are 0.  So M ~ diag(1, ..., 1) (+) L: the diagonal is
-one 1 per unit pivot, then the Smith form of L.  Lattice vectors lead on
-distinct rows, so they are independent and no more than the rows they
-touch; ``diagonalize_integer_matrix``, the dense finisher, runs on that
-small block once per boundary.  Memory is the unit pivots and the lattice.
+The result is equivalent to the boundary M: every step is a column
+operation of determinant +-1 (adding a multiple of one column to another,
+negating one, or the 2x2 fold step), so M is equivalent to the matrix of
+the unit pivots, the lattice vectors and zero columns.  Every row that
+leads a unit pivot is zero in every other vector: a residual has none,
+the pivot made on a row clears it from the tails (through the row ->
+pivots ``where`` index, as in ``_eliminate``) and from the lattice, and
+the vectors a fold combines are zero there already.  With the unit rows
+and pivots first, that matrix is [[I, 0], [T, L]], and the unit rows clear
+T without touching L.  So M ~ diag(1, ..., 1) (+) L: one 1 per unit
+pivot, then the Smith form of L.  Lattice vectors lead on distinct rows,
+so they are independent and no more than the rows they touch;
+``diagonalize_integer_matrix``, the dense finisher, runs on that small
+block once per boundary.  Memory is the unit pivots and the lattice.
 
-Over Z the chain clears with unit pivots only (``check_dsquared_pair`` is
-exact over Z): the stream of d_n starts with e_r, empty tail, for each
-column r of d_{n-1} that became a unit pivot, the set J; a column that
-went into the lattice is never seeded.  A seed only drops a coordinate (it
-has no tail, and no tail or lattice vector has an entry on a leading row),
-so the seeded stream is the plain stream of pi(d_n), pi dropping the
-coordinates J, plus |J| units.  On their leading rows R, the unit pivots
-of d_{n-1} are the columns J times a unimodular matrix: each is a column
-of J less multiples of earlier unit pivots and of its own stream's seeds,
-which are zero on R, and no lattice vector is ever added to one.  There
-they are the identity, so d_{n-1}[R, J] is unimodular.  pi is injective on
-ker d_{n-1}: a kernel vector k on J has d_{n-1}[R, J] k_J = 0, so k = 0.
-Its image is saturated: if m w = pi(k), k in the kernel, write k = y + m w
-with y on J; then d_{n-1}[R, J] y_J = -m d_{n-1}(w)[R], so y is in m Z^J,
-and k / m is an integer kernel vector with pi(k / m) = w.  So pi maps ker
-d_{n-1} onto a direct summand, and im d_n, inside it, to a sublattice with
-the same quotient: pi(d_n) has the rank and invariant factors of d_n.
+Over Z the chain clears with unit pivots only: the stream of d_n starts
+with e_r, empty tail, for each column r of d_{n-1} that became a unit
+pivot, the set J.  A seed only drops a coordinate (no tail or lattice
+vector has an entry on a leading row), so the seeded stream is the plain
+stream of pi(d_n), pi dropping the coordinates J, plus |J| units.  On
+their leading rows R, the unit pivots of d_{n-1} are the columns J times
+a unimodular matrix (each is a column of J less multiples of earlier unit
+pivots and of its own stream's seeds, which are zero on R, and no lattice
+vector is ever added to one), and there they are the identity, so
+d_{n-1}[R, J] is unimodular.  pi is injective on ker d_{n-1}: a kernel
+vector k on J has d_{n-1}[R, J] k_J = 0, so k = 0.  Its image is
+saturated: if m w = pi(k), k in the kernel, write k = y + m w with y on
+J; then d_{n-1}[R, J] y_J = -m d_{n-1}(w)[R], so y is in m Z^J, and k / m
+is an integer kernel vector with pi(k / m) = w.  So pi maps ker d_{n-1}
+onto a direct summand, and im d_n, inside it, to a sublattice with the
+same quotient: pi(d_n) has the rank and invariant factors of d_n.
 
-Early exit: rank d_n <= bound = dim C_{n-1} - rank d_{n-1} (certified by
-the d^2 check; dim C_0 for d_1), so the echelon-first stream stops once
-its units and lattice vectors reach the bound.  Every later column of
-pi(d_n) lies in the rational span of the streamed prefix P, so im P is a
-sublattice of im pi(d_n) of the same rank, and the final torsion T is a
-quotient of the prefix torsion T_P (each is S / im, S the saturation of
-both images): no prime outside T_P divides T, and T has no more factors
-divisible by p than T_P.  The factors divisible by p number rank_Q -
-rank_Fp, for d_n and for P alike, and rank_Q P = rank_Q d_n.  So T and T_P
-have the same p-part once T_P's p-part is (Z/p)^k, every exponent 1, and
-every column lies in the mod-p span of P.  ``_witness_flags`` finds, for
-each prime of T_P, the columns outside the mod-p span of P by one packed
-pass against a basis of that span's left kernel (built from the unit
-pivots' tails and the lattice mod p, and packed and tested as
-``check_dsquared_pair`` packs and tests).  Only the flagged columns are
-streamed.  If the torsion of the enlarged prefix has every exponent 1,
-each of its primes is one of T_P, so every unstreamed column lies in its
-mod-p span, and the stream stops.  Otherwise, or when trial division
-cannot factor a torsion order, the rest is streamed as before.  Over Z the
-d^2 check runs even without ``--verify``: the bound needs it.
-
-The universal-coefficient dimension check, ``uct_check``, reads the
-integral Smith data and the homology mod p of one complex.
+Early exit: rank d_n <= bound = dim C_{n-1} - rank d_{n-1}, so the
+echelon-first stream stops once its units and lattice vectors reach the
+bound.  Every later column of pi(d_n) lies in the rational span of the
+streamed prefix P, so im P is a sublattice of im pi(d_n) of the same
+rank, and the final torsion T is a quotient of the prefix torsion T_P
+(each is S / im, S the saturation of both images): no prime outside T_P
+divides T, and T has no more factors divisible by p than T_P.  The
+factors divisible by p number rank_Q - rank_Fp, for d_n and for P alike,
+and rank_Q P = rank_Q d_n.  So T and T_P have the same p-part once T_P's
+p-part is (Z/p)^k, every exponent 1, and every column lies in the mod-p
+span of P.  ``_witness_flags`` finds, for each prime of T_P, the columns
+outside that span by one packed pass against a basis of its left kernel
+(packed and tested as ``check_dsquared_pair`` packs and tests), and only
+those are streamed.  If the torsion of the enlarged prefix has every
+exponent 1, each of its primes is one of T_P, so every unstreamed column
+lies in its mod-p span, and the stream stops.  Otherwise, or when trial
+division cannot factor a torsion order, the rest is streamed as before.
+Over Z the d^2 check runs even without ``--verify``: the bound needs it.
+The universal-coefficient check, ``uct_check``, reads the integral Smith
+data and the homology mod p of one complex.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import islice, repeat
 from math import gcd, lcm
+from operator import sub
 from typing import NamedTuple
 
 from .matrices import SparseMatrix
@@ -180,6 +171,19 @@ def _columns(cols, p: int, scales: list | None = None):
         yield vec
 
 
+def _matrix_columns(M: SparseMatrix, js, p: int):
+    """The integer columns (``_columns``) of ``M`` at ``js``, as (row,
+    value) pairs; int64 values, and all values mod p, are read as they
+    stand, straight from the arrays."""
+    if not p and type(M.vals) is list:
+        yield from map(dict.items, _columns(map(M.column, js), p))
+        return
+    starts, rows, vals = M.starts, M.rows, M.vals
+    for j in js:
+        a, b = starts[j], starts[j + 1]
+        yield zip(rows[a:b], vals[a:b])
+
+
 def _subtract(target: dict, c: int, source: dict, p: int = 0):
     """``target -= c * source`` in place, entries kept in (-p/2, p/2] mod
     ``p`` (or left as they come with ``p == 0``); entries that reach 0 are
@@ -195,17 +199,18 @@ def _subtract(target: dict, c: int, source: dict, p: int = 0):
             del target[i]
 
 
-def _reduce_column(col: dict, tails: dict, lead: dict, p: int) -> dict:
-    """The residual of ``col`` against the pivots ``tails`` (pivot r is
-    ``lead.get(r, 1) e_r + tails[r]``, its tail on rows that lead no
-    pivot): one pass over the column's own entries, subtracting the pivot
-    of each leading row among them.  The residual lies on non-leading rows
-    only.  Mod ``p`` its entries are kept in (-p/2, p/2]; with ``p == 0``
-    it is fraction-free, scaled by the lcm of the leading entries it meets
-    (1 when ``lead`` is empty)."""
+def _reduce_column(col, tails: dict, lead: dict, p: int) -> dict:
+    """The residual of the column with the (row, value) pairs ``col``
+    against the pivots ``tails`` (pivot r is ``lead.get(r, 1) e_r +
+    tails[r]``, its tail on rows that lead no pivot): one pass over the
+    column's own entries, subtracting the pivot of each leading row among
+    them.  The residual lies on non-leading rows only.  Mod ``p`` its
+    entries are kept in (-p/2, p/2]; with ``p == 0`` it is fraction-free,
+    scaled by the lcm of the leading entries it meets (1 when ``lead`` is
+    empty)."""
     h = (p - 1) // 2
     vec, hits = {}, []
-    for k, v in col.items():
+    for k, v in col:
         t = tails.get(k)
         if t is None:
             if p:
@@ -215,19 +220,19 @@ def _reduce_column(col: dict, tails: dict, lead: dict, p: int) -> dict:
             vec[k] = v
         elif t:
             # an empty tail only drops the entry
-            hits.append(k)
+            hits.append((k, v))
     scale = 1
     if hits and lead and not p:
-        scale = lcm(*[lead.get(k, 1) for k in hits])
+        scale = lcm(*[lead.get(k, 1) for k, _ in hits])
         if scale != 1:
             vec = {k: v * scale for k, v in vec.items()}
-    for k in hits:
+    for k, c in hits:
         if p:
-            c = (col[k] + h) % p - h
+            c = (c + h) % p - h
             if not c:
                 continue
         else:
-            c = col[k] * (scale // lead.get(k, 1))
+            c *= scale // lead.get(k, 1)
         _subtract(vec, c, tails[k], p)
     return vec
 
@@ -285,7 +290,8 @@ def _install_pivot(vec: dict, r: int, tails: dict, lead: dict, where,
 
 def _eliminate(cols, p: int = 0, bound: int | None = None,
                lead: dict | None = None, tails: dict | None = None):
-    """Stream integer columns through one Gauss-Jordan column form.
+    """Stream integer columns, each given as its (row, value) pairs,
+    through one Gauss-Jordan column form.
 
     A pivot is kept as its leading row r, its leading entry (1 mod p; only
     entries other than 1 are held, in ``lead``) and its tail, the entries
@@ -324,54 +330,45 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
         yield True
 
 
-def _fresh_first(cols, order: list | None = None):
-    """The columns in echelon-first order: first every column whose largest
-    row index no earlier column has, then the rest in their original order,
-    zero columns included.  ``order``, when given, receives the original
-    index of each column as it is yielded.
-
-    Each column of the first group leads on a row no other column of the
-    group has, so it is independent of the group's earlier columns and
-    becomes a pivot."""
-    cols = list(cols)
+def _fresh_first(M: SparseMatrix, order: list | None = None):
+    """The column indices of ``M`` in echelon-first order, each also
+    appended to ``order``: first every column whose leading row (the first
+    row it stores, ``matrices``) no earlier column has, each independent
+    of the group's earlier ones, then the rest in their original order."""
+    starts, rows = M.starts, M.rows
     order = [] if order is None else order
-    first = bytearray(len(cols))
+    first = bytearray(M.ncols)
     seen: set = set()
-    for j, col in enumerate(cols):
-        if col:
-            r = max(col)
+    for j in range(M.ncols):
+        a = starts[j]
+        if a < starts[j + 1]:
+            r = rows[a]
             if r not in seen:
                 seen.add(r)
                 first[j] = 1
                 order.append(j)
-                yield col
-    for j, col in enumerate(cols):
+                yield j
+    for j in range(M.ncols):
         if not first[j]:
             order.append(j)
-            yield col
+            yield j
 
 
 def _rank(M: SparseMatrix, bound: int | None = None,
           stats: dict | None = None, seeds=(),
           pivots: list | None = None) -> int:
     """Rank through the kernel, streaming the columns in echelon-first
-    order (``_fresh_first``).
-
-    The rank of a set of columns does not depend on their order.  The
-    first group's columns are independent, so when most of the rank lies
-    in that group, as for the epi boundaries, a bounded stream reduces far
-    fewer dependent columns before it stops.  The row count caps the rank,
-    so the stream also stops once the rank reaches it.
-
+    order (``_fresh_first``): when most of the rank lies in its first
+    group, as for the epi boundaries, a bounded stream reduces far fewer
+    dependent columns before it stops.  The row count caps the rank too.
     ``seeds`` (rows of ``M``) enter the stream as unit pivots e_r with
-    empty tails, which count towards neither the rank nor ``bound``, and
-    ``pivots`` receives the index in ``M`` of each column that becomes a
-    pivot."""
+    empty tails, counted in neither the rank nor ``bound``; ``pivots``
+    receives the index of each column that becomes a pivot."""
     p = _modulus(M.ring)
     tails = {r: {} for r in seeds}
     limit = M.nrows if bound is None else min(bound + len(tails), M.nrows)
     order: list = []
-    cols = _columns(_fresh_first(M.cols, order), p)
+    cols = _matrix_columns(M, _fresh_first(M, order), p)
     rank = streamed = 0
     for pivot in _eliminate(cols, p, limit, tails=tails):
         if pivot:
@@ -387,16 +384,12 @@ def _rank(M: SparseMatrix, bound: int | None = None,
 def field_rank(M: SparseMatrix, bound: int | None = None,
                stats: dict | None = None, seeds=(),
                pivots: list | None = None) -> int:
-    """Exact rank over a field.
-
-    ``bound`` is an upper bound on the rank known to the caller; the column
-    stream stops once the rank reaches it.  ``stats``, when given, receives
-    the columns streamed (``cols``) out of the total (``of``) and whether
-    the stream stopped early (``early_exit``).  ``pivots`` and ``seeds``
-    chain the ranks of a complex (module docstring): ``pivots`` receives
-    the indices of the columns of ``M`` that became pivots, and ``seeds``
-    are those of the boundary d below ``M``, for which d M = 0 must
-    hold."""
+    """Exact rank over a field.  The stream stops once the rank reaches
+    ``bound``; ``stats`` receives the columns streamed (``cols``) out of
+    the total (``of``) and whether it stopped early (``early_exit``).
+    ``pivots`` receives the columns of ``M`` that became pivots, and
+    ``seeds`` are those of the boundary d below ``M``, with d M = 0 (the
+    chain of the module docstring)."""
     if not M.ring.is_field:
         raise HomologyError("field_rank needs a field")
     return _rank(M, bound, stats, seeds, pivots)
@@ -412,11 +405,35 @@ def _scaled(col) -> dict:
     return next(_columns((col,), 0))
 
 
-def _norm(col) -> int:
+def _column_norm(col) -> int:
     """Sum of the absolute values of a column over Q or Z, at its integer
     scale.  A sum with a ``Fraction`` in it is a ``Fraction``."""
     norm = sum(map(abs, col.values()))
-    return norm if type(norm) is int else _norm(_scaled(col))
+    return norm if type(norm) is int else _column_norm(_scaled(col))
+
+
+def _norm(M: SparseMatrix) -> int:
+    """max_j sum_k |v_jk| over the columns of ``M`` (over Q or Z) at their
+    integer scale: with int64 values, one C-level ``sum`` per column of
+    the |v| stream; otherwise column by column."""
+    if type(M.vals) is list:
+        return max(map(_column_norm, map(M.column, range(M.ncols))),
+                   default=0)
+    return max(map(sum, map(islice, repeat(map(abs, M.vals)), _lengths(M))),
+               default=0)
+
+
+def _integer_values(M: SparseMatrix):
+    """The values of ``M`` (over Q or Z) as ints, aligned with ``M.rows``:
+    the values themselves when int64, else each column scaled to ints
+    (``_columns``) and weighted to the common scale of all columns."""
+    if type(M.vals) is not list:
+        return M.vals
+    scales: list = []
+    cols = list(_columns(map(M.column, range(M.ncols)), 0, scales))
+    common = lcm(*scales)
+    return [w * (common // s) for col, s in zip(cols, scales)
+            for w in col.values()]
 
 
 def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
@@ -430,15 +447,15 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
     entry is scaled to ints).  Column k of d_prev becomes one int
     P_k = sum_r w_rk 2^(B r), a B-bit slot per row, and column j of the
     product becomes X_j = sum_k v_jk P_k = sum_r c_rj 2^(B r): one
-    big-integer multiply-add per nonzero of d_n.  With
+    big-integer multiply-add per nonzero of d_n (a plain add for +-1).
+    Both read the arrays of the matrices (``matrices``) in one pass.  With
 
         bound = max |w| * N,   N >= max_j sum_k |v_jk|,   so |c_rj| <= bound,
 
     either test below is exact.  Over F_p, N = L * max |v|, L the longest
     column of d_n and max |v| read off the lift, which is built once per
-    distinct value: no pass in Python over the columns.  Over Q and Z, N is
-    max_j sum_k |v_jk| itself, each column at its integer scale, because
-    there a value set costs as much as that pass and a looser N widens
+    distinct value.  Over Q and Z, N is max_j sum_k |v_jk| itself, each
+    column at its integer scale (``_norm``), because a looser N widens
     every slot.
 
     Zero test (Q, Z, and F_p when bound < p): B = bound.bit_length(), so
@@ -462,28 +479,28 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
     p = _modulus(d_n.ring)
     if p:
         h = (p - 1) // 2
-        lift = {v: (v + h) % p - h
-                for v in set(chain.from_iterable(map(dict.values, d_n.cols)))}
-        norm = max(map(len, d_n.cols), default=0) * max(
+        lift = {v: (v + h) % p - h for v in set(d_n.vals)}
+        norm = max(_lengths(d_n), default=0) * max(
             map(abs, lift.values()), default=0)
-        prev = [{r: x for r, w in col.items() if (x := (w + h) % p - h)}
-                for col in d_prev.cols]
+        lifted = {v: (v + h) % p - h for v in set(d_prev.vals)}
+        w = map(lifted.__getitem__, d_prev.vals)
+        bound = norm * max(map(abs, lifted.values()), default=0)
     else:
         lift = None
-        norm = max(map(_norm, d_n.cols), default=0)
-        scales: list = []
-        prev = list(_columns(d_prev.cols, 0, scales))
-        common = lcm(*scales)
-        if common != 1:
-            prev = [{r: w * (common // s) for r, w in col.items()}
-                    for col, s in zip(prev, scales)]
-    bound = norm * max((abs(w) for col in prev for w in col.values()),
-                       default=0)
+        w = _integer_values(d_prev)
+        bound = _norm(d_n) * max(map(abs, w), default=0)
     if not bound:
         return
     B, OFF, HIGH = _slots(bound, p, d_prev.nrows)
-    packed = [sum(w << B * r for r, w in col.items()) for col in prev]
-    if not all(_vanishing(packed, d_n.cols, lift, p, OFF, HIGH)):
+    packed = []
+    entries = zip(d_prev.rows, w)
+    for length in _lengths(d_prev):
+        x = 0
+        for r, v in islice(entries, length):
+            x += v << B * r
+        packed.append(x)
+    if not all(zero for _, zero in _vanishing(packed, d_n, lift, p, OFF,
+                                              HIGH)):
         raise HomologyError(f"d{n - 1} d{n} is not zero: not a chain complex")
 
 
@@ -501,28 +518,40 @@ def _slots(bound: int, p: int, nslots: int):
     return B, K * unit, (((1 << s) - 1) << (B - s)) * unit
 
 
-def _vanishing(packed: list, cols, lift: dict | None, p: int, OFF: int,
-               HIGH: int):
-    """Per column c of ``cols``, whether X = sum_k c_k packed[k] has every
-    slot zero (mod p when ``OFF``, by the offset test), with the slot
-    constants of ``_slots``.  ``lift`` maps each entry of ``cols`` to the
-    integer it stands for mod p; without it a column's entries are read as
-    they are, and a column with a ``Fraction`` entry at its integer
-    scale."""
-    for col in cols:
+def _lengths(M: SparseMatrix):
+    """The length of every column of ``M``."""
+    return map(sub, M.starts[1:], M.starts[:-1])
+
+
+def _vanishing(packed: list, M: SparseMatrix, lift: dict | None, p: int,
+               OFF: int, HIGH: int, wanted=None):
+    """Per column c of ``M`` (each in ``wanted``, when given), in one pass
+    over its arrays: its index and whether X = sum_k c_k packed[k] has
+    every slot zero (mod p by the offset test when ``OFF``; slot constants
+    of ``_slots``).  ``lift`` maps each value to the integer it stands for
+    mod p; without it values are read as they are, a column with a
+    ``Fraction`` entry at its integer scale."""
+    vals = M.vals if lift is None else map(lift.__getitem__, M.vals)
+    entries = zip(M.rows, vals)
+    for j, length in enumerate(_lengths(M)):
+        if wanted is not None and j not in wanted:
+            next(islice(entries, length, length), None)
+            continue
         x = 0
-        if lift is None:
-            for k, v in col.items():
+        for k, v in islice(entries, length):
+            # most boundary entries are +-1: an add spares a product
+            if v == 1:
+                x += packed[k]
+            elif v == -1:
+                x -= packed[k]
+            else:
                 x += v * packed[k]
-            if type(x) is not int:
-                x = sum(v * packed[k] for k, v in _scaled(col).items())
-        else:
-            for k, v in col.items():
-                x += lift[v] * packed[k]
+        if type(x) is not int:
+            x = sum(v * packed[k] for k, v in _scaled(M.column(j)).items())
         if OFF:
             q, r = divmod(x + OFF, p)
             x = r or q & HIGH
-        yield not x
+        yield j, not x
 
 
 # ---------------------------------------------------------------------------
@@ -534,18 +563,12 @@ def _smith_diagonal(M: SparseMatrix, bound: int | None = None,
                     pivots: list | None = None) -> list:
     """A diagonal with the rank and invariant factors of ``M`` over Z: one
     1 per unit pivot of the column stream, then the dense finisher's
-    diagonal of the lattice (the argument is in the module docstring).
-
-    ``seeds``, ``bound`` and ``pivots`` chain the streams of a complex
-    (module docstring), as for ``field_rank``: ``seeds`` are the columns of
-    the boundary d below ``M`` that became unit pivots, for which d M = 0
-    must hold, and each enters the stream as a unit pivot e_r with an
-    empty tail; ``bound``, an upper bound on the rank, lets the stream stop
-    early, the torsion certified mod p; ``pivots`` receives the indices of the columns of
-    ``M`` that became unit pivots.  ``stats``, when given, receives the
-    unit pivots (seeds not counted), the lattice's shape, [rows its vectors
-    touch, vectors], the columns streamed (``cols``) out of the total
-    (``of``) and whether the stream stopped early (``early_exit``)."""
+    diagonal of the lattice (module docstring).  ``seeds``, ``bound`` and
+    ``pivots`` chain the streams as for ``field_rank``, with unit pivots
+    only; the stream stops early at ``bound`` once the torsion is
+    certified mod p.  ``stats`` receives the unit pivots (seeds not
+    counted), the lattice's shape [rows its vectors touch, vectors], and
+    ``cols``, ``of`` and ``early_exit`` as for ``field_rank``."""
     if M.ring != ZZ:
         raise HomologyError("integer diagonalization needs the integer ring")
     tails: dict = {r: {} for r in seeds}
@@ -574,7 +597,8 @@ def _smith_diagonal(M: SparseMatrix, bound: int | None = None,
                    if (w := b * u.get(i, 0) - a * vec.get(i, 0))}
 
     def stream(j):
-        vec = _reduce_column(cols[j], tails, lead, 0)
+        a, b = starts[j], starts[j + 1]
+        vec = _reduce_column(zip(rows[a:b], vals[a:b]), tails, lead, 0)
         units = [i for i, v in vec.items() if v == 1 or v == -1]
         if not units:
             fold(vec)
@@ -598,15 +622,14 @@ def _smith_diagonal(M: SparseMatrix, bound: int | None = None,
                              for k in sorted(lattice)])
         return left, diagonalize_integer_matrix(left)
 
-    cols = M.cols
+    starts, rows, vals = M.starts, M.rows, M.vals
     limit = None if bound is None else bound + len(tails)
-    order: list = []
     rest: list = []
-    for _ in _fresh_first(cols, order):
+    for j in _fresh_first(M):
         if rest or limit is not None and len(tails) + len(lattice) >= limit:
-            rest.append(order[-1])
+            rest.append(j)
         else:
-            stream(order[-1])
+            stream(j)
     left, diag = finish()
     factors = _invariant_factors(diag) if rest else []
     if factors:
@@ -680,7 +703,7 @@ def _witness_flags(M: SparseMatrix, rest: list, tails: dict, lattice,
     L max|c_k| ybound, L the longest column."""
     h = (p - 1) // 2
     pivots: dict = {}
-    for _ in _eliminate(lattice, p, tails=pivots):
+    for _ in _eliminate(map(dict.items, lattice), p, tails=pivots):
         pass
     free = [i for i in range(M.nrows) if i not in tails and i not in pivots]
     if not free:
@@ -694,12 +717,9 @@ def _witness_flags(M: SparseMatrix, rest: list, tails: dict, lattice,
                                 if (x := (w + h) % p - h)]
             ybound = max(ybound, sum(
                 abs(x) * (most if i in pivots else 1) for i, x in terms))
-    cols = M.cols
-    values: set = set()
-    for j in rest:
-        values.update(cols[j].values())
-    lift = {v: (v + h) % p - h for v in values}
-    bound = max(len(cols[j]) for j in rest) * max(
+    # a bound over every column of M, so one pass reads them all
+    lift = {v: (v + h) % p - h for v in set(M.vals)}
+    bound = max(_lengths(M), default=0) * max(
         map(abs, lift.values()), default=0) * ybound
     if not bound:
         return []
@@ -711,8 +731,8 @@ def _witness_flags(M: SparseMatrix, rest: list, tails: dict, lattice,
         packed[q] = -sum(w * packed[i] for i, w in t.items())
     for r, terms in units.items():
         packed[r] = -sum(x * packed[i] for i, x in terms)
-    return [j for j, zero in zip(rest, _vanishing(
-        packed, (cols[j] for j in rest), lift, p, OFF, HIGH)) if not zero]
+    return [j for j, zero in _vanishing(packed, M, lift, p, OFF, HIGH,
+                                        set(rest)) if not zero]
 
 
 def diagonalize_integer_matrix(M: SparseMatrix):
@@ -723,9 +743,10 @@ def diagonalize_integer_matrix(M: SparseMatrix):
         raise HomologyError("integer diagonalization needs the integer ring")
     m, n = M.nrows, M.ncols
     D = [[0] * n for _ in range(m)]
-    for j, col in enumerate(M.cols):
-        for r, v in col.items():
-            D[r][j] = v
+    starts, rows, vals = M.starts, M.rows, M.vals
+    for j in range(n):
+        for k in range(starts[j], starts[j + 1]):
+            D[rows[k]][j] = vals[k]
 
     def row_op(i1, i2, a, b, c, d):
         # (row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2)

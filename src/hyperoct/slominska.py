@@ -124,10 +124,6 @@ class SubsetPoset:
         return PosetMorphism(f1.source, f2.target)
 
 
-def build_S0(max_object: int) -> SubsetPoset:
-    return SubsetPoset(max_object)
-
-
 # ---------------------------------------------------------------------------
 # Delta-chains and the normal form
 # ---------------------------------------------------------------------------
@@ -233,16 +229,17 @@ class CoinvariantModule:
             for ci, chain in enumerate(chains):
                 image, a0 = _normal_form(chain, s)
                 twisted = chain_index[image] * tdim
-                tensor = functor.evaluate(a0).cols
+                tensor = functor.evaluate(a0)
                 for t in range(tdim):
-                    rel = {twisted + r: v for r, v in tensor[t].items()}
+                    rel = {twisted + r: v
+                           for r, v in tensor.column(t).items()}
                     e = ci * tdim + t
                     rel[e] = ring.sub(rel.get(e, ring.zero()), ring.one())
                     relations.append(rel)
         self.lead: dict = {}
         self.tails: dict = {}
-        for _ in _eliminate(_columns(relations, 0), 0, lead=self.lead,
-                            tails=self.tails):
+        for _ in _eliminate(map(dict.items, _columns(relations, 0)), 0,
+                            lead=self.lead, tails=self.tails):
             pass
         self.ambient_dim = dim = len(chains) * tdim
         self.tensor_dim = tdim
@@ -307,8 +304,8 @@ class CoinvariantFunctorView:
         ring = self.ring
         src = self.module(f.source)
         tgt = self.module(f.target)
-        out = SparseMatrix(ring, tgt.dim, src.dim)
-        for j, row in enumerate(src.basis):
+        cols = []
+        for row in src.basis:
             ci, t = divmod(row, src.tensor_dim)
             new_chain, transport = restrict_chain(f.source, f.target,
                                                   src.chains[ci])
@@ -317,8 +314,9 @@ class CoinvariantFunctorView:
                 image = {base + t: ring.one()}
             else:
                 image = {base + r: w for r, w in
-                         self.bar.evaluate(transport).cols[t].items()}
-            out.cols[j] = tgt.coordinates(image)
+                         self.bar.evaluate(transport).column(t).items()}
+            cols.append(tgt.coordinates(image))
+        out = SparseMatrix(ring, tgt.dim, src.dim, cols)
         self._matrices.setdefault(f, out)
         return out
 

@@ -1,6 +1,6 @@
 """Small oracles that only the tests use: the inverse and the elements of
-a hyperoctahedral group, the block support of a sparse matrix, and the
-zero-anchored complex built string by string."""
+a hyperoctahedral group, dense and dict views of a sparse matrix and its
+block support, and the zero-anchored complex built string by string."""
 from __future__ import annotations
 
 import itertools
@@ -23,10 +23,75 @@ def hyp_enumerate(n: int):
             yield HypElement(signs, perm)
 
 
+def columns(M: SparseMatrix) -> list:
+    """Every column of ``M`` as a dict, through ``SparseMatrix.column``."""
+    return [M.column(j) for j in range(M.ncols)]
+
+
+def from_dense(ring, rows) -> SparseMatrix:
+    """The matrix of a list of rows; ints are taken into ``ring``."""
+    ncols = len(rows[0]) if rows else 0
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            v = ring.from_int(v) if isinstance(v, int) else v
+            if not ring.is_zero(v):
+                cols[j][i] = v
+    return SparseMatrix(ring, len(rows), ncols, cols)
+
+
+def from_entries(ring, nrows, ncols, entries) -> SparseMatrix:
+    """The matrix with the sum of the scalars of ``entries``, an iterable
+    of (row, col, scalar), at each position."""
+    cols = [{} for _ in range(ncols)]
+    for r, c, v in entries:
+        cols[c][r] = ring.add(cols[c].get(r, ring.zero()), v)
+    return SparseMatrix(ring, nrows, ncols,
+                        [{r: v for r, v in col.items() if not ring.is_zero(v)}
+                         for col in cols])
+
+
+def to_dense(M: SparseMatrix) -> list:
+    rows = [[M.ring.zero()] * M.ncols for _ in range(M.nrows)]
+    for j, col in enumerate(columns(M)):
+        for r, v in col.items():
+            rows[r][j] = v
+    return rows
+
+
+def is_zero_matrix(M: SparseMatrix) -> bool:
+    return M.nnz() == 0
+
+
+def add(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
+    ring = A.ring
+    cols = columns(A)
+    for col, other in zip(cols, columns(B)):
+        for r, v in other.items():
+            col[r] = ring.add(col.get(r, ring.zero()), v)
+    return SparseMatrix(ring, A.nrows, A.ncols,
+                        [{r: v for r, v in col.items() if not ring.is_zero(v)}
+                         for col in cols])
+
+
+def neg(M: SparseMatrix) -> SparseMatrix:
+    ring = M.ring
+    return SparseMatrix(ring, M.nrows, M.ncols,
+                        [{r: ring.neg(v) for r, v in col.items()}
+                         for col in columns(M)])
+
+
+def map_matrix(f, n: int) -> SparseMatrix:
+    """The degree-n matrix of the index chain map ``f``."""
+    one = f.source.ring.one()
+    return SparseMatrix(f.source.ring, f.target.dimension(n),
+                        f.source.dimension(n), [{k: one} for k in f.images[n]])
+
+
 def supported_in_rows(M, row_indices, col_indices) -> bool:
     """True iff every column in col_indices is supported inside row_indices."""
     keep = set(row_indices)
-    return all(r in keep for j in col_indices for r in M.cols[j])
+    return all(r in keep for j in col_indices for r in M.column(j))
 
 
 def zero_anchored_by_strings(policy, ring):

@@ -67,7 +67,8 @@ def field_solve(A: SparseMatrix, b: dict):
     solution.  Returns a sparse solution dict or None (callers certify
     refusals with the rank criterion)."""
     ring = A.ring
-    *_, expr = tracked_elimination(ring, A.cols + [b])
+    *_, expr = tracked_elimination(
+        ring, [A.column(j) for j in range(A.ncols)] + [b])
     if expr is None:
         return None
     # sum_j expr[j] A_j + expr[n] b = 0, with expr[n] = 1
@@ -85,7 +86,9 @@ def field_kernel_sample(complex_, degree: int, limit: int = 10):
         dim = complex_.dimension(0)
         return [{i: ring.one()} for i in range(min(limit, dim))]
     out = []
-    for expr in tracked_elimination(ring, complex_.boundary(degree).cols):
+    M = complex_.boundary(degree)
+    for expr in tracked_elimination(
+            ring, map(M.column, range(M.ncols))):
         if expr is not None:
             out.append(expr)
             if len(out) >= limit:
@@ -127,7 +130,7 @@ def solve_is_boundary(complex_, degree: int, z: dict) -> BoundaryWitness:
         return BoundaryWitness(degree, sol)
     # refusal certificate
     aug = SparseMatrix(ring, A.nrows, A.ncols + 1,
-                       [dict(c) for c in A.cols] + [dict(z)])
+                       [A.column(j) for j in range(A.ncols)] + [dict(z)])
     return BoundaryWitness(degree, None,
                            rank_matrix=matrix_rank(A),
                            rank_augmented=matrix_rank(aug))

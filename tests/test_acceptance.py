@@ -224,8 +224,8 @@ def _degree_zero_oracle(A):
         base = mats[0]
         for M in mats[1:]:
             for t in range(M.ncols):
-                col = dict(M.cols[t])
-                for r, v in base.cols[t].items():
+                col = M.column(t)
+                for r, v in base.column(t).items():
                     cur = col.get(r, ring.zero())
                     s = ring.sub(cur, v)
                     if ring.is_zero(s):

@@ -17,6 +17,7 @@ from hyperoct.barfun import BarFunctor, EXTENDED, FULL, IDEAL
 from hyperoct.homology import compute_homology
 from hyperoct.matrices import SparseMatrix
 from hyperoct.rings import GF, QQ, ZZ, ring_by_name
+from oracles import columns
 
 RINGS = {"q": QQ, "f3": GF(3), "z": ZZ}
 
@@ -61,7 +62,7 @@ def oracle_column(C, functor, by_morphisms, n, si, t):
     src, ids = C.strings[n][si]
     fs = [C.morphisms[i] for i in ids]
     faces = [(1, (fs[0].target, tuple(fs[1:])),
-              functor.evaluate(fs[0]).cols[t])]
+              functor.evaluate(fs[0]).column(t))]
     for i in range(1, n):
         composed = cc.ifas_compose(fs[i], fs[i - 1])
         faces.append(((-1) ** i, (src, tuple(fs[:i - 1]) + (composed,)
@@ -119,7 +120,7 @@ def oracle_boundaries(C, normalized):
         cols = []
         for src, ids in C.strings[n]:
             first = ids[0]
-            fcols = functor.matrix(table[first]).cols
+            fcols = columns(functor.matrix(table[first]))
             base0 = offs[index[table.target[first], ids[1:]]]
             faces = []
             sign = -1
@@ -144,8 +145,8 @@ def oracle_boundaries(C, normalized):
 
 
 def typed(cols):
-    """Each column as its (row, value, value type) triples, in key order."""
-    return [[(r, v, type(v)) for r, v in col.items()] for col in cols]
+    """Each column as its (row, value, value type) triples, in row order."""
+    return [sorted((r, v, type(v)) for r, v in col.items()) for col in cols]
 
 
 ORACLE_KINDS = {
@@ -181,7 +182,10 @@ def test_block_arithmetic_matches_string_lookup(kind, algebra, N, D,
     C = construct(A, cx.TruncationPolicy(N, D))
     expected = oracle_boundaries(C, normalized)
     for n, cols in expected.items():
-        assert typed(C.boundary(n).cols) == typed(cols)
+        built = columns(C.boundary(n))
+        assert typed(built) == typed(cols)
+        # each column stores its leading row first
+        assert all(next(iter(col)) == max(col) for col in built if col)
 
 
 # -- the normalized epimorphism complex --------------------------------------

@@ -117,7 +117,8 @@ def test_rational_boundaries_hold_ints(algebra, monkeypatch):
         assert seen
         for cpx in seen:
             types = {type(v) for M in cpx.boundaries.values()
-                     for col in M.cols for v in col.values()}
+                     for col in map(M.column, range(M.ncols))
+                     for v in col.values()}
             assert types == {int}, pipeline
 
 

@@ -13,7 +13,8 @@ from hyperoct.homology import homology_over_field
 from hyperoct.matrices import SparseMatrix
 from hyperoct.slominska import SubsetPoset
 
-from oracles import supported_in_rows, zero_anchored_by_strings
+from oracles import (columns, map_matrix, neg, supported_in_rows,
+                     zero_anchored_by_strings)
 from solvers import field_kernel_sample, solve_is_boundary
 
 
@@ -140,6 +141,30 @@ def test_nerve_variant_certificate_and_iso():
     iso = cx.gz_nerve_iso(nerve, gz)
     assert iso.commutes_with_boundaries()
     assert homology_over_field(nerve).betti == homology_over_field(gz).betti
+
+
+def test_one_wrong_functor_entry_fails_the_relation_certificate():
+    # column x of F(g o alpha) is checked against F(g) applied to column x
+    # of F(alpha), pair by pair, so one entry changed in one matrix fails
+    A = ia.cyclic_group_algebra(2, QQ)
+    table = cx.MorphismTable(cx.DeltaHCategory(), [0, 1])
+    assert cx.relation_certificate(table, cx.BarFunctorView(
+        BarFunctor(A))).ok
+    wrong = table[max(table.hom[1, 1])]
+
+    class OneEntryOff(cx.BarFunctorView):
+        def matrix(self, f):
+            M = super().matrix(f)
+            if f != wrong:
+                return M
+            cols = columns(M)
+            r, v = next(iter(cols[0].items()))
+            cols[0][r] = v + 1 or 1
+            return SparseMatrix(M.ring, M.nrows, M.ncols, cols)
+
+    cert = cx.relation_certificate(table, OneEntryOff(BarFunctor(A)))
+    assert cert.pairs_checked == 956
+    assert 0 < cert.pairs_failed < cert.pairs_checked
 
 
 def test_degree_zero_classes_collapse():
@@ -279,14 +304,15 @@ def test_chain_theorem_over_the_integers():
     res = m.verify_chain_theorem()
     assert all(v is True for k, v in res.items() if k != "homotopy_sign")
     for M in m.c_ideal.boundaries.values():
-        assert all(isinstance(v, int) for col in M.cols for v in col.values())
+        assert all(isinstance(v, int)
+                   for col in columns(M) for v in col.values())
 
 
 def test_chi_is_identity_on_epi_strings():
     m = machinery(3)
     chi, inc = m.chi(), m.inclusion()
     for n in range(3):
-        prod = chi.matrix(n).matmul(inc.matrix(n))
+        prod = map_matrix(chi, n).matmul(map_matrix(inc, n))
         assert prod.equals(SparseMatrix.identity(QQ, m.epi.dimension(n)))
 
 
@@ -305,7 +331,7 @@ def test_cycles_differ_from_projection_by_boundaries():
     chi, inc = m.chi(), m.inclusion()
     for n in (0, 1):
         for z in field_kernel_sample(m.c_ideal, n, limit=8):
-            image = inc.matrix(n).apply(chi.matrix(n).apply(z))
+            image = map_matrix(inc, n).apply(map_matrix(chi, n).apply(z))
             diff = dict(z)
             for k, v in image.items():
                 cur = diff.get(k, QQ.zero())
@@ -348,8 +374,8 @@ def test_zero_anchored_complex_matches_the_string_oracle(N, D, ring):
               for n in range(D + 2)]
     assert cpx.dims == oracle["dims"]
     for n in range(1, D + 2):
-        rows, old = to_old[n - 1], oracle["boundaries"][n].cols
-        for j, col in enumerate(cpx.boundary(n).cols):
+        rows, old = to_old[n - 1], columns(oracle["boundaries"][n])
+        for j, col in enumerate(columns(cpx.boundary(n))):
             assert {rows[r]: v for r, v in col.items()} == old[to_old[n][j]]
     out = cx.zero_anchored_contraction(policy, ring)
     assert out["dims"] == oracle["dims"]
@@ -369,7 +395,7 @@ def test_the_zero_anchored_cap_is_checked_per_degree_before_enumeration():
 
 def test_moving_one_chi_image_fails_chi_chain_map():
     m = machinery(3)
-    images, cols = m.chi().images[1], m.epi.boundary(1).cols
+    images, cols = m.chi().images[1], columns(m.epi.boundary(1))
     images[0] = next(k for k, col in enumerate(cols) if col != cols[images[0]])
     res = m.verify_chain_theorem()
     assert res["chi_chain_map"] is False
@@ -389,7 +415,7 @@ def test_a_negated_homotopy_fails_the_homotopy_identity():
     # degree 0 fixes the sign, so negating the homotopy above it is wrong
     m = machinery(2)
     h = m.homotopy()
-    h[1] = h[1].neg()
+    h[1] = neg(h[1])
     res = m.verify_chain_theorem()
     assert res["homotopy_identity"] is False
     assert res["homotopy_sign"] == 1
@@ -408,8 +434,11 @@ def test_a_wrong_degeneracy_fails_the_zero_anchored_contraction(monkeypatch):
 def test_an_entry_across_the_summands_breaks_the_split():
     m = machinery(2)
     # a unit generator's boundary column gains an ideal row
-    col = m.nerve.boundary(1).cols[m.nerve.offsets[1][0]]
+    d1 = m.nerve.boundary(1)
+    cols = columns(d1)
+    col = cols[m.nerve.offsets[1][0]]
     col[m.ci_index[0][0]] = QQ.one()
+    m.nerve.boundaries[1] = SparseMatrix(QQ, d1.nrows, d1.ncols, cols)
     with pytest.raises(cx.ComplexError, match="splitting"):
         m._split()
 
@@ -420,8 +449,8 @@ def _index_map(source, target, images):
 
 def _product_oracle(f):
     """d_t M == M d_s on the matrices of the map, by sparse products."""
-    return all(f.target.boundary(n).matmul(f.matrix(n)).equals(
-        f.matrix(n - 1).matmul(f.source.boundary(n))) for n in (1, 2))
+    return all(f.target.boundary(n).matmul(map_matrix(f, n)).equals(
+        map_matrix(f, n - 1).matmul(f.source.boundary(n))) for n in (1, 2))
 
 
 def _complex(ring, dims, d1, d2):

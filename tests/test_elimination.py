@@ -17,6 +17,7 @@ from hyperoct.complexes import (TruncationPolicy, TruncatedComplex,
                                 build_epi_complex, reduce_mod_p)
 from hyperoct import homology as hom
 
+from oracles import columns, from_dense, from_entries
 from solvers import field_kernel_sample, field_solve
 
 PRIMES = (2, 3, 5, 2147483647)
@@ -65,11 +66,11 @@ def oracle_rank(rows, p=None):
 
 def over(ring, rows):
     if ring == QQ:
-        return SparseMatrix.from_dense(QQ, [[Fraction(v) for v in r]
+        return from_dense(QQ, [[Fraction(v) for v in r]
                                             for r in rows])
     if ring == ZZ:
-        return SparseMatrix.from_dense(ZZ, rows)
-    return SparseMatrix.from_dense(ring, [[v % ring.p for v in r]
+        return from_dense(ZZ, rows)
+    return from_dense(ring, [[v % ring.p for v in r]
                                           for r in rows])
 
 
@@ -125,21 +126,21 @@ def test_kernel_callers_leave_their_columns_as_they_were(pair, ring):
     # the kernel reads a column of nonzero ints as it is, uncopied, so
     # no caller may change the columns it is given
     if ring == QQ:
-        d_prev, d_n = (SparseMatrix.from_dense(QQ, rows) for rows in pair)
+        d_prev, d_n = (from_dense(QQ, rows) for rows in pair)
     else:
         d_prev, d_n = (over(ring, [[int(v) for v in row] for row in rows])
                        for rows in pair)
-    before = copy.deepcopy((d_prev.cols, d_n.cols))
+    before = copy.deepcopy((columns(d_prev), columns(d_n)))
     if ring.is_field:
         hom.field_rank(d_n)
-        field_solve(d_prev, d_prev.cols[0])
+        field_solve(d_prev, d_prev.column(0))
     else:
         hom.integer_rank(d_n)
     try:
         hom.check_dsquared_pair(d_prev, d_n, 1)
     except hom.HomologyError:
         pass
-    assert (d_prev.cols, d_n.cols) == before
+    assert (columns(d_prev), columns(d_n)) == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,12 +193,12 @@ def test_echelon_first_stream_matches_the_oracle(rows, dups, zeros, slack):
     rows = [r + [r[d % nc] for d in dups] + [0] * zeros for r in rows]
     nr, nc = len(rows), len(rows[0])
     cols = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(nc)]
-    order = list(hom._fresh_first(iter(cols)))
-    assert sorted(map(id, order)) == sorted(map(id, cols))
+    order = list(hom._fresh_first(SparseMatrix(QQ, nr, nc, cols)))
+    assert sorted(order) == list(range(nc))
     first = order[:len({max(c) for c in cols if c})]
-    assert all(first) and len({max(c) for c in first}) == len(first)
-    assert order[len(first):] == [c for c in cols
-                                  if not any(c is f for f in first)]
+    assert all(cols[j] for j in first)
+    assert len({max(cols[j]) for j in first}) == len(first)
+    assert order[len(first):] == [j for j in range(nc) if j not in first]
     for ring, p in ((QQ, None), (GF(2), 2), (GF(5), 5),
                     (GF(2147483647), 2147483647)):
         rank = oracle_rank(rows, p)
@@ -205,8 +206,8 @@ def test_echelon_first_stream_matches_the_oracle(rows, dups, zeros, slack):
         # the kernel streams the columns, and the row count caps the rank
         vecs = [{k: w for k, v in enumerate(col) if (w := v % p if p else v)}
                 for col in zip(*rows)]
-        ordered = [[vec.get(k, 0) for k in range(nr)]
-                   for vec in hom._fresh_first(vecs)]
+        ordered = [[vecs[j].get(k, 0) for k in range(nr)] for j in
+                   hom._fresh_first(SparseMatrix(ring, nr, nc, vecs))]
         for bound in (None, rank + slack):
             limit = nr if bound is None else min(bound, nr)
             # the stream takes columns until its prefix has rank ``limit``,
@@ -312,8 +313,8 @@ def test_gauss_jordan_stream_on_planted_rank_matrices(rows, slack, rnd):
         M = over(ring, rows)
         vecs = [{k: w for k, v in enumerate(col) if (w := v % p if p else v)}
                 for col in zip(*rows)]
-        ordered = [[vec.get(k, 0) for k in range(nr)]
-                   for vec in hom._fresh_first(vecs)]
+        ordered = [[vecs[j].get(k, 0) for k in range(nr)] for j in
+                   hom._fresh_first(SparseMatrix(ring, nr, nc, vecs))]
         cols = streamed_prefix(ordered, min(rank + slack, nr), p)
         stats = {}
         assert hom._rank(M, rank + slack, stats) == rank
@@ -365,10 +366,10 @@ def oracle_dsquared_pair(d_prev, d_n, n):
     common scale."""
     p = hom._modulus(d_n.ring)
     scales = []
-    prev = list(hom._columns(d_prev.cols, p, scales))
+    prev = list(hom._columns(columns(d_prev), p, scales))
     common = lcm(*scales)
     weight = [common // s for s in scales]
-    for col in hom._columns(d_n.cols, p):
+    for col in hom._columns(columns(d_n), p):
         acc = {}
         for k, v in col.items():
             v *= weight[k]
@@ -450,9 +451,11 @@ def test_dsquared_certificate_matches_the_oracle(data):
     if ring.characteristic:
         # any integer representative of a residue is read as that residue
         p = ring.characteristic
-        for col in d_n.cols:
+        cols = columns(d_n)
+        for col in cols:
             for k in col:
                 col[k] -= p * (k % 3)
+        d_n = SparseMatrix(ring, d_n.nrows, d_n.ncols, cols)
         assert verdicts(d_prev, d_n) == (oracle, oracle)
 
 
@@ -726,7 +729,7 @@ def elementary_complexes(draw):
             d[r][c] = k
         U, V = bases[n - 1][0], bases[n][1]
         d = matmul(matmul(U, d), V) if dims[n] and dims[n - 1] else d
-        mats[n] = SparseMatrix.from_entries(
+        mats[n] = from_entries(
             ZZ, dims[n - 1], dims[n],
             [(i, j, v) for i, row in enumerate(d) for j, v in enumerate(row)
              if v])
@@ -853,7 +856,7 @@ def planted_torsion_complexes(draw):
 def integer_complex(dims, rows):
     """The complex of dense integer boundaries ``rows[n]`` (empty when a
     dimension is 0), with a zero top boundary."""
-    mats = {n: SparseMatrix.from_entries(
+    mats = {n: from_entries(
         ZZ, dims[n - 1], dims[n],
         [(i, j, v) for i, row in enumerate(d) for j, v in enumerate(row)
          if v]) for n, d in rows.items()}

@@ -12,6 +12,7 @@ from hyperoct.complexes import (TruncationPolicy, TruncatedComplex,
 from hyperoct.invalg import cyclic_group_algebra
 from hyperoct import homology as hom
 
+from oracles import from_dense
 from solvers import solve_is_boundary
 
 
@@ -26,7 +27,7 @@ def toy_complex(ring, dims, dense_boundaries=None):
         if rows is None:
             boundaries[n] = SparseMatrix(ring, dims[n - 1], dims[n])
         else:
-            boundaries[n] = SparseMatrix.from_dense(ring, rows)
+            boundaries[n] = from_dense(ring, rows)
     return TruncatedComplex(ring, policy, dims, boundaries, label="toy")
 
 
@@ -48,8 +49,8 @@ def test_rank_routines_agree():
     for _ in range(40):
         nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
         rows = [[rng.randrange(-4, 5) for _ in range(nc)] for _ in range(nr)]
-        Mq = SparseMatrix.from_dense(QQ, [[Fraction(v) for v in r] for r in rows])
-        Mz = SparseMatrix.from_dense(ZZ, rows)
+        Mq = from_dense(QQ, [[Fraction(v) for v in r] for r in rows])
+        Mz = from_dense(ZZ, rows)
         # dense rank oracle by row reduction over fractions
         dense = [[Fraction(v) for v in r] for r in rows]
         rank = 0
@@ -68,7 +69,7 @@ def test_rank_routines_agree():
         assert hom.field_rank(Mq) == rank
         assert hom.integer_rank(Mz) == rank
         p = 5
-        Mp = SparseMatrix.from_dense(GF(p), [[v % p for v in r] for r in rows])
+        Mp = from_dense(GF(p), [[v % p for v in r] for r in rows])
         assert hom.field_rank(Mp) <= rank
 
 
@@ -81,9 +82,9 @@ def test_snf_torsion_of_multiplication_by_two():
 
 
 def test_invariant_factors_of_diagonal():
-    M = SparseMatrix.from_dense(ZZ, [[1, 0, 0], [0, 2, 0], [0, 0, 6]])
+    M = from_dense(ZZ, [[1, 0, 0], [0, 2, 0], [0, 0, 6]])
     assert hom.invariant_factors(M) == [2, 6]
-    M2 = SparseMatrix.from_dense(ZZ, [[4, 0], [0, 6]])
+    M2 = from_dense(ZZ, [[4, 0], [0, 6]])
     assert hom.invariant_factors(M2) == [2, 12]
 
 
@@ -92,7 +93,7 @@ def test_mod_two_reduction_matches_direct_assembly():
     tensored = tensor_with_coefficients(C, CoefficientModule(0, (2,)))
     comp = tensored.components[0][1]
     assert comp.ring == GF(2)
-    direct = SparseMatrix.from_dense(GF(2), [[0, 1], [0, 0]])
+    direct = from_dense(GF(2), [[0, 1], [0, 0]])
     assert comp.boundary(1).equals(direct)
     res = hom.homology_over_field(comp)
     assert res.betti == [1, 1]

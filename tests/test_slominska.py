@@ -23,7 +23,7 @@ from hyperoct.croscat import (hyp_compose, hyp_group_order, hyp_identity,
 from hyperoct.homology import field_rank, homology_over_field
 from hyperoct.invalg import _invert_matrix
 from hyperoct.matrices import SparseMatrix
-from oracles import hyp_enumerate, hyp_inverse
+from oracles import columns, hyp_enumerate, hyp_inverse
 
 
 def c3_spec(rows):
@@ -162,7 +162,7 @@ def averaging_projector(X, functor):
             continue
         twisted = [chain_index[act_on_chain(gs, chain)] for gs in group]
         seen.update(chains[i] for i in twisted)
-        tensors = [functor.evaluate(hyp_to_ifas(gs[0])).cols for gs in group]
+        tensors = [columns(functor.evaluate(hyp_to_ifas(gs[0]))) for gs in group]
         for t in range(tdim):
             col = {}
             for ci, tensor in zip(twisted, tensors):
@@ -175,9 +175,9 @@ def averaging_projector(X, functor):
 
 
 def test_poset_objects():
-    S = sl.build_S0(0)
+    S = sl.SubsetPoset(0)
     assert S.objects() == [(0,)]
-    S1 = sl.build_S0(1)
+    S1 = sl.SubsetPoset(1)
     assert S1.objects() == [(0,), (0, 1), (1,)]
     # exactly two non-identity arrows out of the two-element chain
     outgoing = [Y for Y in S1.objects()
@@ -187,7 +187,7 @@ def test_poset_objects():
 
 
 def test_poset_composition_transitive():
-    S = sl.build_S0(2)
+    S = sl.SubsetPoset(2)
     for X in S.objects():
         for Y in S.objects():
             for Z in S.objects():
@@ -238,7 +238,7 @@ def test_action_is_a_group_action():
 
 
 def test_action_naturality_exhaustive_at_n1():
-    S = sl.build_S0(1)
+    S = sl.SubsetPoset(1)
     for X in S.objects():
         for Y in S.objects():
             if S.hom(X, Y):
@@ -246,7 +246,7 @@ def test_action_naturality_exhaustive_at_n1():
 
 
 def test_action_naturality_sampled_at_n2():
-    S = sl.build_S0(2)
+    S = sl.SubsetPoset(2)
     for X in S.objects():
         for Y in S.objects():
             if S.hom(X, Y) and X != Y:
@@ -270,7 +270,7 @@ def test_quotient_dimension_is_the_projector_rank(tag):
     # the quotient by (s - 1)e over a generating set s has the dimension
     # of the image of the average over the whole group
     functor = BarFunctor(ia.adapt_basis_to_augmentation(algebra(tag)), IDEAL)
-    for X in sl.build_S0(2).objects():
+    for X in sl.SubsetPoset(2).objects():
         module = sl.CoinvariantModule(X, functor)
         assert module.dim == field_rank(averaging_projector(X, functor)), X
 
@@ -279,7 +279,7 @@ def test_delta_chains_are_a_transversal_of_the_free_action():
     # K, every automorphism factor but the last, acts freely on epi chains
     # and each orbit holds one Delta-chain: the normal form sends the epi
     # chains onto the Delta-chains with every fibre of size |K|
-    for X in sl.build_S0(3).objects():
+    for X in sl.SubsetPoset(3).objects():
         if len(X) > 3:
             continue
         ys = sl.chain_objects(X)
@@ -357,7 +357,7 @@ def test_slominska_complex_dsquared():
 
 
 def test_coinvariant_functor_is_functorial():
-    S = sl.build_S0(2)
+    S = sl.SubsetPoset(2)
     for tag in ("c3", *TWISTED):
         view = sl.CoinvariantFunctorView(algebra(tag))
         for X in S.objects():
