@@ -514,8 +514,8 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
     composites = table.composites
     compose = table.compose
     # per first morphism: its functor columns, reduced once, each as its
-    # rows (largest first) and values; all their rows and all their values
-    # in one list each; and the numbered tuple of their lengths
+    # rows (largest first, as stored) and values; all their rows and all
+    # their values in one list each; and the numbered tuple of their lengths
     face0 = [None] * size
     # string layouts (``_string_layout``), and the functor column lengths
     # they depend on, numbered
@@ -566,10 +566,14 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
                 entry = face0[first]
                 if entry is None:
                     F = functor.matrix(table[first])
-                    fcols = [_reduced(F.column(t), p) for t in range(F.ncols)]
-                    fcols = [(rs, list(map(col.__getitem__, rs)))
-                             for col in fcols
-                             for rs in [sorted(col, reverse=True)]]
+                    fr = F.rows.tolist()
+                    fv = [v % p for v in F.vals] if p else list(F.vals)
+                    fcols = [(fr[a:b], fv[a:b])
+                             for a, b in zip(F.starts, F.starts[1:])]
+                    if 0 in fv:
+                        # a value that vanishes mod p goes
+                        fcols = [lead_first(dict(zip(*col))) for col in fcols]
+                        fcols = [(list(c), list(c.values())) for c in fcols]
                     lengths = tuple(len(rs) for rs, _ in fcols)
                     entry = face0[first] = (
                         fcols, [r for rs, _ in fcols for r in rs],

@@ -118,7 +118,8 @@ class SparseMatrix:
             cols = [{}] * ncols
         if len(cols) != ncols:
             raise ValueError("column count mismatch")
-        cols = [lead_first(col) for col in cols]
+        cols = [{max(col): 0, **col} if col and 0 not in col.values()
+                else lead_first(col) for col in cols]
         self.ring, self.nrows, self.ncols = ring, nrows, ncols
         self.starts = array("q", list(accumulate(map(len, cols), initial=0)))
         self.rows = row_array(nrows)
