@@ -235,7 +235,7 @@ def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int):
                         "homotopy_vanishes_on_epi_image"):
                 verifications[key] = "pass" if theorem[key] else "fail"
             payload["homotopy_sign"] = theorem["homotopy_sign"]
-            _, _, _, ck_ids = machinery.unit_summand_contraction()
+            _, ck_ids = machinery.unit_summand_contraction()
             verifications["unit_contraction_degree0"] = (
                 "pass" if ck_ids.get(0, False) else "fail")
             anchored = zero_anchored_contraction(policy, ring,

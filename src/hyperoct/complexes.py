@@ -1214,18 +1214,19 @@ class ReducedMachinery:
     # -- contraction of the unit summand ---------------------------------------
 
     def unit_summand_contraction(self):
-        """Degree-raising maps for the unit summand, built from the canonical
-        point-zero section, together with the augmentation and its section.
+        """``(h, identities)``: the degree-raising maps of the unit summand,
+        built from the canonical point-zero section, as index maps (``h[n]``
+        sends generator j of degree n to generator ``h[n][j]`` of degree
+        n + 1), and per degree whether the contraction identity holds
+        (``_contraction_identities``, with the augmentation onto one point
+        and its section).
 
         The degree-zero identity d h0 = id - (section o augmentation) holds
         exactly; in higher degrees the corresponding identity is a statement
         about the pre-quotient complex of strings anchored at the smallest
         object (see zero_anchored_contraction) and is reported, not assumed,
         on the quotient."""
-        ring = self.ring
-        one = ring.one()
         D = self.policy.max_degree
-        dims = self.c_unit.dims
         h = {}
         for n in range(D + 1):
             index = self.nerve.string_index(n + 1)
@@ -1238,15 +1239,8 @@ class ReducedMachinery:
                 h[n].append(row)
         # the section of the augmentation
         eta_row = self.nerve.string_index(0)[0, ()]
-        identity_by_degree = _contraction_identities(
-            self.c_unit.boundary, h, eta_row, ring.characteristic, D)
-        return ({n: SparseMatrix(ring, dims[n + 1], dims[n],
-                                 [{k: one} for k in images])
-                 for n, images in h.items()},
-                SparseMatrix(ring, 1, dims[0],
-                             [{0: one} for _ in range(dims[0])]),
-                SparseMatrix(ring, dims[0], 1, [{eta_row: one}]),
-                identity_by_degree)
+        return h, _contraction_identities(
+            self.c_unit.boundary, h, eta_row, self.ring.characteristic, D)
 
 
 def _contraction_identities(boundary, h, eta_row: int, p: int,

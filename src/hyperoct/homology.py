@@ -8,7 +8,7 @@ column is reduced in one pass over its own entries and is dependent
 exactly when nothing is left of it.  The stream stops once the rank
 reaches a caller's bound; a complex bounds rank d_n by dim ker d_{n-1},
 which it certifies first by checking d_{n-1} d_n = 0 exactly, on integer
-columns scaled as the kernel's are.  The check, ``check_dsquared_pair``,
+columns read by ``_integers``.  The check, ``check_dsquared_pair``,
 is Kronecker substitution: each column of d_{n-1} is packed into one
 Python int with a fixed-width slot per row, so a column of the product is
 a sum of one big-integer multiple per nonzero of d_n, and a zero test (or,
@@ -400,51 +400,46 @@ def integer_rank(M: SparseMatrix) -> int:
     return _rank(M)
 
 
-def _scaled(col) -> dict:
-    """A column over Q with a ``Fraction`` entry, scaled to ints."""
-    return next(_columns((col,), 0))
-
-
-def _column_norm(col) -> int:
-    """Sum of the absolute values of a column over Q or Z, at its integer
-    scale.  A sum with a ``Fraction`` in it is a ``Fraction``."""
-    norm = sum(map(abs, col.values()))
-    return norm if type(norm) is int else _column_norm(_scaled(col))
-
-
-def _norm(M: SparseMatrix) -> int:
-    """max_j sum_k |v_jk| over the columns of ``M`` (over Q or Z) at their
-    integer scale: with int64 values, one C-level ``sum`` per column of
-    the |v| stream; otherwise column by column."""
-    if type(M.vals) is list:
-        return max(map(_column_norm, map(M.column, range(M.ncols))),
-                   default=0)
-    return max(map(sum, map(islice, repeat(map(abs, M.vals)), _lengths(M))),
-               default=0)
-
-
-def _integer_values(M: SparseMatrix):
-    """The values of ``M`` (over Q or Z) as ints, aligned with ``M.rows``:
-    the values themselves when int64, else each column scaled to ints
-    (``_columns``) and weighted to the common scale of all columns."""
+def _integers(M: SparseMatrix, p: int):
+    """``(values, held)``: the values of ``M`` as ints, aligned with
+    ``M.rows``, read mod ``p`` (0 over Q and Z, as ``_modulus``), and a
+    collection of them that has their largest absolute value, for a caller
+    that needs it.  Mod p every residue is lifted once per distinct value
+    to (-p/2, p/2], ``held`` being the lifts and the values a lazy map over
+    them; over Q and Z int64 values are read as stored, and a matrix with a
+    ``Fraction`` value has each column scaled to ints (``_columns``) and
+    weighted to the common scale of all its columns, so it is read as one
+    integer multiple of itself."""
+    if p:
+        h = (p - 1) // 2
+        lift = {v: (v + h) % p - h for v in set(M.vals)}
+        return map(lift.__getitem__, M.vals), lift.values()
     if type(M.vals) is not list:
-        return M.vals
+        return M.vals, M.vals
     scales: list = []
     cols = list(_columns(map(M.column, range(M.ncols)), 0, scales))
     common = lcm(*scales)
-    return [w * (common // s) for col, s in zip(cols, scales)
-            for w in col.values()]
+    values = [w * (common // s) for col, s in zip(cols, scales)
+              for w in col.values()]
+    return values, values
+
+
+def _norm(M: SparseMatrix, values) -> int:
+    """max_j sum_k |v_jk| over the columns of ``M``, ``values`` its values
+    read as ints (``_integers``): one C-level ``sum`` per column of the |v|
+    stream."""
+    return max(map(sum, map(islice, repeat(map(abs, values)), _lengths(M))),
+               default=0)
 
 
 def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
     """Raise unless d_prev d_n = 0, exactly, by packed integer sums.
 
-    The entries w of d_prev are integers: over Q each column is scaled by
-    ``_columns`` and weighted to the common scale, so the product checked
-    is an integer multiple of the true one, column by column; over F_p they
-    are residues lifted to (-p/2, p/2].  The entries v of d_n are read as
-    they are (lifted the same way over F_p; a column with a ``Fraction``
-    entry is scaled to ints).  Column k of d_prev becomes one int
+    The entries w of d_prev and v of d_n are read as integers by
+    ``_integers``: over F_p residues lifted to (-p/2, p/2]; over Q a
+    matrix with a ``Fraction`` entry at the common integer scale of its
+    columns, so the product checked is a nonzero integer multiple of the
+    true one.  Column k of d_prev becomes one int
     P_k = sum_r w_rk 2^(B r), a B-bit slot per row, and column j of the
     product becomes X_j = sum_k v_jk P_k = sum_r c_rj 2^(B r): one
     big-integer multiply-add per nonzero of d_n (a plain add for +-1).
@@ -452,11 +447,11 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
 
         bound = max |w| * N,   N >= max_j sum_k |v_jk|,   so |c_rj| <= bound,
 
-    either test below is exact.  Over F_p, N = L * max |v|, L the longest
-    column of d_n and max |v| read off the lift, which is built once per
-    distinct value.  Over Q and Z, N is max_j sum_k |v_jk| itself, each
-    column at its integer scale (``_norm``), because a looser N widens
-    every slot.
+    either test below is exact, since the bound is taken on the integers
+    read, not on the entries they stand for.  Over F_p, N = L * max |v|, L
+    the longest column of d_n and max |v| read off the lifts, one per
+    distinct value.  Over Q and Z, N is max_j sum_k |v_jk| itself
+    (``_norm``), because a looser N widens every slot.
 
     Zero test (Q, Z, and F_p when bound < p): B = bound.bit_length(), so
     |c_rj| < 2^B.  X_j = 0 iff every c_rj = 0: at the lowest r0 with
@@ -477,18 +472,14 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
     d_r = p z_r.  So column j vanishes mod p iff p | Y_j and
     (Y_j / p) & HIGH = 0."""
     p = _modulus(d_n.ring)
+    w, held = _integers(d_prev, p)
+    values, held_n = _integers(d_n, p)
     if p:
-        h = (p - 1) // 2
-        lift = {v: (v + h) % p - h for v in set(d_n.vals)}
-        norm = max(_lengths(d_n), default=0) * max(
-            map(abs, lift.values()), default=0)
-        lifted = {v: (v + h) % p - h for v in set(d_prev.vals)}
-        w = map(lifted.__getitem__, d_prev.vals)
-        bound = norm * max(map(abs, lifted.values()), default=0)
+        norm = max(_lengths(d_n), default=0) * max(map(abs, held_n),
+                                                   default=0)
     else:
-        lift = None
-        w = _integer_values(d_prev)
-        bound = _norm(d_n) * max(map(abs, w), default=0)
+        norm = _norm(d_n, values)
+    bound = norm * max(map(abs, held), default=0)
     if not bound:
         return
     B, OFF, HIGH = _slots(bound, p, d_prev.nrows)
@@ -499,8 +490,8 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
         for r, v in islice(entries, length):
             x += v << B * r
         packed.append(x)
-    if not all(zero for _, zero in _vanishing(packed, d_n, lift, p, OFF,
-                                              HIGH)):
+    if not all(zero for _, zero in _vanishing(packed, d_n, values, p,
+                                              OFF, HIGH)):
         raise HomologyError(f"d{n - 1} d{n} is not zero: not a chain complex")
 
 
@@ -523,16 +514,14 @@ def _lengths(M: SparseMatrix):
     return map(sub, M.starts[1:], M.starts[:-1])
 
 
-def _vanishing(packed: list, M: SparseMatrix, lift: dict | None, p: int,
-               OFF: int, HIGH: int, wanted=None):
+def _vanishing(packed: list, M: SparseMatrix, values, p: int, OFF: int,
+               HIGH: int, wanted=None):
     """Per column c of ``M`` (each in ``wanted``, when given), in one pass
     over its arrays: its index and whether X = sum_k c_k packed[k] has
     every slot zero (mod p by the offset test when ``OFF``; slot constants
-    of ``_slots``).  ``lift`` maps each value to the integer it stands for
-    mod p; without it values are read as they are, a column with a
-    ``Fraction`` entry at its integer scale."""
-    vals = M.vals if lift is None else map(lift.__getitem__, M.vals)
-    entries = zip(M.rows, vals)
+    of ``_slots``), ``values`` the values of ``M`` read as ints
+    (``_integers``)."""
+    entries = zip(M.rows, values)
     for j, length in enumerate(_lengths(M)):
         if wanted is not None and j not in wanted:
             next(islice(entries, length, length), None)
@@ -546,8 +535,6 @@ def _vanishing(packed: list, M: SparseMatrix, lift: dict | None, p: int,
                 x -= packed[k]
             else:
                 x += v * packed[k]
-        if type(x) is not int:
-            x = sum(v * packed[k] for k, v in _scaled(M.column(j)).items())
         if OFF:
             q, r = divmod(x + OFF, p)
             x = r or q & HIGH
@@ -698,8 +685,9 @@ def _witness_flags(M: SparseMatrix, rest: list, tails: dict, lattice,
     as in ``check_dsquared_pair``: W_f = 2^(B f) on a free row, and on a
     leading row the packed sum of its pivot's tail, so W_q and W_r are
     linear in the W_i and no slot is reduced.  With every residue lifted to
-    (-p/2, p/2], a slot of W holds at most ``ybound`` in absolute value,
-    and slot f of sum_k c_k W_k, which is witness f on column c, at most
+    (-p/2, p/2], the values of ``M`` read at p by ``_integers``, a slot of
+    W holds at most ``ybound`` in absolute value, and slot f of
+    sum_k c_k W_k, which is witness f on column c, at most
     L max|c_k| ybound, L the longest column."""
     h = (p - 1) // 2
     pivots: dict = {}
@@ -718,9 +706,9 @@ def _witness_flags(M: SparseMatrix, rest: list, tails: dict, lattice,
             ybound = max(ybound, sum(
                 abs(x) * (most if i in pivots else 1) for i, x in terms))
     # a bound over every column of M, so one pass reads them all
-    lift = {v: (v + h) % p - h for v in set(M.vals)}
-    bound = max(_lengths(M), default=0) * max(
-        map(abs, lift.values()), default=0) * ybound
+    values, held = _integers(M, p)
+    bound = max(_lengths(M), default=0) * max(map(abs, held),
+                                              default=0) * ybound
     if not bound:
         return []
     B, OFF, HIGH = _slots(bound, p, len(free))
@@ -731,7 +719,7 @@ def _witness_flags(M: SparseMatrix, rest: list, tails: dict, lattice,
         packed[q] = -sum(w * packed[i] for i, w in t.items())
     for r, terms in units.items():
         packed[r] = -sum(x * packed[i] for i, x in terms)
-    return [j for j, zero in _vanishing(packed, M, lift, p, OFF, HIGH,
+    return [j for j, zero in _vanishing(packed, M, values, p, OFF, HIGH,
                                         set(rest)) if not zero]
 
 

@@ -12,8 +12,8 @@ entry costs 12 bytes, where a dict per column cost 70 to 90.
 
 The arrays are the only form: ``column(j)`` builds column j as a dict for
 a reader that needs one, and the kernels read the arrays.  The constructor
-converts a list of dict columns once (small matrices, tests); a large
-matrix is written column by column by a ``ColumnWriter``
+writes a list of dict columns through a ``ColumnWriter`` at once (small
+matrices, tests); a large matrix is written column by column by one
 (``complexes.build_gz_complex``), so no list of its dict columns exists.
 """
 from __future__ import annotations
@@ -118,17 +118,12 @@ class SparseMatrix:
             cols = [{}] * ncols
         if len(cols) != ncols:
             raise ValueError("column count mismatch")
-        cols = [{max(col): 0, **col} if col and 0 not in col.values()
-                else lead_first(col) for col in cols]
+        writer = ColumnWriter(nrows)
+        writer.extend(list(map(lead_first, cols)))
+        writer.flush()
         self.ring, self.nrows, self.ncols = ring, nrows, ncols
-        self.starts = array("q", list(accumulate(map(len, cols), initial=0)))
-        self.rows = row_array(nrows)
-        self.rows.fromlist(list(chain.from_iterable(cols)))
-        vals = list(chain.from_iterable(map(dict.values, cols)))
-        try:
-            self.vals = array("q", vals)
-        except (TypeError, OverflowError):
-            self.vals = vals
+        self.starts, self.rows, self.vals = (writer.starts, writer.rows,
+                                             writer.vals)
 
     @classmethod
     def from_arrays(cls, ring: Ring, nrows: int, ncols: int, starts, rows,

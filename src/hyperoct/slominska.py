@@ -285,7 +285,6 @@ class CoinvariantFunctorView:
             raise SlominskaError("the pipeline needs a characteristic-zero field")
         self.bar = BarFunctor(self.algebra, IDEAL)
         self._modules = {}
-        self._matrices = {}
 
     def module(self, X) -> CoinvariantModule:
         m = self._modules.get(X)
@@ -298,9 +297,6 @@ class CoinvariantFunctorView:
         return self.module(X).dim
 
     def matrix(self, f: PosetMorphism) -> SparseMatrix:
-        cached = self._matrices.get(f)
-        if cached is not None:
-            return cached
         ring = self.ring
         src = self.module(f.source)
         tgt = self.module(f.target)
@@ -316,9 +312,7 @@ class CoinvariantFunctorView:
                 image = {base + r: w for r, w in
                          self.bar.evaluate(transport).column(t).items()}
             cols.append(tgt.coordinates(image))
-        out = SparseMatrix(ring, tgt.dim, src.dim, cols)
-        self._matrices.setdefault(f, out)
-        return out
+        return SparseMatrix(ring, tgt.dim, src.dim, cols)
 
 
 def slominska_complex(algebra: InvolutiveAlgebra, policy: TruncationPolicy,

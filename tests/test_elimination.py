@@ -880,6 +880,11 @@ def smith_summary(diag):
 # column 0 of d1 is a lattice vector until column 1 makes a unit on its
 # row; seeding it too would drop all of d2
 @example(([1, 2, 1], {1: [[2, 1]], 2: [[1], [-2]]}))
+# the witness for the torsion [3] reads entries such as 82 and -34, whose
+# slot sums stay within its bound only as their lifts to (-3/2, 3/2]
+@example(([3, 8], {1: [[5, 82, -6, 0, 5, 5, 5, -26],
+                       [0, 3, 0, 0, 0, 0, 0, 1],
+                       [-2, -34, 3, 0, -2, -2, -2, 10]]}))
 def test_seeded_bounded_smith_streams_match_plain_ones(data):
     # the stream of each d_n, cleared by the unit pivot columns of d_{n-1}
     # and stopped at dim C_{n-1} - rank d_{n-1} with its torsion certified
