@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__
 from .rings import Ring, ZZ, GF, ring_by_name, RingError
@@ -137,18 +137,13 @@ def load_algebra(source: str, ring: Ring) -> InvolutiveAlgebra:
 # jobs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class JobSpec:
-    algebra_source: str
-    ring_name: str
-    pipeline: str
-    n_values: list
-    max_degree: int
-    coefficients: str | None = None
-    verify: bool = False
-    max_generators: int = DEFAULT_MAX_GENERATORS
+class JobSpec(namedtuple("JobSpec", "algebra_source ring_name pipeline "
+                         "n_values max_degree coefficients verify "
+                         "max_generators",
+                         defaults=(None, False, DEFAULT_MAX_GENERATORS))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.pipeline not in PIPELINES:
             raise SpecError(f"pipeline: unknown pipeline {self.pipeline!r}")
         try:

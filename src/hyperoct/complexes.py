@@ -96,7 +96,7 @@ import itertools
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from operator import add, itemgetter, sub
 
@@ -127,17 +127,16 @@ class ResourceCapExceeded(ComplexError):
             f"exceed the cap of {cap}")
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(namedtuple("TruncationPolicy", "max_object max_degree")):
     """Objects 0..max_object, homology degrees 0..max_degree; matrices are
     assembled one degree higher than max_degree."""
 
-    max_object: int
-    max_degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_object < 0 or self.max_degree < 0:
+    def __new__(cls, max_object: int, max_degree: int):
+        if max_object < 0 or max_degree < 0:
             raise ComplexError("truncation parameters must be non-negative")
+        return tuple.__new__(cls, (max_object, max_degree))
 
     def tag(self):
         return f"(N={self.max_object}, D={self.max_degree})"
@@ -650,8 +649,8 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
 # under-category variant and its certificate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RelationCertificate:
+class RelationCertificate(namedtuple("RelationCertificate",
+                                     "pairs_checked pairs_failed")):
     """Record that the normal-form retraction kills the tensor relations.
 
     A relation column is indexed by a composable pair (alpha, g) with a
@@ -664,8 +663,7 @@ class RelationCertificate:
     by column, with no product matrix: column x of F(g o alpha) against
     F(g) applied to column x of F(alpha)."""
 
-    pairs_checked: int
-    pairs_failed: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -754,21 +752,18 @@ def _id_minus(first, second, p: int, sign: int = 1) -> list:
             for j, i in enumerate(first)]
 
 
-@dataclass
-class ChainMap:
+class ChainMap(namedtuple("ChainMap", "source target images label")):
     """A chain map that sends each generator to one generator with
     coefficient one: ``images[n][j]`` is the target index of the degree-n
     generator j (see the module docstring)."""
 
-    source: TruncatedComplex
-    target: TruncatedComplex
-    images: dict
-    label: str = "chain map"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(len(self.images[n]) != d
-               for n, d in enumerate(self.source.dims)):
-            raise ComplexError(f"{self.label}: images do not fit the source")
+    def __new__(cls, source: TruncatedComplex, target: TruncatedComplex,
+                images: dict, label: str = "chain map"):
+        if any(len(images[n]) != d for n, d in enumerate(source.dims)):
+            raise ComplexError(f"{label}: images do not fit the source")
+        return tuple.__new__(cls, (source, target, images, label))
 
     def commutes_with_boundaries(self) -> bool:
         """d_t M = M d_s: column j of d_t M is the target boundary's column
@@ -809,36 +804,32 @@ def gz_nerve_iso(nerve: TruncatedComplex, gz: TruncatedComplex) -> ChainMap:
 # coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientModule:
+class CoefficientModule(namedtuple("CoefficientModule", "free_rank torsion")):
     """Finitely generated coefficients: free rank plus prime torsion orders.
 
     Torsion moduli are restricted to primes so that every component complex
     lives over a field or over the integers."""
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple = ()):
+        if free_rank < 0:
             raise ComplexError("negative free rank")
-        for m in self.torsion:
+        for m in torsion:
             try:
                 GF(m)
             except RingError:
                 raise ComplexError(f"torsion order {m} is not prime")
+        return tuple.__new__(cls, (free_rank, torsion))
 
 
-@dataclass
-class TensoredComplex:
+class TensoredComplex(namedtuple("TensoredComplex", "base module components")):
     """Degreewise tensor with a coefficient module, componentwise.
 
     components: list of (multiplicity, complex); homology of the tensored
     complex is the direct sum over components with multiplicity."""
 
-    base: TruncatedComplex
-    module: CoefficientModule
-    components: list
+    __slots__ = ()
 
     def dimension(self, n):
         return sum(mult * c.dimension(n) for mult, c in self.components)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial
 
@@ -68,24 +68,23 @@ def perm_identity(points: int) -> tuple:
 # hyperoctahedral group elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypElement:
+class HypElement(namedtuple("HypElement", "signs perm")):
     """Element of the signed-permutation group on ``n + 1`` letters.
 
     ``signs[i]`` is the label attached to letter ``i`` before the permutation
     moves it; ``perm`` is one-line notation.
     """
 
-    signs: tuple
-    perm: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.signs) != len(self.perm):
+    def __new__(cls, signs: tuple, perm: tuple):
+        if len(signs) != len(perm):
             raise CategoryError("signs/perm length mismatch")
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise CategoryError(f"{self.perm} is not a permutation")
-        if any(z not in (0, 1) for z in self.signs):
+        if sorted(perm) != list(range(len(perm))):
+            raise CategoryError(f"{perm} is not a permutation")
+        if any(z not in (0, 1) for z in signs):
             raise CategoryError("labels must be 0 or 1")
+        return tuple.__new__(cls, (signs, perm))
 
     @property
     def n(self) -> int:
@@ -155,21 +154,19 @@ def hyp_closure(generators) -> set:
 # order-preserving maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeltaMorphism:
+class DeltaMorphism(namedtuple("DeltaMorphism", "source target values")):
     """Order-preserving map [n] -> [m], stored by its value tuple."""
 
-    source: int
-    target: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != self.source + 1:
+    def __new__(cls, source: int, target: int, values: tuple):
+        if len(values) != source + 1:
             raise CategoryError("value tuple length mismatch")
-        if any(not 0 <= v <= self.target for v in self.values):
+        if any(not 0 <= v <= target for v in values):
             raise CategoryError("value out of range")
-        if any(self.values[i] > self.values[i + 1] for i in range(len(self.values) - 1)):
-            raise CategoryError(f"{self.values} is not weakly increasing")
+        if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
+            raise CategoryError(f"{values} is not weakly increasing")
+        return tuple.__new__(cls, (source, target, values))
 
     def __call__(self, x: int) -> int:
         return self.values[x]
@@ -218,16 +215,15 @@ def enumerate_delta(n: int, m: int, kind: str = "all"):
 # pair presentation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeltaHMorphism:
+class DeltaHMorphism(namedtuple("DeltaHMorphism", "phi g")):
     """Pair (order-preserving map, group element on the source object)."""
 
-    phi: DeltaMorphism
-    g: HypElement
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g.n != self.phi.source:
+    def __new__(cls, phi: DeltaMorphism, g: HypElement):
+        if g.n != phi.source:
             raise CategoryError("group element does not act on the source object")
+        return tuple.__new__(cls, (phi, g))
 
     @property
     def source(self) -> int:
@@ -388,8 +384,7 @@ def deltah_compose(f2: DeltaHMorphism, f1: DeltaHMorphism) -> DeltaHMorphism:
 # labeled-preimage presentation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IFasMorphism:
+class IFasMorphism(namedtuple("IFasMorphism", "source target preimages")):
     """Set map with a labeled total order on every preimage.
 
     ``preimages[i]`` is the fiber over target point ``i`` as a tuple of
@@ -397,21 +392,20 @@ class IFasMorphism:
     partition ``{0..source}``.  ``source == -1`` encodes the empty object.
     """
 
-    source: int
-    target: int
-    preimages: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.preimages) != self.target + 1:
+    def __new__(cls, source: int, target: int, preimages: tuple):
+        if len(preimages) != target + 1:
             raise CategoryError("one fiber per target point required")
         seen = []
-        for fiber in self.preimages:
+        for fiber in preimages:
             for p, lab in fiber:
                 seen.append(p)
                 if lab not in (0, 1):
                     raise CategoryError("labels must be 0 or 1")
-        if sorted(seen) != list(range(self.source + 1)):
+        if sorted(seen) != list(range(source + 1)):
             raise CategoryError("fibers must partition the source")
+        return tuple.__new__(cls, (source, target, preimages))
 
     def is_epi(self) -> bool:
         return all(self.preimages)
@@ -426,11 +420,7 @@ class IFasMorphism:
 def _make_ifas(source: int, target: int, preimages: tuple) -> IFasMorphism:
     """Trusted constructor skipping validation (composites of valid
     morphisms are valid; the public constructor still validates)."""
-    out = object.__new__(IFasMorphism)
-    object.__setattr__(out, "source", source)
-    object.__setattr__(out, "target", target)
-    object.__setattr__(out, "preimages", preimages)
-    return out
+    return tuple.__new__(IFasMorphism, (source, target, preimages))
 
 
 def ifas_injection(positions: tuple, target: int) -> IFasMorphism:

@@ -121,12 +121,10 @@ data and the homology mod p of one complex.
 """
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from itertools import islice, repeat
 from math import gcd, lcm
 from operator import sub
-from typing import NamedTuple
 
 from .matrices import SparseMatrix
 from .rings import QQ, ZZ, GF, xgcd
@@ -825,26 +823,40 @@ def _invariant_factors(diagonal):
 # homology of truncated complexes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HomologyResult:
-    """Per-degree Betti numbers, with invariant factors over the integers."""
+class HomologyResult(namedtuple("HomologyResult",
+                                "ring_name betti torsion rank_stats")):
+    """Per-degree Betti numbers, with invariant factors over the integers.
 
-    ring_name: str
-    betti: list
-    torsion: list = field(default_factory=list)
-    # per boundary "d<n>": the kernel's columns streamed, of how many, and
-    # whether the stream stopped early (at the rank bound, or over Z once
-    # the torsion was certified mod p); over Z also the unit pivots of the
-    # column stream and the lattice's shape
-    rank_stats: dict = field(default_factory=dict, compare=False)
+    ``rank_stats``, per boundary "d<n>": the kernel's columns streamed, of
+    how many, and whether the stream stopped early (at the rank bound, or
+    over Z once the torsion was certified mod p); over Z also the unit
+    pivots of the column stream and the lattice's shape.  Equality ignores
+    it.  ``torsion`` and ``rank_stats`` default to a new empty list and
+    dict."""
 
-    def __post_init__(self):
-        if any(b < 0 for b in self.betti):
+    __slots__ = ()
+
+    def __new__(cls, ring_name: str, betti: list, torsion: list = None,
+                rank_stats: dict = None):
+        if any(b < 0 for b in betti):
             raise HomologyError("negative Betti number")
-        for factors in self.torsion:
+        torsion = [] if torsion is None else torsion
+        for factors in torsion:
             for a, b in zip(factors, factors[1:]):
                 if b % a != 0:
                     raise HomologyError("invariant factors must divide in turn")
+        return tuple.__new__(cls, (ring_name, betti, torsion,
+                                   {} if rank_stats is None else rank_stats))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] != other[:3]
 
     @property
     def degrees(self):
@@ -858,15 +870,12 @@ def require_dsquared(complex_, n: int):
         raise HomologyError(f"d{n - 1} d{n} is not zero: not a chain complex")
 
 
-class ColumnStream(NamedTuple):
+class ColumnStream(namedtuple("ColumnStream", "rank factors stats pivots")):
     """One boundary's column stream: its rank, its invariant factors (over
     Z; none over a field), the stream's stats and the columns that became
     pivots (unit pivots over Z), which seed the stream above."""
 
-    rank: int
-    factors: tuple
-    stats: dict
-    pivots: tuple
+    __slots__ = ()
 
 
 def column_stream(M: SparseMatrix, bound: int | None = None,

@@ -55,7 +55,7 @@ no normal form.  Nothing divides by a group order or enumerates a group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .barfun import BarFunctor, IDEAL
 from .croscat import (IFasMorphism, _make_ifas, delta_to_ifas,
@@ -76,12 +76,10 @@ class SlominskaError(ValueError):
 # the truncated subset poset
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PosetMorphism:
+class PosetMorphism(namedtuple("PosetMorphism", "source target")):
     """The unique arrow source -> target; exists iff target is a subset."""
 
-    source: tuple
-    target: tuple
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.source}>{self.target}"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hyperoct.rings import QQ, ZZ, GF
 from hyperoct import croscat as cc, invalg as ia
 from hyperoct.barfun import BarFunctor
+from hyperoct.cli import algebra_from_spec
 from hyperoct import complexes as cx
 from hyperoct.homology import homology_over_field
 from hyperoct.matrices import SparseMatrix
@@ -574,3 +575,83 @@ def test_mod_p_reduction_requires_integer_complex():
     C = cx.build_epi_complex(A, cx.TruncationPolicy(1, 0))
     with pytest.raises(cx.ComplexError):
         cx.tensor_with_coefficients(C, cx.CoefficientModule(0, (2,)))
+
+
+def group_table(tag):
+    """The multiplication table of a builtin group algebra's basis, read
+    from the structure constants; element 0 is the identity."""
+    A = ia.builtin_algebra(tag, QQ)
+    assert A.unit[0] == 1
+    return [[next(k for k, c in enumerate(v) if c) for v in plane]
+            for plane in A.structure]
+
+
+def characters(table):
+    """Every homomorphism of the group to {1, -1}, as a list of signs."""
+    n = len(table)
+    return [chi for chi in itertools.product((1, -1), repeat=n)
+            if all(chi[table[i][j]] == chi[i] * chi[j]
+                   for i in range(n) for j in range(n))]
+
+
+def twisted_spec(table, chi, rows):
+    """JSON spec, with no augmentation, of the group algebra with involution
+    g -> chi(g) g^-1, on the basis whose vectors have the integer
+    coordinates ``rows`` over the group elements (a unimodular matrix)."""
+    n = len(table)
+    inverse = [table[i].index(0) for i in range(n)]
+    R = ia._invert_matrix(ZZ, [list(c) for c in zip(*rows)])
+
+    def coords(v):
+        return [sum(r * x for r, x in zip(row, v)) for row in R]
+
+    def mul(a, b):
+        out = [0] * n
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[table[i][j]] += x * y
+        return out
+
+    def star(a):
+        out = [0] * n
+        for i, x in enumerate(a):
+            out[inverse[i]] += chi[i] * x
+        return out
+
+    return {"dim": n,
+            "structure": [[i, j, k, c, 1] for i, a in enumerate(rows)
+                          for j, b in enumerate(rows)
+                          for k, c in enumerate(coords(mul(a, b))) if c],
+            "unit": coords([1] + [0] * (n - 1)),
+            "involution": [coords(star(a)) for a in rows]}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_twisted_involutions_in_random_bases(data):
+    # g -> chi(g) g^-1 is an anti-involution for every character chi to
+    # {1, -1}; in a random unimodular basis (row i += c row j, or row i
+    # negated for i = j; row 0, the unit, is never changed) the full
+    # complex over Q is a chain complex, its tensor relations are killed,
+    # and its Betti numbers are those of the group basis
+    tag = data.draw(st.sampled_from(["c2", "c3", "c4", "klein", "s3"]))
+    table = group_table(tag)
+    n = len(table)
+    chi = data.draw(st.sampled_from(characters(table)))
+    ops = data.draw(st.lists(st.tuples(
+        st.integers(1, n - 1), st.integers(0, n - 1),
+        st.sampled_from([-2, -1, 1, 2])), min_size=1, max_size=6))
+    group_basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = list(group_basis)
+    for i, j, c in ops:
+        rows[i] = [-a for a in rows[i]] if i == j else \
+            [a + c * b for a, b in zip(rows[i], rows[j])]
+    policy = cx.TruncationPolicy(1, 1)
+    betti = []
+    for basis in (rows, group_basis):
+        A = algebra_from_spec(twisted_spec(table, chi, basis), QQ)
+        C = cx.build_full_complex(A, policy)
+        assert C.check_dsquared()
+        assert cx.relation_certificate(C.morphisms, C.functor).ok
+        betti.append(homology_over_field(C).betti)
+    assert betti[0] == betti[1]
