@@ -185,7 +185,8 @@ def parse_coefficients(text: str) -> CoefficientModule:
 
 
 def _run_pipeline_once(job: JobSpec, algebra, ring, n_value: int):
-    """One pipeline at one truncation; returns (payload, verifications)."""
+    """One pipeline at one truncation; returns (payload, verifications,
+    timing)."""
     policy = TruncationPolicy(n_value, job.max_degree)
     verifications = {}
     payload = {}

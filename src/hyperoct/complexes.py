@@ -658,8 +658,9 @@ class RelationCertificate(namedtuple("RelationCertificate",
     retraction is F(g o alpha) e_x - F(g) F(alpha) e_x for that basis
     element e_x, so it vanishes iff the functor is functorial on
     (g, alpha), whatever the tail.  The
-    certificate therefore checks the pairs: all of them up to the
-    configured bound, a random sample beyond it.  A pair is checked column
+    certificate therefore checks the pairs: all of them up to
+    ``EXHAUSTIVE_PAIR_LIMIT``, a sample of ``SAMPLED_PAIRS`` drawn with the
+    fixed seed ``SAMPLE_SEED`` beyond it.  A pair is checked column
     by column, with no product matrix: column x of F(g o alpha) against
     F(g) applied to column x of F(alpha)."""
 
@@ -670,20 +671,24 @@ class RelationCertificate(namedtuple("RelationCertificate",
         return self.pairs_failed == 0
 
 
-def relation_certificate(table: MorphismTable, functor,
-                         exhaustive_pair_limit: int = 200_000,
-                         seed: int = 11) -> RelationCertificate:
+EXHAUSTIVE_PAIR_LIMIT = 200_000
+SAMPLED_PAIRS = 2000
+SAMPLE_SEED = 11
+
+
+def relation_certificate(table: MorphismTable,
+                         functor) -> RelationCertificate:
     objs, hom = table.objects, table.hom
     pair_count = sum(len(hom[a, b]) * len(hom[b, c])
                      for a in objs for b in objs for c in objs)
-    rng = random.Random(seed)
-    if pair_count <= exhaustive_pair_limit:
+    rng = random.Random(SAMPLE_SEED)
+    if pair_count <= EXHAUSTIVE_PAIR_LIMIT:
         triples = [(alpha, g) for a in objs for b in objs for c in objs
                    for alpha in hom[a, b] for g in hom[b, c]]
     else:
         triples = []
         flat = [(a, b) for a in objs for b in objs if hom[a, b]]
-        while len(triples) < 2000:
+        while len(triples) < SAMPLED_PAIRS:
             a, b = rng.choice(flat)
             bc = [(x, y) for x, y in flat if x == b]
             if not bc:

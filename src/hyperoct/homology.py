@@ -1,14 +1,16 @@
 """Exact homology of truncated complexes.
 
 Every rank runs through one streaming column elimination, ``_eliminate``,
-on integer columns: residues mod p over F_p, fraction-free over Z and Q
-(each rational column scaled to integers).  Its pivots are kept in
-Gauss-Jordan form, each zero at every other pivot's leading row, so a
-column is reduced in one pass over its own entries and is dependent
-exactly when nothing is left of it.  The stream stops once the rank
-reaches a caller's bound; a complex bounds rank d_n by dim ker d_{n-1},
-which it certifies first by checking d_{n-1} d_n = 0 exactly, on integer
-columns read by ``_integers``.  The check, ``check_dsquared_pair``,
+on integer columns: residues mod p over F_p, fraction-free over Z and Q.
+One reader, ``_integers``, turns a boundary's values into those ints; over
+Q it reads a boundary with a ``Fraction`` value at one common scale, the
+lcm of all its denominators, so the kernels see one integer multiple of
+it.  The pivots are kept in Gauss-Jordan form, each zero at every other
+pivot's leading row, so a column is reduced in one pass over its own
+entries and is dependent exactly when nothing is left of it.  The stream
+stops once the rank reaches a caller's bound; a complex bounds rank d_n
+by dim ker d_{n-1}, which it certifies first by checking d_{n-1} d_n = 0
+exactly, on the same integer columns.  The check, ``check_dsquared_pair``,
 is Kronecker substitution: each column of d_{n-1} is packed into one
 Python int with a fixed-width slot per row, so a column of the product is
 a sum of one big-integer multiple per nonzero of d_n, and a zero test (or,
@@ -127,7 +129,7 @@ from math import gcd, lcm
 from operator import sub
 
 from .matrices import SparseMatrix
-from .rings import QQ, ZZ, GF, xgcd
+from .rings import ZZ, GF, xgcd
 
 
 class HomologyError(ValueError):
@@ -138,45 +140,12 @@ class HomologyError(ValueError):
 # the elimination kernel
 # ---------------------------------------------------------------------------
 
-def _modulus(ring) -> int:
-    """p for the prime field F_p, 0 for the fraction-free rings Q and Z."""
-    if ring == QQ or ring == ZZ:
-        return 0
-    if ring.is_field and ring.characteristic > 0:
-        return ring.characteristic
-    raise HomologyError(f"no elimination routine for {ring.name}")
-
-
-_INT = {int}
-
-
-def _columns(cols, p: int, scales: list | None = None):
-    """Integer columns of ``cols``: mod p the columns themselves, whose
-    entries the kernel reads as residues; over Q and Z a column of nonzero
-    ints itself, or else each column times the lcm of its denominators.
-    No caller mutates what is yielded.  The scale of each column is
-    appended to ``scales``."""
-    for col in cols:
-        vals = col.values()
-        if p or (set(map(type, vals)) == _INT and 0 not in vals):
-            s, vec = 1, col
-        else:
-            s = lcm(*[v.denominator for v in vals])
-            vec = {k: v.numerator * (s // v.denominator)
-                   for k, v in col.items() if v}
-        if scales is not None:
-            scales.append(s)
-        yield vec
-
-
 def _matrix_columns(M: SparseMatrix, js, p: int):
-    """The integer columns (``_columns``) of ``M`` at ``js``, as (row,
-    value) pairs; int64 values, and all values mod p, are read as they
-    stand, straight from the arrays."""
-    if not p and type(M.vals) is list:
-        yield from map(dict.items, _columns(map(M.column, js), p))
-        return
-    starts, rows, vals = M.starts, M.rows, M.vals
+    """The integer columns of ``M`` at ``js``, as (row, value) pairs read
+    from its arrays: mod p the stored residues, over Q and Z the values
+    ``_integers`` reads."""
+    starts, rows = M.starts, M.rows
+    vals = M.vals if p else _integers(M, 0)[0]
     for j in js:
         a, b = starts[j], starts[j + 1]
         yield zip(rows[a:b], vals[a:b])
@@ -362,7 +331,7 @@ def _rank(M: SparseMatrix, bound: int | None = None,
     ``seeds`` (rows of ``M``) enter the stream as unit pivots e_r with
     empty tails, counted in neither the rank nor ``bound``; ``pivots``
     receives the index of each column that becomes a pivot."""
-    p = _modulus(M.ring)
+    p = M.ring.characteristic
     tails = {r: {} for r in seeds}
     limit = M.nrows if bound is None else min(bound + len(tails), M.nrows)
     order: list = []
@@ -400,26 +369,24 @@ def integer_rank(M: SparseMatrix) -> int:
 
 def _integers(M: SparseMatrix, p: int):
     """``(values, held)``: the values of ``M`` as ints, aligned with
-    ``M.rows``, read mod ``p`` (0 over Q and Z, as ``_modulus``), and a
+    ``M.rows``, read mod ``p`` (``M.ring.characteristic``), and a
     collection of them that has their largest absolute value, for a caller
-    that needs it.  Mod p every residue is lifted once per distinct value
-    to (-p/2, p/2], ``held`` being the lifts and the values a lazy map over
-    them; over Q and Z int64 values are read as stored, and a matrix with a
-    ``Fraction`` value has each column scaled to ints (``_columns``) and
-    weighted to the common scale of all its columns, so it is read as one
-    integer multiple of itself."""
+    that needs it.  This is the one place where a boundary's values become
+    the kernels' ints.  Mod p every residue is lifted once per distinct
+    value to (-p/2, p/2], ``held`` being the lifts and the values a lazy
+    map over them.  Over Q and Z int64 values are read as stored, and a
+    list of values at one common scale, the lcm of the denominators of all
+    of them (an int's is 1), as ints: the matrix read is one integer
+    multiple of ``M``, and ``M`` itself when every value is an int."""
     if p:
         h = (p - 1) // 2
         lift = {v: (v + h) % p - h for v in set(M.vals)}
         return map(lift.__getitem__, M.vals), lift.values()
-    if type(M.vals) is not list:
-        return M.vals, M.vals
-    scales: list = []
-    cols = list(_columns(map(M.column, range(M.ncols)), 0, scales))
-    common = lcm(*scales)
-    values = [w * (common // s) for col, s in zip(cols, scales)
-              for w in col.values()]
-    return values, values
+    vals = M.vals
+    if type(vals) is list:
+        common = lcm(*{v.denominator for v in vals})
+        vals = [v.numerator * (common // v.denominator) for v in vals]
+    return vals, vals
 
 
 def _norm(M: SparseMatrix, values) -> int:
@@ -435,8 +402,8 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
 
     The entries w of d_prev and v of d_n are read as integers by
     ``_integers``: over F_p residues lifted to (-p/2, p/2]; over Q a
-    matrix with a ``Fraction`` entry at the common integer scale of its
-    columns, so the product checked is a nonzero integer multiple of the
+    matrix with a ``Fraction`` entry at the common integer scale of all its
+    values, so the product checked is a nonzero integer multiple of the
     true one.  Column k of d_prev becomes one int
     P_k = sum_r w_rk 2^(B r), a B-bit slot per row, and column j of the
     product becomes X_j = sum_k v_jk P_k = sum_r c_rj 2^(B r): one
@@ -469,7 +436,7 @@ def check_dsquared_pair(d_prev: SparseMatrix, d_n: SparseMatrix, n: int):
     so p z_r < 2^B are base-2^B digits of Y_j too, and by uniqueness every
     d_r = p z_r.  So column j vanishes mod p iff p | Y_j and
     (Y_j / p) & HIGH = 0."""
-    p = _modulus(d_n.ring)
+    p = d_n.ring.characteristic
     w, held = _integers(d_prev, p)
     values, held_n = _integers(d_n, p)
     if p:

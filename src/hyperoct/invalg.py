@@ -33,7 +33,7 @@ class InvolutiveAlgebra:
     """
 
     def __init__(self, ring: Ring, basis_names, structure, unit, involution,
-                 augmentation=None, name: str = "algebra", _validate: bool = True):
+                 augmentation=None, name: str = "algebra"):
         self.ring = ring
         self.basis_names = tuple(basis_names)
         self.dim = len(self.basis_names)
@@ -43,8 +43,7 @@ class InvolutiveAlgebra:
         self.involution = tuple(_vec(ring, row) for row in involution)
         self.augmentation = None if augmentation is None else _vec(ring, augmentation)
         self.name = name
-        if _validate:
-            self._validate()
+        self._validate()
 
     # -- vector arithmetic ---------------------------------------------------
 

@@ -15,107 +15,13 @@ class RingError(ValueError):
 
 
 class Ring:
-    """Tagged exact ring.  Instances are stateless and freely shared."""
+    """Tagged exact ring.  Instances are stateless and freely shared.
+
+    The base class is the plain int arithmetic that Q and Z share: ints
+    with the Python operators, so an int with an int stays an int.  A
+    subclass overrides what its ring does otherwise."""
 
     name: str
-    is_field: bool
-    characteristic: int
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def div(self, a, b):
-        raise RingError(f"division not available in {self.name}")
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def from_pair(self, num: int, den: int):
-        """Exact scalar from an integer pair numerator/denominator."""
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, Ring) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-class Rationals(Ring):
-    """The rationals, as ``int`` where integral and ``Fraction`` otherwise.
-
-    Boundaries, chain maps and homotopies of group algebras have integer
-    entries, so most scalars stay ints and their products skip the gcd of
-    ``Fraction`` arithmetic.  Only ``div`` and ``from_pair`` make a
-    ``Fraction``, and only for a quotient that is not integral; ``add``,
-    ``sub``, ``mul`` and ``neg`` are the plain operators, so an int with an
-    int stays an int and a ``Fraction`` operand gives a ``Fraction`` (which
-    may be integral: results are not normalised).  ``div`` is the one
-    division of scalars, since ``/`` between two ints would give a float."""
-
-    name = "Q"
-    is_field = True
-    characteristic = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def sub(self, a, b):
-        return a - b
-
-    def div(self, a, b):
-        if b == 0:
-            raise RingError("division by zero")
-        q = Fraction(a, b)
-        return q.numerator if q.denominator == 1 else q
-
-    def is_zero(self, a):
-        return a == 0
-
-    def from_int(self, n):
-        return n
-
-    def from_pair(self, num, den):
-        if den == 0:
-            raise RingError("zero denominator")
-        return self.div(num, den)
-
-
-class Integers(Ring):
-    name = "Z"
     is_field = False
     characteristic = 0
 
@@ -137,18 +43,62 @@ class Integers(Ring):
     def sub(self, a, b):
         return a - b
 
-    def is_zero(self, a):
+    def div(self, a, b):
+        raise RingError(f"division not available in {self.name}")
+
+    def is_zero(self, a) -> bool:
         return a == 0
 
-    def from_int(self, n):
+    def from_int(self, n: int):
         return n
 
-    def from_pair(self, num, den):
+    def from_pair(self, num: int, den: int):
+        """Exact scalar from an integer pair numerator/denominator."""
         if den == 0:
             raise RingError("zero denominator")
         if num % den != 0:
             raise RingError(f"{num}/{den} is not an integer")
         return num // den
+
+    def __repr__(self):
+        return self.name
+
+    def __eq__(self, other):
+        return isinstance(other, Ring) and self.name == other.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class Rationals(Ring):
+    """The rationals, as ``int`` where integral and ``Fraction`` otherwise.
+
+    Boundaries, chain maps and homotopies of group algebras have integer
+    entries, so most scalars stay ints and their products skip the gcd of
+    ``Fraction`` arithmetic.  Only ``div`` and ``from_pair`` make a
+    ``Fraction``, and only for a quotient that is not integral; ``add``,
+    ``sub``, ``mul`` and ``neg`` are the plain operators of ``Ring``, so a
+    ``Fraction`` operand gives a ``Fraction`` (which may be integral:
+    results are not normalised).  ``div`` is the one division of scalars,
+    since ``/`` between two ints would give a float."""
+
+    name = "Q"
+    is_field = True
+
+    def div(self, a, b):
+        if b == 0:
+            raise RingError("division by zero")
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
+
+    def from_pair(self, num, den):
+        if den == 0:
+            raise RingError("zero denominator")
+        return self.div(num, den)
+
+
+class Integers(Ring):
+    name = "Z"
 
 
 def _is_prime(p: int) -> bool:
@@ -175,12 +125,6 @@ class PrimeField(Ring):
         self.p = p
         self.name = f"F{p}"
         self.characteristic = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

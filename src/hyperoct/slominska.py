@@ -63,7 +63,7 @@ from .croscat import (IFasMorphism, _make_ifas, delta_to_ifas,
                       ifas_compose)
 from .complexes import (TruncationPolicy, TruncatedComplex, build_gz_complex,
                         DEFAULT_MAX_GENERATORS)
-from .homology import _columns, _eliminate
+from .homology import _eliminate, _matrix_columns
 from .invalg import InvolutiveAlgebra, adapt_basis_to_augmentation
 from .matrices import SparseMatrix
 
@@ -205,10 +205,11 @@ class CoinvariantModule:
     Coxeter generators s of the last factor H_{y_k}, (delta', a_0) the
     normal form of s post-composed on the last entry of delta.
 
-    The relation columns go through the elimination kernel.  Its
-    Gauss-Jordan form keeps every pivot's tail on rows that lead no pivot,
-    so those rows, ascending, are the basis of the quotient, and a leading
-    row r is congruent to -tails[r] / lead[r] on them."""
+    The relation columns, one ``SparseMatrix``, stream through the
+    elimination kernel as a boundary's do (``homology._matrix_columns``).
+    Its Gauss-Jordan form keeps every pivot's tail on rows that lead no
+    pivot, so those rows, ascending, are the basis of the quotient, and a
+    leading row r is congruent to -tails[r] / lead[r] on them."""
 
     def __init__(self, X: tuple, functor: BarFunctor):
         ring = functor.ring
@@ -234,12 +235,14 @@ class CoinvariantModule:
                     e = ci * tdim + t
                     rel[e] = ring.sub(rel.get(e, ring.zero()), ring.one())
                     relations.append(rel)
+        self.ambient_dim = dim = len(chains) * tdim
+        relations = SparseMatrix(ring, dim, len(relations), relations)
         self.lead: dict = {}
         self.tails: dict = {}
-        for _ in _eliminate(map(dict.items, _columns(relations, 0)), 0,
-                            lead=self.lead, tails=self.tails):
+        p = ring.characteristic
+        cols = _matrix_columns(relations, range(relations.ncols), p)
+        for _ in _eliminate(cols, p, lead=self.lead, tails=self.tails):
             pass
-        self.ambient_dim = dim = len(chains) * tdim
         self.tensor_dim = tdim
         self.chains = chains
         self.chain_index = chain_index

@@ -168,6 +168,30 @@ def test_one_wrong_functor_entry_fails_the_relation_certificate():
     assert 0 < cert.pairs_failed < cert.pairs_checked
 
 
+def test_relation_certificate_samples_above_the_pair_limit():
+    # objects 0..2 have more composable pairs than the exhaustive limit, so
+    # a fixed-seed sample is checked; it passes for the bar functor and
+    # fails once F(f) is negated on every endomorphism of object 1
+    A = ia.cyclic_group_algebra(2, QQ)
+    table = cx.MorphismTable(cx.DeltaHCategory(), [0, 1, 2])
+    hom = table.hom
+    pairs = sum(len(hom[a, b]) * len(hom[b, c])
+                for a in table.objects for b in table.objects
+                for c in table.objects)
+    assert pairs == 402776 > cx.EXHAUSTIVE_PAIR_LIMIT
+    cert = cx.relation_certificate(table, cx.BarFunctorView(BarFunctor(A)))
+    assert cert == (cx.SAMPLED_PAIRS, 0) and cert.ok
+
+    class NegatedOnOne(cx.BarFunctorView):
+        def matrix(self, f):
+            M = super().matrix(f)
+            return neg(M) if f.source == f.target == 1 else M
+
+    cert = cx.relation_certificate(table, NegatedOnOne(BarFunctor(A)))
+    assert cert.pairs_checked == cx.SAMPLED_PAIRS
+    assert 0 < cert.pairs_failed < cert.pairs_checked
+
+
 def test_degree_zero_classes_collapse():
     # [f (x) x] and [id (x) F(f) x] agree in the quotient; in normal
     # coordinates this is the retraction applied to a flip morphism

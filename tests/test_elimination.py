@@ -96,19 +96,25 @@ rationals = st.one_of(st.integers(-4, 4),
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.dictionaries(st.integers(0, 5), rationals, max_size=4),
-                max_size=5))
-def test_integer_columns_are_scaled(cols):
-    # over Q: a column of nonzero ints is read at scale 1, any other is
-    # brought to ints by the lcm of its denominators; zeros never survive
-    scales = []
-    out = list(hom._columns(cols, 0, scales))
-    assert len(out) == len(scales) == len(cols)
-    for col, vec, s in zip(cols, out, scales):
-        assert all(type(v) is int and v for v in vec.values())
-        assert vec == {k: v * s for k, v in col.items() if v}
-        assert s == lcm(*[Fraction(v).denominator for v in col.values()])
-        if all(type(v) is int for v in col.values()):
-            assert s == 1
+                max_size=5), st.sampled_from([1, 1 << 70]))
+@example([{0: Fraction(1, 2)}, {0: Fraction(1, 3)}], 1)
+def test_matrix_values_are_read_at_one_common_scale(cols, big):
+    # over Q a matrix with a Fraction value is read, aligned with its rows,
+    # as one integer multiple of itself: the lcm of all its denominators;
+    # int64 and big-int values are read as they stand
+    M = SparseMatrix(QQ, 6, len(cols), cols)
+    values, held = hom._integers(M, 0)
+    common = lcm(*[Fraction(v).denominator for v in M.vals])
+    assert len(values) == len(M.rows)
+    assert all(type(w) is int and w for w in values)
+    assert list(values) == [common * v for v in M.vals]
+    assert max(map(abs, held), default=0) == max(map(abs, values), default=0)
+    ints = [{k: Fraction(v).numerator * big for k, v in col.items()}
+            for col in cols]
+    for ring in (QQ, ZZ):
+        N = SparseMatrix(ring, 6, len(ints), ints)
+        assert (type(N.vals) is list) == (big > 1 and N.nnz() > 0)
+        assert list(hom._integers(N, 0)[0]) == list(N.vals)
 
 
 @st.composite
@@ -361,19 +367,29 @@ def test_non_complex_is_rejected(d1, d2):
 # -- the d^2 certificate against a dict-accumulation oracle ------------------
 
 def oracle_dsquared_pair(d_prev, d_n, n):
-    """d_prev d_n = 0 by one dict of row sums per column of d_n, on the
-    kernel's integer (or mod p) columns, with d_prev's columns at one
+    """d_prev d_n = 0 by one dict of row sums per column of d_n, mod p on
+    the stored residues, over Q and Z on each column brought to ints by
+    the lcm of its own denominators, d_prev's columns weighted to one
     common scale."""
-    p = hom._modulus(d_n.ring)
-    scales = []
-    prev = list(hom._columns(columns(d_prev), p, scales))
-    common = lcm(*scales)
-    weight = [common // s for s in scales]
-    for col in hom._columns(columns(d_n), p):
+    p = d_n.ring.characteristic
+
+    def scaled(M):
+        # (column times s, s) per column, s the lcm of its denominators
+        out = []
+        for col in columns(M):
+            s = 1 if p else lcm(*[Fraction(v).denominator
+                                  for v in col.values()])
+            out.append(({k: int(v * s) for k, v in col.items()}, s))
+        return out
+
+    prev = scaled(d_prev)
+    common = lcm(*[s for _, s in prev])
+    for col, _ in scaled(d_n):
         acc = {}
         for k, v in col.items():
-            v *= weight[k]
-            for r, w in prev[k].items():
+            w_k, s = prev[k]
+            v *= common // s
+            for r, w in w_k.items():
                 acc[r] = acc.get(r, 0) + w * v
         if any(x % p if p else x for x in acc.values()):
             raise hom.HomologyError(

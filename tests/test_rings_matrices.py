@@ -22,6 +22,7 @@ def test_ring_parsing():
 
 def test_prime_field_arithmetic():
     f = GF(7)
+    assert (f.zero(), f.one()) == (0, 1)
     assert f.div(f.from_int(3), f.from_int(5)) == (3 * pow(5, 5, 7)) % 7
     assert f.from_pair(1, 3) == pow(3, 5, 7)
     with pytest.raises(RingError):
@@ -30,8 +31,11 @@ def test_prime_field_arithmetic():
 
 def test_integer_pairs():
     assert ZZ.from_pair(6, 3) == 2
-    with pytest.raises(RingError):
-        ZZ.from_pair(1, 2)
+    for pair, message in (((3, 2), "3/2 is not an integer"),
+                          ((1, 0), "zero denominator")):
+        with pytest.raises(RingError) as exc:
+            ZZ.from_pair(*pair)
+        assert str(exc.value) == message
     assert QQ.from_pair(1, 2) == Fraction(1, 2)
 
 
@@ -65,13 +69,20 @@ rationals = st.one_of(st.integers(-60, 60), st.fractions(max_denominator=12))
 
 @given(rationals, rationals)
 def test_rational_ops_are_exact_and_stay_ints(a, b):
+    # Q and Z share one int arithmetic; Z takes the int arguments
     both_int = type(a) is int and type(b) is int
-    for name, op in (("add", operator.add), ("sub", operator.sub),
-                     ("mul", operator.mul)):
-        got = getattr(QQ, name)(a, b)
-        assert got == op(Fraction(a), Fraction(b))
-        assert type(got) is (int if both_int else Fraction)
-    assert QQ.neg(a) == -Fraction(a) and type(QQ.neg(a)) is type(a)
+    for ring in (QQ, ZZ) if both_int else (QQ,):
+        for name, op in (("add", operator.add), ("sub", operator.sub),
+                         ("mul", operator.mul)):
+            got = getattr(ring, name)(a, b)
+            assert got == op(Fraction(a), Fraction(b))
+            assert type(got) is (int if both_int else Fraction)
+        assert ring.neg(a) == -Fraction(a) and type(ring.neg(a)) is type(a)
+        assert ring.is_zero(a) == (a == 0)
+    if both_int:
+        with pytest.raises(RingError) as exc:
+            ZZ.div(a, b)
+        assert str(exc.value) == "division not available in Z"
     if b == 0:
         with pytest.raises(RingError):
             QQ.div(a, b)
