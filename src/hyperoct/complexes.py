@@ -275,8 +275,8 @@ class TruncatedComplex:
     """
 
     def __init__(self, ring: Ring, policy: TruncationPolicy, dims, boundaries,
-                 label="complex", strings=None, string_index=None,
-                 offsets=None, functor=None, morphisms=None, counts=None):
+                 label="complex", strings=None, offsets=None, functor=None,
+                 morphisms=None, counts=None):
         self.ring = ring
         self.policy = policy
         self.dims = list(dims)
@@ -284,7 +284,7 @@ class TruncatedComplex:
         self.boundaries = dict(boundaries)
         self.label = label
         self.strings = strings
-        self._string_index = {} if string_index is None else string_index
+        self._string_index: dict = {}
         self.offsets = offsets
         self.functor = functor
         self.morphisms = morphisms
@@ -849,7 +849,6 @@ def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
     reduced = TruncatedComplex(field, complex_.policy, complex_.dims,
                                boundaries, label=f"{complex_.label} mod {p}",
                                strings=complex_.strings,
-                               string_index=complex_._string_index,
                                offsets=complex_.offsets,
                                functor=complex_.functor,
                                morphisms=complex_.morphisms,
@@ -932,16 +931,14 @@ class ReducedMachinery:
         self.algebra = adapt_basis_to_augmentation(algebra)
         self.ring = algebra.ring
         self.policy = policy
-        self.category = DeltaHCategory()
-        self.epi_category = EpiDeltaHCategory()
         self.full_functor = BarFunctor(self.algebra, FULL)
         self.ideal_functor = BarFunctor(self.algebra, IDEAL)
-        self.nerve, self.certificate = build_nerve_variant(
-            self.category, BarFunctorView(self.full_functor), policy,
+        self.nerve, _ = build_nerve_variant(
+            DeltaHCategory(), BarFunctorView(self.full_functor), policy,
             max_generators, label="nerve[deltaH]", certificate=certificate)
         self._split()
-        self.epi, self.epi_certificate = build_nerve_variant(
-            self.epi_category, BarFunctorView(self.ideal_functor), policy,
+        self.epi, _ = build_nerve_variant(
+            EpiDeltaHCategory(), BarFunctorView(self.ideal_functor), policy,
             max_generators, label="epi", certificate=certificate)
         self._factors = [None] * len(self.nerve.morphisms)
         self._injections = {}

@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import namedtuple
-from functools import lru_cache
 from math import comb, factorial
 
 LABEL_ONE = 0
@@ -613,7 +612,6 @@ def extended_hom_size(a: int, b: int) -> int:
 # invariant suite
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _hom_pairs(depth: int):
     pairs = []
     for a in range(depth + 1):

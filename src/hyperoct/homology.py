@@ -80,8 +80,9 @@ and pivots first, that matrix is [[I, 0], [T, L]], and the unit rows clear
 T without touching L.  So M ~ diag(1, ..., 1) (+) L: one 1 per unit
 pivot, then the Smith form of L.  Lattice vectors lead on distinct rows,
 so they are independent and no more than the rows they touch;
-``diagonalize_integer_matrix``, the dense finisher, runs on that small
-block once per boundary.  Memory is the unit pivots and the lattice.
+``diagonalize_integer_matrix`` folds that small block once per boundary,
+by the same fold on its columns and rows in turn, shortest vectors first,
+which makes it stop.  Memory is the unit pivots and the lattice.
 
 Over Z the chain clears with unit pivots only: the stream of d_n starts
 with e_r, empty tail, for each column r of d_{n-1} that became a unit
@@ -507,20 +508,46 @@ def _vanishing(packed: list, M: SparseMatrix, values, p: int, OFF: int,
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form: a unit-pivot stream, a folded lattice, a dense finisher
+# Smith normal form: a unit-pivot stream and a folded lattice, finished by
+# folding the lattice and its transpose in turn
 # ---------------------------------------------------------------------------
+
+def _fold(lattice: dict, vec: dict) -> None:
+    """Fold the integer vector ``vec`` (taken, not copied) into the echelon
+    ``lattice``, leading row -> vector, by the fold step of the module
+    docstring: ``vec`` ends in the lattice, at a row that leads no
+    vector, or at zero."""
+    while vec:
+        r = max(vec)
+        u = lattice.get(r)
+        if u is None:
+            lattice[r] = vec
+            return
+        a, b = u[r], vec[r]
+        if b % a == 0:
+            _subtract(vec, b // a, u)
+            continue
+        x, y, g = xgcd(a, b)
+        a, b = a // g, b // g
+        support = u.keys() | vec.keys()
+        lattice[r] = {i: w for i in support
+                      if (w := x * u.get(i, 0) + y * vec.get(i, 0))}
+        vec = {i: w for i in support
+               if (w := b * u.get(i, 0) - a * vec.get(i, 0))}
+
 
 def _smith_diagonal(M: SparseMatrix, bound: int | None = None,
                     stats: dict | None = None, seeds=(),
                     pivots: list | None = None) -> list:
     """A diagonal with the rank and invariant factors of ``M`` over Z: one
-    1 per unit pivot of the column stream, then the dense finisher's
-    diagonal of the lattice (module docstring).  ``seeds``, ``bound`` and
-    ``pivots`` chain the streams as for ``field_rank``, with unit pivots
-    only; the stream stops early at ``bound`` once the torsion is
-    certified mod p.  ``stats`` receives the unit pivots (seeds not
-    counted), the lattice's shape [rows its vectors touch, vectors], and
-    ``cols``, ``of`` and ``early_exit`` as for ``field_rank``."""
+    1 per unit pivot of the column stream, then the nonzero diagonal that
+    ``diagonalize_integer_matrix`` folds the lattice to (module
+    docstring).  ``seeds``, ``bound`` and ``pivots`` chain the streams as
+    for ``field_rank``, with unit pivots only; the stream stops early at
+    ``bound`` once the torsion is certified mod p.  ``stats`` receives the
+    unit pivots (seeds not counted), the lattice's shape [rows its vectors
+    touch, vectors], and ``cols``, ``of`` and ``early_exit`` as for
+    ``field_rank``."""
     if M.ring != ZZ:
         raise HomologyError("integer diagonalization needs the integer ring")
     tails: dict = {r: {} for r in seeds}
@@ -529,31 +556,12 @@ def _smith_diagonal(M: SparseMatrix, bound: int | None = None,
     where = defaultdict(list)
     lattice: dict = {}
 
-    def fold(vec):
-        while vec:
-            r = max(vec)
-            u = lattice.get(r)
-            if u is None:
-                lattice[r] = vec
-                return
-            a, b = u[r], vec[r]
-            if b % a == 0:
-                _subtract(vec, b // a, u)
-                continue
-            x, y, g = xgcd(a, b)
-            a, b = a // g, b // g
-            support = u.keys() | vec.keys()
-            lattice[r] = {i: w for i in support
-                          if (w := x * u.get(i, 0) + y * vec.get(i, 0))}
-            vec = {i: w for i in support
-                   if (w := b * u.get(i, 0) - a * vec.get(i, 0))}
-
     def stream(j):
         a, b = starts[j], starts[j + 1]
         vec = _reduce_column(zip(rows[a:b], vals[a:b]), tails, lead, 0)
         units = [i for i, v in vec.items() if v == 1 or v == -1]
         if not units:
-            fold(vec)
+            _fold(lattice, vec)
             return
         if pivots is not None:
             pivots.append(j)
@@ -564,7 +572,7 @@ def _smith_diagonal(M: SparseMatrix, bound: int | None = None,
             del lattice[k]
         for u in met.values():
             _subtract(u, u.pop(r), vec)
-            fold(u)
+            _fold(lattice, u)
 
     def finish():
         rows = sorted(set().union(*lattice.values()))
@@ -688,80 +696,47 @@ def _witness_flags(M: SparseMatrix, rest: list, tails: dict, lattice,
                                         set(rest)) if not zero]
 
 
-def diagonalize_integer_matrix(M: SparseMatrix):
-    """Diagonal entries of a diagonal form D = S A T reached by unimodular
-    row and column operations.  Divisibility of the diagonal is not
-    enforced here."""
+def diagonalize_integer_matrix(M: SparseMatrix) -> list:
+    """The nonzero diagonal entries of S M T, S and T unimodular, a
+    diagonal form of ``M`` (divisibility not enforced): Hermite forms of
+    the matrix and of its transpose in turn (Kannan-Bachem), by ``_fold``.
+    The columns are folded into a lattice; unless every vector has one
+    entry, each is reduced by those leading below it, to within their
+    leads, which keeps the entries small, and each row i becomes a vector
+    keyed by the leading rows, folded in turn.  Every round folds shortest
+    first, which makes the loop stop.  A fold keeps r vectors, r the rank,
+    so after two folds rows and columns are keyed by the same r rows.  Let
+    K be the largest key.  After a fold (and the reduction, which subtracts
+    only vectors leading below K) the vector leading at K alone has an
+    entry on row K, so the next fold gets row K as one-entry vector c e_K,
+    c the corner, and every vector with an entry at K leads there.
+    Shortest first, the vector kept at K is g e_K, g dividing c, before any
+    longer one meets it: each later vector loses its entry at K and
+    nothing else, or makes the lead a proper divisor.  So each fold
+    isolates the corner for good or makes it strictly smaller in absolute
+    value; then the next key below, and so on.  Without the reduction,
+    folding in the order the vectors come cycles: [[0, 3, 2], [-3, 2, 0],
+    [0, 6, 0]] (diag(1, 1, 36)) repeats four folds forever, where shortest
+    first is done after four."""
     if M.ring != ZZ:
         raise HomologyError("integer diagonalization needs the integer ring")
-    m, n = M.nrows, M.ncols
-    D = [[0] * n for _ in range(m)]
-    starts, rows, vals = M.starts, M.rows, M.vals
-    for j in range(n):
-        for k in range(starts[j], starts[j + 1]):
-            D[rows[k]][j] = vals[k]
-
-    def row_op(i1, i2, a, b, c, d):
-        # (row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2)
-        r1, r2 = D[i1], D[i2]
-        for k in range(n):
-            x, y = r1[k], r2[k]
-            r1[k] = a * x + b * y
-            r2[k] = c * x + d * y
-
-    def col_op(j1, j2, a, b, c, d):
-        for row in D:
-            x, y = row[j1], row[j2]
-            row[j1] = a * x + b * y
-            row[j2] = c * x + d * y
-
-    k = 0
-    while k < min(m, n):
-        # smallest nonzero pivot in the remaining block
-        best = None
-        for i in range(k, m):
-            rowi = D[i]
-            for j in range(k, n):
-                v = rowi[j]
-                if v != 0 and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != k:
-            row_op(k, pi, 0, 1, 1, 0)
-        if pj != k:
-            col_op(k, pj, 0, 1, 1, 0)
-        while True:
-            for i in range(k + 1, m):
-                v = D[i][k]
-                if v == 0:
-                    continue
-                p = D[k][k]
-                if v % p == 0:
-                    row_op(k, i, 1, 0, -(v // p), 1)
-                else:
-                    x, y, g = xgcd(p, v)
-                    row_op(k, i, x, y, -(v // g), p // g)
-            if all(D[i][k] == 0 for i in range(k + 1, m)):
-                pass
-            else:
-                continue
-            for j in range(k + 1, n):
-                v = D[k][j]
-                if v == 0:
-                    continue
-                p = D[k][k]
-                if v % p == 0:
-                    col_op(k, j, 1, 0, -(v // p), 1)
-                else:
-                    x, y, g = xgcd(p, v)
-                    col_op(k, j, x, y, -(v // g), p // g)
-            if all(D[i][k] == 0 for i in range(k + 1, m)) and \
-                    all(D[k][j] == 0 for j in range(k + 1, n)):
-                break
-        k += 1
-    return [D[i][i] for i in range(min(m, n))]
+    vectors = map(M.column, range(M.ncols))
+    while True:
+        lattice: dict = {}
+        for vec in sorted(vectors, key=len):
+            _fold(lattice, vec)
+        if all(len(u) == 1 for u in lattice.values()):
+            return [u[k] for k, u in lattice.items()]
+        keys = sorted(lattice)
+        rows = defaultdict(dict)
+        for n, k in enumerate(keys):
+            u = lattice[k]
+            for i in reversed(keys[:n]):
+                if i in u and (q := u[i] // lattice[i][i]):
+                    _subtract(u, q, lattice[i])
+            for i, w in u.items():
+                rows[i][k] = w
+        vectors = [rows[i] for i in sorted(rows)]
 
 
 def invariant_factors(M: SparseMatrix):
@@ -894,8 +869,9 @@ def homology_over_field(complex_, up_to: int | None = None) -> HomologyResult:
 def homology_over_Z(complex_, up_to: int | None = None) -> HomologyResult:
     """Free rank and invariant factors per degree via Smith normal form,
     ``up_to`` as for ``homology_over_field``: each boundary's diagonal is
-    the column stream's units followed by the dense finisher's diagonal of
-    the lattice, and gives its rank and invariant factors."""
+    the column stream's units followed by the lattice's diagonal, which
+    the stream's own fold reaches by folding rows and columns in turn,
+    and gives its rank and invariant factors."""
     if complex_.ring != ZZ:
         raise HomologyError("homology_over_Z needs the integer ring")
     return _homology(complex_, up_to)
@@ -910,27 +886,21 @@ def compute_homology(complex_, up_to: int | None = None) -> HomologyResult:
 # universal coefficients
 # ---------------------------------------------------------------------------
 
-def uct_check(complex_, p: int, modp: HomologyResult | None = None) -> dict:
+def uct_check(complex_, p: int, modp: HomologyResult) -> dict:
     """Dimension count of the coefficient short exact sequence at the prime p.
 
     For every degree n the residue-field dimension of homology with Z/p
-    coefficients must equal dim(H_n (x) Z/p) + dim Tor_1(H_{n-1}, Z/p),
-    both read off the integral Smith data.  That data is the complex's
-    own, computed once (see ``homology_over_Z``), so a check after the
-    complex's integral homology streams no boundary again.  ``modp`` is the
-    homology of the complex reduced mod p, when the caller has computed it
-    already; otherwise it is computed here."""
+    coefficients, ``modp``, the homology of the complex reduced mod p, must
+    equal dim(H_n (x) Z/p) + dim Tor_1(H_{n-1}, Z/p), both read off the
+    integral Smith data.  That data is the complex's own, computed once
+    (see ``homology_over_Z``), so a check after the complex's integral
+    homology streams no boundary again."""
     if complex_.ring != ZZ:
         raise HomologyError("the coefficient check starts from an integer complex")
-    field = GF(p)
-    if modp is not None and modp.ring_name != field.name:
+    if modp.ring_name != GF(p).name:
         raise HomologyError(f"homology over {modp.ring_name} given for the "
                             f"check at p = {p}")
     integral = homology_over_Z(complex_)
-    if modp is None:
-        # after the integral solve, whose d^2 certificates the reduction reads
-        from .complexes import reduce_mod_p
-        modp = homology_over_field(reduce_mod_p(complex_, p))
     report = {"prime": p, "degrees": [], "ok": True}
     for n in integral.degrees:
         tensor_dim = integral.betti[n] + sum(

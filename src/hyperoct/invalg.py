@@ -55,12 +55,6 @@ class InvolutiveAlgebra:
         z, o = self.ring.zero(), self.ring.one()
         return tuple(o if k == i else z for k in range(self.dim))
 
-    def add(self, x, y):
-        return tuple(self.ring.add(a, b) for a, b in zip(x, y))
-
-    def scale(self, s, x):
-        return tuple(self.ring.mul(s, a) for a in x)
-
     def multiply(self, x, y):
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
@@ -426,9 +420,6 @@ class BasicTensorBasis:
             raise AlgebraError(f"unknown tensor basis variant {variant!r}")
         if variant == "ideal" and not algebra.is_adapted():
             raise AlgebraError("ideal tensor basis needs an adapted algebra")
-        self.algebra = algebra
-        self.obj = obj
-        self.variant = variant
         points = obj + 1
         if points < 0:
             raise AlgebraError("object index below the empty object")

@@ -215,12 +215,10 @@ class CoinvariantModule:
         ring = functor.ring
         if ring.characteristic != 0 or not ring.is_field:
             raise SlominskaError("coinvariants need a characteristic-zero field")
-        self.X = X
         self.ring = ring
-        self.anchor = max(X)
         chains = delta_chains(X)
         chain_index = {c: i for i, c in enumerate(chains)}
-        tdim = len(functor.basis(self.anchor))
+        tdim = len(functor.basis(max(X)))
         last = min(X)
         coxeter = [hyp_t(last, 0)] + [hyp_theta(last, j) for j in range(last)]
         relations = []
@@ -235,7 +233,7 @@ class CoinvariantModule:
                     e = ci * tdim + t
                     rel[e] = ring.sub(rel.get(e, ring.zero()), ring.one())
                     relations.append(rel)
-        self.ambient_dim = dim = len(chains) * tdim
+        dim = len(chains) * tdim
         relations = SparseMatrix(ring, dim, len(relations), relations)
         self.lead: dict = {}
         self.tails: dict = {}

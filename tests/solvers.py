@@ -1,16 +1,19 @@
-"""Field solves, cycle samples and the is-a-boundary solver, which only the
-tests use.
+"""Field solves, cycle samples, the is-a-boundary solver and a dense Smith
+form, which only the tests use.
 
-They run on their own small Gauss-Jordan elimination over the field's own
-arithmetic, not on the kernel of ``hyperoct.homology`` that the tests
-check: each column keeps its combination of the streamed columns, by index,
-so a column that reduces to zero gives a vanishing combination."""
+The solves run on their own small Gauss-Jordan elimination over the
+field's own arithmetic, not on the kernel of ``hyperoct.homology`` that the
+tests check: each column keeps its combination of the streamed columns, by
+index, so a column that reduces to zero gives a vanishing combination.
+The Smith form runs row and column operations on a dense matrix, not the
+lattice folds of ``hyperoct.homology``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from hyperoct.homology import HomologyError, field_rank, integer_rank
 from hyperoct.matrices import SparseMatrix
+from hyperoct.rings import ZZ, xgcd
 
 
 def matrix_rank(M: SparseMatrix) -> int:
@@ -134,3 +137,80 @@ def solve_is_boundary(complex_, degree: int, z: dict) -> BoundaryWitness:
     return BoundaryWitness(degree, None,
                            rank_matrix=matrix_rank(A),
                            rank_augmented=matrix_rank(aug))
+
+
+def dense_smith_diagonal(M: SparseMatrix):
+    """Diagonal entries of a diagonal form D = S A T reached by unimodular
+    row and column operations on a dense copy of ``M``, each pivot the
+    smallest nonzero entry left.  Divisibility of the diagonal is not
+    enforced here."""
+    if M.ring != ZZ:
+        raise HomologyError("integer diagonalization needs the integer ring")
+    m, n = M.nrows, M.ncols
+    D = [[0] * n for _ in range(m)]
+    starts, rows, vals = M.starts, M.rows, M.vals
+    for j in range(n):
+        for k in range(starts[j], starts[j + 1]):
+            D[rows[k]][j] = vals[k]
+
+    def row_op(i1, i2, a, b, c, d):
+        # (row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2)
+        r1, r2 = D[i1], D[i2]
+        for k in range(n):
+            x, y = r1[k], r2[k]
+            r1[k] = a * x + b * y
+            r2[k] = c * x + d * y
+
+    def col_op(j1, j2, a, b, c, d):
+        for row in D:
+            x, y = row[j1], row[j2]
+            row[j1] = a * x + b * y
+            row[j2] = c * x + d * y
+
+    k = 0
+    while k < min(m, n):
+        # smallest nonzero pivot in the remaining block
+        best = None
+        for i in range(k, m):
+            rowi = D[i]
+            for j in range(k, n):
+                v = rowi[j]
+                if v != 0 and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != k:
+            row_op(k, pi, 0, 1, 1, 0)
+        if pj != k:
+            col_op(k, pj, 0, 1, 1, 0)
+        while True:
+            for i in range(k + 1, m):
+                v = D[i][k]
+                if v == 0:
+                    continue
+                p = D[k][k]
+                if v % p == 0:
+                    row_op(k, i, 1, 0, -(v // p), 1)
+                else:
+                    x, y, g = xgcd(p, v)
+                    row_op(k, i, x, y, -(v // g), p // g)
+            if all(D[i][k] == 0 for i in range(k + 1, m)):
+                pass
+            else:
+                continue
+            for j in range(k + 1, n):
+                v = D[k][j]
+                if v == 0:
+                    continue
+                p = D[k][k]
+                if v % p == 0:
+                    col_op(k, j, 1, 0, -(v // p), 1)
+                else:
+                    x, y, g = xgcd(p, v)
+                    col_op(k, j, x, y, -(v // g), p // g)
+            if all(D[i][k] == 0 for i in range(k + 1, m)) and \
+                    all(D[k][j] == 0 for j in range(k + 1, n)):
+                break
+        k += 1
+    return [D[i][i] for i in range(min(m, n))]

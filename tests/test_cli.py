@@ -541,7 +541,7 @@ def test_timing_records_boundary_nnz_per_degree(pipeline, monkeypatch):
 def integral_rank_timing(tmp_path, n, degree):
     """Sizes and rank stats of c2 epi over Z at (n, degree), after checking
     that every boundary's unit pivots and lattice fit its shape, and that
-    the lattice, the dense finisher's input, has no more vectors than rows."""
+    the lattice, the fold finisher's input, has no more vectors than rows."""
     out = tmp_path / f"r{n}{degree}.json"
     code = run_cli(["compute", "--algebra", "c2", "--ring", "z",
                     "--pipeline", "epi", "--max-object", str(n),
@@ -564,7 +564,7 @@ def integral_rank_timing(tmp_path, n, degree):
 def test_timing_records_unit_pivots_over_the_integers(tmp_path):
     report, sizes, rank = integral_rank_timing(tmp_path, 1, 2)
     # every pivot of d3 but the one of the torsion class [2] is a unit, so
-    # the dense finisher sees a small block of d3
+    # the fold finisher sees a small block of d3
     betti = report["betti"]["epi"]["N=1"]
     assert report["torsion"]["epi"]["N=1"] == [[], [2, 2], [2]]
     rank_d2 = sizes[1] - betti[1] - (sizes[0] - betti[0])

@@ -3,6 +3,7 @@ against brute-force oracles on small random integer matrices and
 complexes."""
 import copy
 import itertools
+import signal
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -18,7 +19,7 @@ from hyperoct.complexes import (TruncationPolicy, TruncatedComplex,
 from hyperoct import homology as hom
 
 from oracles import columns, from_dense, from_entries
-from solvers import field_kernel_sample, field_solve
+from solvers import dense_smith_diagonal, field_kernel_sample, field_solve
 
 PRIMES = (2, 3, 5, 2147483647)
 
@@ -81,6 +82,12 @@ def toy_complex(ring, dims, boundaries):
     mats = {n: over(ring, rows) for n, rows in boundaries.items()}
     mats[len(dims)] = SparseMatrix(ring, dims[-1], 0)
     return TruncatedComplex(ring, policy, list(dims) + [0], mats, label="toy")
+
+
+def uct(C, p):
+    """The coefficient check of the integer complex ``C`` at ``p``, on the
+    homology of its reduction mod p."""
+    return hom.uct_check(C, p, hom.homology_over_field(reduce_mod_p(C, p)))
 
 
 def matmul(a, b):
@@ -613,7 +620,7 @@ def test_cleared_rank_streams_match_plain_ones(mats):
                                        p) == ranks[n]
 
 
-# -- the integral Smith path: unit-pivot stream, lattice, dense finisher -----
+# -- the integral Smith path: unit-pivot stream, lattice, fold finisher ------
 
 def permuted(rows, rnd):
     rows = list(rows)
@@ -627,10 +634,11 @@ def permuted(rows, rnd):
 @given(int_matrices(max_rows=8, max_cols=9), st.randoms(use_true_random=False))
 def test_unit_stream_agrees_with_the_dense_smith_form(rows, rnd):
     M = over(ZZ, rows)
-    dense = hom.diagonalize_integer_matrix(M)
+    dense = dense_smith_diagonal(M)
     rank = sum(1 for d in dense if d)
     factors = hom._invariant_factors(dense)
     assert rank == oracle_rank(rows)
+    assert smith_summary(hom.diagonalize_integer_matrix(M)) == (rank, factors)
     for mat in (M, over(ZZ, permuted(rows, rnd))):
         stats = {}
         diag = hom._smith_diagonal(mat, stats=stats)
@@ -667,13 +675,27 @@ def determinantal_divisors(rows):
 @given(int_matrices(max_rows=4, max_cols=4))
 # a column operation refills the pivot's column: Smith form diag(1, 1, 4)
 @example([[-2, 0, -2], [2, 2, -1], [-1, 0, -2]])
+# folded in the order they come and left unreduced, the columns and rows
+# of this matrix (Smith form diag(1, 1, 36)) repeat a cycle of folds
+# forever
+@example([[0, 3, 2], [-3, 2, 0], [0, 6, 0]])
 def test_dense_smith_form_matches_the_determinantal_divisors(rows):
     # the invariant factors are d_k / d_{k-1}, independent of any
-    # elimination; both the dense finisher alone and the column stream
-    # must give them
+    # elimination; both the fold finisher alone and the column stream
+    # must give them, the finisher within seconds
     divisors = determinantal_divisors(rows)
     factors = [d // e for d, e in zip(divisors, [1] + divisors) if d != e]
-    dense = hom.diagonalize_integer_matrix(over(ZZ, rows))
+
+    def expire(signum, frame):
+        raise TimeoutError("the diagonal form did not finish")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        dense = hom.diagonalize_integer_matrix(over(ZZ, rows))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert sum(1 for d in dense if d) == len(divisors)
     assert hom._invariant_factors(dense) == factors
     assert hom.invariant_factors(over(ZZ, rows)) == factors
@@ -767,7 +789,7 @@ def test_integral_homology_of_elementary_complexes(data):
     assert res.betti == betti
     assert res.torsion == torsion
     for p in (2, 3):
-        assert hom.uct_check(C, p)["ok"]
+        assert uct(C, p)["ok"]
 
 
 @st.composite
@@ -810,10 +832,10 @@ def test_integral_solves_of_one_complex_agree_with_fresh_ones(data, k):
     C = fresh()
     assert C.check_dsquared()
     bounded, full = over_z(C, k), over_z(C)
-    checks = [hom.uct_check(C, p) for p in (2, 3)]
+    checks = [uct(C, p) for p in (2, 3)]
     assert bounded == over_z(fresh(), k)
     assert full == over_z(fresh())
-    assert checks == [hom.uct_check(fresh(), p) for p in (2, 3)]
+    assert checks == [uct(fresh(), p) for p in (2, 3)]
     assert all(check["ok"] for check in checks)
     for res, _ in (bounded, full):
         for stats in res.rank_stats.values():
@@ -904,8 +926,8 @@ def smith_summary(diag):
 def test_seeded_bounded_smith_streams_match_plain_ones(data):
     # the stream of each d_n, cleared by the unit pivot columns of d_{n-1}
     # and stopped at dim C_{n-1} - rank d_{n-1} with its torsion certified
-    # mod p, has the rank and invariant factors of the plain stream and of
-    # the dense Smith form
+    # mod p, has the rank and invariant factors of the plain stream, of
+    # the dense Smith form and of the fold finisher alone
     dims, rows = data
     C = integer_complex(dims, rows)
     for n in range(1, len(dims) + 1):
@@ -913,6 +935,7 @@ def test_seeded_bounded_smith_streams_match_plain_ones(data):
         stream = C.boundary_stream(n)
         summary, stats = (stream.rank, list(stream.factors)), stream.stats
         assert summary == smith_summary(hom._smith_diagonal(d))
+        assert summary == smith_summary(dense_smith_diagonal(d))
         assert summary == smith_summary(hom.diagonalize_integer_matrix(d))
         assert stats["of"] == d.ncols
         assert stats["early_exit"] == (stats["cols"] < stats["of"])

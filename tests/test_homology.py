@@ -153,21 +153,20 @@ def test_solve_rejects_non_cycles():
 def test_uct_toy():
     # multiplication by two: middle dimension over F2 is 0 + 1 in degree 1
     C = toy_complex(ZZ, [1, 1], {1: [[2]]})
-    report = hom.uct_check(C, 2)
+    modp = {p: hom.homology_over_field(reduce_mod_p(C, p)) for p in (2, 3)}
+    report = hom.uct_check(C, 2, modp[2])
     assert report["ok"]
     degrees = {d["degree"]: d for d in report["degrees"]}
     assert degrees[0]["middle"] == 1 and degrees[0]["tensor"] == 1
     assert degrees[1]["middle"] == 1 and degrees[1]["tor"] == 1
     # with the trivial prime-free module the check is not defined; over an
     # odd prime the torsion disappears
-    report3 = hom.uct_check(C, 3)
+    report3 = hom.uct_check(C, 3, modp[3])
     assert report3["ok"]
     assert all(d["tor"] == 0 for d in report3["degrees"])
-    # the mod-p homology may come from the caller, for its own prime only
-    modp = hom.homology_over_field(reduce_mod_p(C, 2))
-    assert hom.uct_check(C, 2, modp) == report
+    # the mod-p homology must be that of the check's own prime
     with pytest.raises(hom.HomologyError):
-        hom.uct_check(C, 3, modp)
+        hom.uct_check(C, 3, modp[2])
 
 
 def test_homology_result_validation():
