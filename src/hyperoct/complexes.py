@@ -39,7 +39,12 @@ with nonempty hom lists H_k = H(s_k, s_{k+1}), in product order, each the
 product of its hom lists, the last varying fastest.  So a string is its
 block and its local rank, the mixed-radix number of its ids' positions in
 their hom lists, and every face is found by arithmetic on that rank
-(``build_gz_complex``), not by looking a tuple up.  Boundary columns hold
+(``build_gz_complex``), not by looking a tuple up.  A complex keeps these
+blocks, one entry per block with its first generator, and nothing per
+string: the strings and their first generators are walked off the blocks,
+and the lists and positions that the reduced machinery and the
+zero-anchored cone look strings up in are derived on first use
+(``TruncatedComplex``).  Boundary columns hold
 plain scalars, reduced mod p over a prime field, and go straight into the
 compressed columns of the boundary (``matrices``) through a
 ``ColumnWriter``; no list of dict columns is built.  The faces other than
@@ -98,6 +103,7 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import islice
+from math import prod
 from operator import add, itemgetter, sub
 
 from . import croscat, homology
@@ -256,36 +262,44 @@ class TruncatedComplex:
     """Chain complex with explicit generator bookkeeping.
 
     dims[n] for n in 0..D+1; boundaries[n]: C_n -> C_{n-1} for n in 1..D+1.
-    String metadata is attached when the complex comes from a category
-    assembly and is used by the reduction machinery and by reports: a
-    degree-n string is ``(source object, tuple of n morphism ids)``, ids of
-    the ``morphisms`` table, first morphism first; its generators start at
-    ``offsets[n][position]``, one per functor basis element at the source.
-    ``generator_counts`` are the standard complex's counts, which a
-    normalized complex (see the module docstring) passes as ``counts``;
-    ``dims`` are the generators it has.
+    A complex assembled from a category (``build_gz_complex``) also keeps
+    its ``functor``, its ``morphisms`` table and its string blocks, and
+    nothing per string.  A degree-n string is ``(source object, tuple of n
+    morphism ids)``, ids of the ``morphisms`` table, first morphism first.
+    ``blocks[n]`` lists ``(object sequence, hom id lists, first
+    generator)`` per block, in ``_blocks`` order; the block's strings are
+    the product of its hom lists, the last varying fastest, and the string
+    of local rank rho has its generators from first + rho dim F(s_0), one
+    per functor basis element at the source.  ``walk(n)`` and ``firsts(n)``
+    iterate the strings and their first generators in this order, the
+    generator-index contract, with no list; the lists ``strings(n)`` and
+    ``offsets(n)`` and the positions ``string_index(n)`` are derived from
+    the blocks on first use and kept, for the lookups of the reduction
+    machinery and the zero-anchored cone.  ``generator_counts`` are the
+    standard complex's counts, which a normalized complex (see the module
+    docstring) passes as ``counts``; ``dims`` are the generators it has.
 
     A complex is not changed after construction.  Its derived data, the
-    positions of the degree-n strings (``string_index``), the d^2
-    certificate of each pair (``dsquared_vanishes``) and the column stream
-    of each boundary over the complex's ring (``boundary_stream``), is
-    built on first use and never rebuilt, so every solve of the same
-    complex reads one certificate per pair and one column stream per
-    boundary.
+    lists above, the d^2 certificate of each pair (``dsquared_vanishes``)
+    and the column stream of each boundary over the complex's ring
+    (``boundary_stream``), is built on first use and never rebuilt, so
+    every solve of the same complex reads one certificate per pair and one
+    column stream per boundary.
     """
 
     def __init__(self, ring: Ring, policy: TruncationPolicy, dims, boundaries,
-                 label="complex", strings=None, offsets=None, functor=None,
-                 morphisms=None, counts=None):
+                 label="complex", blocks=None, functor=None, morphisms=None,
+                 counts=None):
         self.ring = ring
         self.policy = policy
         self.dims = list(dims)
         self.counts = self.dims if counts is None else list(counts)
         self.boundaries = dict(boundaries)
         self.label = label
-        self.strings = strings
+        self.blocks = blocks
+        self._strings: dict = {}
+        self._offsets: dict = {}
         self._string_index: dict = {}
-        self.offsets = offsets
         self.functor = functor
         self.morphisms = morphisms
         self._streams: dict = {}
@@ -311,11 +325,41 @@ class TruncatedComplex:
             raise ComplexError(f"degree {n} boundary was not built")
         return M
 
+    def walk(self, n: int):
+        """The degree-n strings in generator order, walked off the blocks."""
+        for seq, hs, _ in self.blocks[n]:
+            src = seq[0]
+            for ids in itertools.product(*hs):
+                yield src, ids
+
+    def firsts(self, n: int):
+        """The first generator of every degree-n string, in order."""
+        dim = self.functor.dim
+        return itertools.chain.from_iterable(
+            islice(itertools.count(first, dim(seq[0])), prod(map(len, hs)))
+            for seq, hs, first in self.blocks[n])
+
+    def strings(self, n: int) -> list:
+        """The degree-n strings in order, derived on first use and kept."""
+        out = self._strings.get(n)
+        if out is None:
+            out = self._strings[n] = list(self.walk(n))
+        return out
+
+    def offsets(self, n: int) -> list:
+        """The first generator of every degree-n string, derived on first
+        use and kept."""
+        out = self._offsets.get(n)
+        if out is None:
+            out = self._offsets[n] = list(self.firsts(n))
+        return out
+
     def string_index(self, n: int) -> dict:
-        """Position of every degree-n string, built on first use."""
+        """Position of every degree-n string, derived on first use and
+        kept."""
         index = self._string_index.get(n)
         if index is None:
-            index = self._string_index[n] = _positions(self.strings[n])
+            index = self._string_index[n] = _positions(self.walk(n))
         return index
 
     def boundary_stream(self, n: int) -> homology.ColumnStream:
@@ -519,11 +563,11 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
     # string layouts (``_string_layout``), and the functor column lengths
     # they depend on, numbered
     layouts, shapes = {}, {}
-    strings, offsets, dims = [], [], []
+    blocks, dims = [], []
     boundaries = {}
     prev = None   # block offsets of degree n - 1
     for n in range(D + 2):
-        sts, offs = [], []
+        level = []
         if n:
             writer = ColumnWriter(dims[-1])
             rows, vals, ends = writer.buffer
@@ -534,13 +578,11 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
         here = {}
         total = 0
         for seq, hs in _blocks(objects, homs, n):
-            src = seq[0]
-            f = fdim[src]
+            f = fdim[seq[0]]
             here[seq] = total
+            level.append((seq, hs, total))
+            total += f * prod(map(len, hs))
             if not n:
-                sts.append((src, ()))
-                offs.append(total)
-                total += f
                 continue
             stride = [1] * n
             for k in range(n - 1, 0, -1):
@@ -558,9 +600,6 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
                     pending.clear()
                 if len(rows) >= flush_at:
                     writer.flush()
-                sts.append((src, ids))
-                offs.append(total)
-                total += f
                 first = ids[0]
                 entry = face0[first]
                 if entry is None:
@@ -631,8 +670,7 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
                 ends += map(end.__add__, cends)
         if total != expected[n]:
             raise ComplexError("projected and enumerated sizes disagree")
-        strings.append(sts)
-        offsets.append(offs)
+        blocks.append(level)
         if n:
             writer.extend(pending)
             boundaries[n] = writer.matrix(ring, total)
@@ -640,8 +678,7 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
         prev = here
 
     return TruncatedComplex(ring, policy, dims, boundaries, label=label,
-                            strings=strings, offsets=offsets,
-                            functor=functor, morphisms=table,
+                            blocks=blocks, functor=functor, morphisms=table,
                             counts=projected)
 
 
@@ -848,8 +885,7 @@ def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
                   for n, M in complex_.boundaries.items()}
     reduced = TruncatedComplex(field, complex_.policy, complex_.dims,
                                boundaries, label=f"{complex_.label} mod {p}",
-                               strings=complex_.strings,
-                               offsets=complex_.offsets,
+                               blocks=complex_.blocks,
                                functor=complex_.functor,
                                morphisms=complex_.morphisms,
                                counts=complex_.counts)
@@ -955,9 +991,10 @@ class ReducedMachinery:
         """The ideal summand C_I and the unit summand C_k of the nerve.
 
         Tensor index 0 is the all-units tuple in every degree, so the unit
-        generator of string si is nerve generator ``offsets[n][si]``, the
-        si-th generator of C_k, and the other nerve generators are those of
-        C_I, in order (``ci_index[n]``).  One pass per boundary renumbers
+        generator of string si is its first nerve generator (``firsts``),
+        the si-th generator of C_k, which has one generator per string (the
+        sum of the block sizes), and the other nerve generators are those
+        of C_I, in order (``ci_index[n]``).  One pass per boundary renumbers
         the rows of each column in its summand, by a C-level ``map`` over
         its slice of row indices; a row of the other summand becomes
         ``None`` and breaks the splitting.  Both renumberings increase, so
@@ -966,9 +1003,11 @@ class ReducedMachinery:
         D = self.policy.max_degree
         self.ci_index = []   # per degree: the nerve index of each C_I generator
         ci_pos, ck_pos = [], []
+        ck_dims = [sum(prod(map(len, hs)) for _, hs, _ in blocks)
+                   for blocks in nerve.blocks]
         for n in range(D + 2):
             ck = [None] * nerve.dims[n]
-            for si, g in enumerate(nerve.offsets[n]):
+            for si, g in enumerate(nerve.firsts(n)):
                 ck[g] = si
             ideal = [g for g, si in enumerate(ck) if si is None]
             ci = [None] * nerve.dims[n]
@@ -977,34 +1016,33 @@ class ReducedMachinery:
             self.ci_index.append(ideal)
             ci_pos.append(ci)
             ck_pos.append(ck)
+        ci_dims = list(map(len, self.ci_index))
         ci_bound, ck_bound = {}, {}
         for n in range(1, D + 2):
             M = nerve.boundary(n)
-            for bound, gens, pos in (
-                    (ci_bound, self.ci_index, ci_pos),
-                    (ck_bound, nerve.offsets, ck_pos)):
+            for bound, dims, gens, pos in (
+                    (ci_bound, ci_dims, self.ci_index.__getitem__, ci_pos),
+                    (ck_bound, ck_dims, nerve.firsts, ck_pos)):
                 at = pos[n - 1].__getitem__
-                writer = ColumnWriter(len(gens[n - 1]))
+                writer = ColumnWriter(dims[n - 1])
                 rows, vals, ends = writer.buffer
                 starts, mrows, mvals = M.starts, M.rows, M.vals
                 try:
-                    for g in gens[n]:
+                    for g in gens(n):
                         a, b = starts[g], starts[g + 1]
                         rows += map(at, mrows[a:b])
                         vals += mvals[a:b]
                         ends.append(len(writer.rows) + len(rows))
                         if len(rows) >= writer.FLUSH:
                             writer.flush()
-                    bound[n] = writer.matrix(self.ring, len(gens[n]))
+                    bound[n] = writer.matrix(self.ring, dims[n])
                 except TypeError:
                     # a row of the other summand, None, is no row index
                     raise ComplexError("boundary does not preserve the "
                                        "splitting") from None
-        self.c_ideal = TruncatedComplex(self.ring, self.policy,
-                                        list(map(len, self.ci_index)),
+        self.c_ideal = TruncatedComplex(self.ring, self.policy, ci_dims,
                                         ci_bound, label="C_I")
-        self.c_unit = TruncatedComplex(self.ring, self.policy,
-                                       list(map(len, nerve.offsets)),
+        self.c_unit = TruncatedComplex(self.ring, self.policy, ck_dims,
                                        ck_bound, label="C_k")
 
     # -- ideal generators on morphism ids --------------------------------------
@@ -1068,7 +1106,7 @@ class ReducedMachinery:
         si = self.nerve.string_index(n).get(key)
         if si is None:
             raise ComplexError("reduction left the truncation window")
-        return self.nerve.offsets[n][si] - si - 1
+        return self.nerve.offsets(n)[si] - si - 1
 
     # -- chain maps ------------------------------------------------------------
 
@@ -1080,9 +1118,9 @@ class ReducedMachinery:
             to_epi = {table.id[f]: e for e, f in enumerate(epi.morphisms.morphisms)}
             images = {}
             for n in range(self.policy.max_degree + 2):
-                index, offs = epi.string_index(n), epi.offsets[n]
+                index, offs = epi.string_index(n), epi.offsets(n)
                 out = []
-                for src, ids in self.nerve.strings[n]:
+                for src, ids in self.nerve.walk(n):
                     # the walk depends on the positions, not on the letters
                     bases = {}
                     for positions, t in self._ideal_decoding(src):
@@ -1109,7 +1147,7 @@ class ReducedMachinery:
             images = {}
             for n in range(self.policy.max_degree + 2):
                 out = []
-                for src, ids in self.epi.strings[n]:
+                for src, ids in self.epi.walk(n):
                     base = self._ci_base(n, (src, tuple(to_full[e] for e in ids)))
                     out.extend(base + t for t in self._full_index(src))
                 images[n] = out
@@ -1127,7 +1165,7 @@ class ReducedMachinery:
             mats = {}
             for n in range(self.policy.max_degree + 1):
                 cols = []
-                for src, ids in self.nerve.strings[n]:
+                for src, ids in self.nerve.walk(n):
                     terms = {}
                     for positions, t in self._ideal_decoding(src):
                         hit = terms.get(positions)
@@ -1224,7 +1262,7 @@ class ReducedMachinery:
         for n in range(D + 1):
             index = self.nerve.string_index(n + 1)
             h[n] = []
-            for src, ids in self.nerve.strings[n]:
+            for src, ids in self.nerve.walk(n):
                 # the unit generator of a string has the string's position
                 row = index.get((0, (self._injection((0,), src),) + ids))
                 if row is None:
@@ -1308,10 +1346,10 @@ def zero_anchored_contraction(policy: TruncationPolicy, ring: Ring,
     unit = table.id[ifas_identity(0)] - table.hom[0, 0].start
     h = {}
     for n in range(D + 1):
-        index, offsets = cpx.string_index(n + 1), cpx.offsets[n + 1]
+        index, offsets = cpx.string_index(n + 1), cpx.offsets(n + 1)
         h[n] = [offsets[index[0, (g,) + ids]] + unit
-                for src, ids in cpx.strings[n] for g in table.hom[0, src]]
-    eta_row = cpx.offsets[0][cpx.string_index(0)[0, ()]] + unit
+                for src, ids in cpx.walk(n) for g in table.hom[0, src]]
+    eta_row = cpx.offsets(0)[cpx.string_index(0)[0, ()]] + unit
     results = _contraction_identities(cpx.boundary, h, eta_row,
                                       ring.characteristic, D)
     return {"identities": results, "dims": cpx.dims,

@@ -49,7 +49,7 @@ def built(kind, ring_name):
     functor = BarFunctor(C.functor.functor.algebra, variant)
     by_morphisms = [
         {(src, tuple(C.morphisms[i] for i in ids)): pos
-         for pos, (src, ids) in enumerate(C.strings[n])}
+         for pos, (src, ids) in enumerate(C.strings(n))}
         for n in range(D + 2)]
     return C, functor, by_morphisms
 
@@ -59,7 +59,7 @@ def oracle_column(C, functor, by_morphisms, n, si, t):
     n: F(f_1) on the coefficient, then (-1)^i for composing f_{i+1} f_i,
     then (-1)^n for dropping f_n."""
     ring = C.ring
-    src, ids = C.strings[n][si]
+    src, ids = C.strings(n)[si]
     fs = [C.morphisms[i] for i in ids]
     faces = [(1, (fs[0].target, tuple(fs[1:])),
               functor.evaluate(fs[0]).column(t))]
@@ -70,7 +70,7 @@ def oracle_column(C, functor, by_morphisms, n, si, t):
     faces.append(((-1) ** n, (src, tuple(fs[:-1])), {t: ring.one()}))
     col = {}
     for sign, string, coeffs in faces:
-        base = C.offsets[n - 1][by_morphisms[n - 1][string]]
+        base = C.offsets(n - 1)[by_morphisms[n - 1][string]]
         for r, v in coeffs.items():
             term = ring.mul(ring.from_int(sign), v)
             col[base + r] = ring.add(col.get(base + r, ring.zero()), term)
@@ -83,10 +83,10 @@ def oracle_column(C, functor, by_morphisms, n, si, t):
 def test_boundary_columns_match_the_face_formula(kind, ring_name, data):
     C, functor, by_morphisms = built(kind, ring_name)
     n = data.draw(st.integers(1, C.policy.max_degree + 1), label="degree")
-    si = data.draw(st.integers(0, len(C.strings[n]) - 1), label="string")
-    src, _ = C.strings[n][si]
+    si = data.draw(st.integers(0, len(C.strings(n)) - 1), label="string")
+    src, _ = C.strings(n)[si]
     t = data.draw(st.integers(0, functor.dim(src) - 1), label="tensor")
-    col = C.boundary(n).column(C.offsets[n][si] + t)
+    col = C.boundary(n).column(C.offsets(n)[si] + t)
     assert col == oracle_column(C, functor, by_morphisms, n, si, t)
 
 
@@ -115,10 +115,10 @@ def oracle_boundaries(C, normalized):
     degenerate = table.identities if normalized else frozenset()
     out = {}
     for n in range(1, C.policy.max_degree + 2):
-        index = {s: i for i, s in enumerate(C.strings[n - 1])}
-        offs = C.offsets[n - 1]
+        index = {s: i for i, s in enumerate(C.strings(n - 1))}
+        offs = C.offsets(n - 1)
         cols = []
-        for src, ids in C.strings[n]:
+        for src, ids in C.strings(n):
             first = ids[0]
             fcols = columns(functor.matrix(table[first]))
             base0 = offs[index[table.target[first], ids[1:]]]
@@ -202,10 +202,10 @@ def nondegenerate_rows(S, C, n):
     """Standard generator index -> normalized generator index, for the
     degree-n generators on strings with no identity arrow."""
     out = {}
-    for si, (src, ids) in enumerate(C.strings[n]):
-        base = S.offsets[n][S.string_index(n)[src, ids]]
+    for si, (src, ids) in enumerate(C.strings(n)):
+        base = S.offsets(n)[S.string_index(n)[src, ids]]
         for t in range(S.functor.dim(src)):
-            out[base + t] = C.offsets[n][si] + t
+            out[base + t] = C.offsets(n)[si] + t
     return out
 
 
@@ -216,14 +216,14 @@ def test_normalized_columns_are_standard_columns_on_nondegenerate_rows(
         algebra, ring_name, data):
     S, C = epi_pair(algebra, ring_name, 1, 2)
     n = data.draw(st.integers(1, 3), label="degree")
-    si = data.draw(st.integers(0, len(C.strings[n]) - 1), label="string")
-    src, ids = C.strings[n][si]
+    si = data.draw(st.integers(0, len(C.strings(n)) - 1), label="string")
+    src, ids = C.strings(n)[si]
     assert not C.morphisms.identities.intersection(ids)
     t = data.draw(st.integers(0, C.functor.dim(src) - 1), label="tensor")
     rows = nondegenerate_rows(S, C, n - 1)
     std = S.boundary(n).column(
-        S.offsets[n][S.string_index(n)[src, ids]] + t)
-    assert C.boundary(n).column(C.offsets[n][si] + t) == {
+        S.offsets(n)[S.string_index(n)[src, ids]] + t)
+    assert C.boundary(n).column(C.offsets(n)[si] + t) == {
         rows[r]: v for r, v in std.items() if r in rows}
 
 
@@ -232,7 +232,7 @@ def test_normalized_strings_keep_their_standard_order(algebra):
     S, C = epi_pair(algebra, "q", 1, 2)
     identities = C.morphisms.identities
     for n in range(4):
-        assert C.strings[n] == [s for s in S.strings[n]
+        assert C.strings(n) == [s for s in S.strings(n)
                                 if not identities.intersection(s[1])]
     assert C.generator_counts() == S.dims
     assert C.dims == cx.projected_generator_counts(

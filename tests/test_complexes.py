@@ -8,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 from hyperoct.rings import QQ, ZZ, GF
 from hyperoct import croscat as cc, invalg as ia
 from hyperoct.barfun import BarFunctor
+from hyperoct import cli
 from hyperoct.cli import algebra_from_spec
 from hyperoct import complexes as cx
 from hyperoct.homology import homology_over_field
 from hyperoct.matrices import SparseMatrix
-from hyperoct.slominska import SubsetPoset
+from hyperoct.slominska import SubsetPoset, slominska_complex
 
 from oracles import (columns, map_matrix, neg, supported_in_rows,
                      zero_anchored_by_strings)
 from solvers import field_kernel_sample, solve_is_boundary
+from test_assembly import standard_epi_complex
 
 
 def machinery(group_order, N=1, D=1, ring=QQ):
@@ -44,19 +46,19 @@ def test_ground_ring_complex_matches_the_category_nerve():
     # independent nerve boundary on a sample of strings, with the morphisms
     # read through the complex's id table
     rng = random.Random(0)
-    strings = C.strings[2]
+    strings = C.strings(2)
     morphisms = C.morphisms
     for _ in range(50):
         si = rng.randrange(len(strings))
         src, (i1, i2) = strings[si]
         f1, f2 = morphisms[i1], morphisms[i2]
-        col = C.boundary(2).column(C.offsets[2][si])
+        col = C.boundary(2).column(C.offsets(2)[si])
         expected = {}
         for tgt, sgn in (((f1.target, (f2,)), 1),
                          ((src, (cc.ifas_compose(f2, f1),)), -1),
                          ((src, (f1,)), 1)):
             key = (tgt[0], tuple(morphisms.id[f] for f in tgt[1]))
-            idx = C.offsets[1][C.string_index(1)[key]]
+            idx = C.offsets(1)[C.string_index(1)[key]]
             expected[idx] = expected.get(idx, 0) + sgn
         expected = {k: QQ.from_int(v) for k, v in expected.items() if v}
         assert col == expected
@@ -93,6 +95,59 @@ def test_string_walk_matches_the_product_filter(category, N, normalized):
         strings = block_strings(table, n, normalized)
         assert strings == product_filter_strings(table, n, normalized)
     assert strings
+
+
+# (constructor, algebra, (N, D), normalized)
+STRING_KINDS = {
+    "full": (cx.build_full_complex, "c2", (1, 1), False),
+    "epi": (cx.build_epi_complex, "c3", (1, 2), True),
+    "epi-standard": (standard_epi_complex, "c3", (1, 2), False),
+    "extended": (cx.build_extended_complex, "c2", (1, 1), False),
+    "slominska": (slominska_complex, "c2", (2, 2), True),
+    "zero-anchored": (None, None, (1, 2), False),
+}
+
+
+@pytest.mark.parametrize("kind", STRING_KINDS)
+def test_strings_offsets_and_positions_follow_the_product_filter(kind):
+    # the lists a complex derives from its blocks against strings read off
+    # the product of all object tuples: generators in string order, dim
+    # F(src) per string, and every string at its position
+    construct, algebra, (N, D), normalized = STRING_KINDS[kind]
+    policy = cx.TruncationPolicy(N, D)
+    if construct is None:
+        cpx = cx.zero_anchored_complex(policy, QQ)
+    else:
+        cpx = construct(ia.builtin_algebra(algebra, QQ), policy)
+    for n in range(D + 2):
+        strings = cpx.strings(n)
+        assert strings == product_filter_strings(cpx.morphisms, n, normalized)
+        dims = [cpx.functor.dim(src) for src, _ in strings]
+        firsts = list(itertools.accumulate(dims, initial=0))
+        assert cpx.offsets(n) == firsts[:-1]
+        assert firsts[-1] == cpx.dims[n]
+        assert cpx.string_index(n) == {s: i for i, s in enumerate(strings)}
+    assert cpx.strings(1)
+
+
+class Derived(Exception):
+    pass
+
+
+def test_only_the_reduced_pipeline_derives_per_string_lists(monkeypatch):
+    # a complex keeps its blocks; the per-string lists and positions are
+    # derived only where strings are looked up, in the reduced machinery
+    def derive(cpx, n):
+        raise Derived(f"{cpx.label} degree {n}")
+
+    for name in ("strings", "offsets", "string_index"):
+        monkeypatch.setattr(cx.TruncatedComplex, name, derive)
+    for pipeline in ("epi", "full", "extended", "nerve", "slominska"):
+        _, code = cli.run(cli.JobSpec("c2", "q", pipeline, [1], 2,
+                                      verify=True))
+        assert code == 0
+    with pytest.raises(Derived):
+        cli.run(cli.JobSpec("c2", "q", "reduced", [1], 2, verify=True))
 
 
 def test_minimal_truncation_dimensions():
@@ -209,7 +264,7 @@ def test_split_dimensions_and_blocks():
     for n in range(3):
         assert ci.dimension(n) + ck.dimension(n) == nerve.dimension(n)
     # one unit-summand generator per string
-    assert ck.dims == [len(s) for s in nerve.strings]
+    assert ck.dims == [len(nerve.strings(n)) for n in range(len(nerve.dims))]
     # block structure is genuinely diagonal in the nerve boundary
     for n in (1, 2):
         M = nerve.boundary(n)
@@ -223,7 +278,7 @@ def test_ideal_summand_dimension_formula():
     d = m.algebra.dim
     for n in range(2):
         total = 0
-        for (src, _) in m.nerve.strings[n]:
+        for (src, _) in m.nerve.strings(n):
             by_monos = 0
             for x in range(src + 1):
                 monos = len(cc.enumerate_delta(x, src, "mono"))
@@ -397,7 +452,7 @@ def test_zero_anchored_complex_matches_the_string_oracle(N, D, ring):
     oracle = zero_anchored_by_strings(policy, ring)
     hom = cpx.morphisms.hom
     to_old = [[oracle["index"][n][(g,) + ids]
-               for src, ids in cpx.strings[n] for g in hom[0, src]]
+               for src, ids in cpx.strings(n) for g in hom[0, src]]
               for n in range(D + 2)]
     assert cpx.dims == oracle["dims"]
     for n in range(1, D + 2):
@@ -463,7 +518,7 @@ def test_an_entry_across_the_summands_breaks_the_split():
     # a unit generator's boundary column gains an ideal row
     d1 = m.nerve.boundary(1)
     cols = columns(d1)
-    col = cols[m.nerve.offsets[1][0]]
+    col = cols[m.nerve.offsets(1)[0]]
     col[m.ci_index[0][0]] = QQ.one()
     m.nerve.boundaries[1] = SparseMatrix(QQ, d1.nrows, d1.ncols, cols)
     with pytest.raises(cx.ComplexError, match="splitting"):
