@@ -22,7 +22,9 @@ between the two variants is the identity matrix in them.
 For an augmented algebra in an adapted basis the normal coordinates split by
 the tensor tuple: the all-units tuple spans one summand (a copy of the nerve
 of the truncated category) and the remaining tuples span the ideal summand.
-A generator of the ideal summand decodes uniquely as (string, injection,
+Each summand is built as the standard complex of its own functor, and the
+splitting is checked on the functor matrices (``ReducedMachinery``).  A
+generator of the ideal summand decodes uniquely as (string, injection,
 ideal-only tuple), which is the form the epimorphism construction, the
 comparison chain map into the epimorphism complex and the presimplicial
 homotopy act on.
@@ -56,7 +58,9 @@ functor's columns (``_string_layout``).
 
 Every complex built from a category comes from ``build_gz_complex``: the
 full, extended, nerve and normalized epimorphism complexes with a
-``BarFunctorView``, the Slominska complex on the subset poset, and the
+``BarFunctorView``, the two summands of the reduced machinery (the ideal
+summand with an ``IdealSummandView``, the unit summand as the full complex
+of the ground ring), the Slominska complex on the subset poset, and the
 zero-anchored cone of ``zero_anchored_contraction``, which is the standard
 complex of the representable functor k[Hom(0, -)] (``ZeroAnchoredView``).
 
@@ -111,7 +115,8 @@ from .barfun import BarFunctor, FULL, IDEAL, EXTENDED
 from .croscat import (EMPTY_OBJECT, IFasMorphism, factorize_ifas, ifas_compose,
                       ifas_identity, ifas_injection)
 from .homology import HomologyError, check_dsquared_pair
-from .invalg import InvolutiveAlgebra, adapt_basis_to_augmentation, AlgebraError
+from .invalg import (InvolutiveAlgebra, adapt_basis_to_augmentation,
+                     AlgebraError, ground_ring_algebra)
 from .matrices import ColumnWriter, SparseMatrix, combination, lead_first
 from .rings import Ring, RingError, GF, ZZ
 
@@ -207,6 +212,31 @@ class BarFunctorView:
 
     def matrix(self, f):
         return self.functor.evaluate(f)
+
+
+class IdealSummandView:
+    """F_I for a functor F with F(f) = [[1, 0], [0, F_I(f)]]: ``matrix(f)``
+    is F(f) with row 0 and column 0 dropped, once column 0 is checked to be
+    exactly {0: 1} and no other column to have row 0; otherwise the
+    splitting fails with ``ComplexError``."""
+
+    def __init__(self, functor):
+        self.functor = functor
+        self.ring = functor.ring
+
+    def dim(self, obj):
+        return self.functor.dim(obj) - 1
+
+    def matrix(self, f):
+        M = self.functor.matrix(f)
+        starts, rows, vals = M.starts, M.rows, M.vals
+        if starts[1] != 1 or rows[0] != 0 or vals[0] != self.ring.one() \
+                or 0 in rows[1:]:
+            raise ComplexError(f"F({f}) does not preserve the splitting")
+        return SparseMatrix.from_arrays(
+            self.ring, M.nrows - 1, M.ncols - 1,
+            array("q", [s - 1 for s in starts[1:]]),
+            array(rows.typecode, [r - 1 for r in rows[1:]]), vals[1:])
 
 
 class MorphismTable:
@@ -436,6 +466,13 @@ def projected_generator_counts(category, functor, policy: TruncationPolicy,
     return counts
 
 
+def _check_cap(label: str, projected, max_generators: int) -> None:
+    """Raise ``ResourceCapExceeded`` at the first degree over the cap."""
+    for degree, count in enumerate(projected):
+        if count > max_generators:
+            raise ResourceCapExceeded(label, degree, count, max_generators)
+
+
 def _hom_lists(table: MorphismTable, normalized: bool = False) -> dict:
     """The nonempty hom lists ``H(a, b)`` of the truncated category, as id
     lists; ``normalized`` leaves out the identity ids."""
@@ -526,9 +563,7 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
     """
     label = label or f"gz[{category.name}]"
     projected = projected_generator_counts(category, functor, policy)
-    for degree, count in enumerate(projected):
-        if count > max_generators:
-            raise ResourceCapExceeded(label, degree, count, max_generators)
+    _check_cap(label, projected, max_generators)
     expected = projected_generator_counts(category, functor, policy, True) \
         if normalized else projected
 
@@ -955,8 +990,15 @@ def tensor_with_coefficients(complex_: TruncatedComplex,
 
 class ReducedMachinery:
     """All the chain-level data attached to an augmented algebra at a fixed
-    truncation: the adapted full complex, its ideal/unit splitting, the
+    truncation: the two summands of the adapted full complex, the
     epimorphism complex, the comparison chain maps and the homotopies.
+
+    Tensor index 0 is the all-units tuple and face 0 the only face that
+    applies F, so the nerve splits when every F(f) is [[1, 0], [0, F_I(f)]]
+    (checked by ``IdealSummandView``).  Each summand is a
+    ``build_gz_complex`` complex: C_I of F_I, and C_k, one generator per
+    string, of the ground ring.  Their strings and morphism ids are the
+    nerve's, and the cap acts on the nerve's projected count, their sum.
     """
 
     def __init__(self, algebra: InvolutiveAlgebra, policy: TruncationPolicy,
@@ -969,14 +1011,24 @@ class ReducedMachinery:
         self.policy = policy
         self.full_functor = BarFunctor(self.algebra, FULL)
         self.ideal_functor = BarFunctor(self.algebra, IDEAL)
-        self.nerve, _ = build_nerve_variant(
-            DeltaHCategory(), BarFunctorView(self.full_functor), policy,
-            max_generators, label="nerve[deltaH]", certificate=certificate)
-        self._split()
+        full = BarFunctorView(self.full_functor)
+        _check_cap("nerve[deltaH]", projected_generator_counts(
+            DeltaHCategory(), full, policy), max_generators)
+        self.c_ideal = build_gz_complex(DeltaHCategory(),
+                                        IdealSummandView(full), policy,
+                                        max_generators, label="C_I")
+        if certificate and not relation_certificate(self.c_ideal.morphisms,
+                                                    full).ok:
+            raise ComplexError("nerve[deltaH]: tensor relations are not "
+                               "killed by the normal-form retraction")
+        self.c_unit = build_gz_complex(
+            DeltaHCategory(), BarFunctorView(BarFunctor(
+                ground_ring_algebra(self.ring), FULL)),
+            policy, max_generators, label="C_k")
         self.epi, _ = build_nerve_variant(
             EpiDeltaHCategory(), BarFunctorView(self.ideal_functor), policy,
             max_generators, label="epi", certificate=certificate)
-        self._factors = [None] * len(self.nerve.morphisms)
+        self._factors = [None] * len(self.c_ideal.morphisms)
         self._injections = {}
         self._decodings = {}
         self._full_indices = {}
@@ -984,66 +1036,6 @@ class ReducedMachinery:
         self._inclusion = None
         self._homotopy = None
         self._homotopy_sign = None
-
-    # -- the splitting -------------------------------------------------------
-
-    def _split(self):
-        """The ideal summand C_I and the unit summand C_k of the nerve.
-
-        Tensor index 0 is the all-units tuple in every degree, so the unit
-        generator of string si is its first nerve generator (``firsts``),
-        the si-th generator of C_k, which has one generator per string (the
-        sum of the block sizes), and the other nerve generators are those
-        of C_I, in order (``ci_index[n]``).  One pass per boundary renumbers
-        the rows of each column in its summand, by a C-level ``map`` over
-        its slice of row indices; a row of the other summand becomes
-        ``None`` and breaks the splitting.  Both renumberings increase, so
-        a column's leading row stays first."""
-        nerve = self.nerve
-        D = self.policy.max_degree
-        self.ci_index = []   # per degree: the nerve index of each C_I generator
-        ci_pos, ck_pos = [], []
-        ck_dims = [sum(prod(map(len, hs)) for _, hs, _ in blocks)
-                   for blocks in nerve.blocks]
-        for n in range(D + 2):
-            ck = [None] * nerve.dims[n]
-            for si, g in enumerate(nerve.firsts(n)):
-                ck[g] = si
-            ideal = [g for g, si in enumerate(ck) if si is None]
-            ci = [None] * nerve.dims[n]
-            for i, g in enumerate(ideal):
-                ci[g] = i
-            self.ci_index.append(ideal)
-            ci_pos.append(ci)
-            ck_pos.append(ck)
-        ci_dims = list(map(len, self.ci_index))
-        ci_bound, ck_bound = {}, {}
-        for n in range(1, D + 2):
-            M = nerve.boundary(n)
-            for bound, dims, gens, pos in (
-                    (ci_bound, ci_dims, self.ci_index.__getitem__, ci_pos),
-                    (ck_bound, ck_dims, nerve.firsts, ck_pos)):
-                at = pos[n - 1].__getitem__
-                writer = ColumnWriter(dims[n - 1])
-                rows, vals, ends = writer.buffer
-                starts, mrows, mvals = M.starts, M.rows, M.vals
-                try:
-                    for g in gens(n):
-                        a, b = starts[g], starts[g + 1]
-                        rows += map(at, mrows[a:b])
-                        vals += mvals[a:b]
-                        ends.append(len(writer.rows) + len(rows))
-                        if len(rows) >= writer.FLUSH:
-                            writer.flush()
-                    bound[n] = writer.matrix(self.ring, dims[n])
-                except TypeError:
-                    # a row of the other summand, None, is no row index
-                    raise ComplexError("boundary does not preserve the "
-                                       "splitting") from None
-        self.c_ideal = TruncatedComplex(self.ring, self.policy, ci_dims,
-                                        ci_bound, label="C_I")
-        self.c_unit = TruncatedComplex(self.ring, self.policy, ck_dims,
-                                       ck_bound, label="C_k")
 
     # -- ideal generators on morphism ids --------------------------------------
 
@@ -1076,15 +1068,15 @@ class ReducedMachinery:
         key = (positions, target)
         out = self._injections.get(key)
         if out is None:
-            out = self._injections[key] = self.nerve.morphisms.id[
+            out = self._injections[key] = self.c_ideal.morphisms.id[
                 ifas_injection(positions, target)]
         return out
 
     def _epi_walk(self, iota, ids):
         """Run the epimorphism construction along a string anchored at a
         monomorphism: returns (epimorphism parts, monomorphism parts), as
-        ids of the nerve's morphism table."""
-        table = self.nerve.morphisms
+        ids of the summands' morphism table."""
+        table = self.c_ideal.morphisms
         factors = self._factors
         monos = [iota]
         epis = []
@@ -1103,10 +1095,10 @@ class ReducedMachinery:
     def _ci_base(self, n, key):
         """The ideal-summand generator (degree-n string ``key``, full tensor
         index t) has block index ``_ci_base(n, key) + t``."""
-        si = self.nerve.string_index(n).get(key)
+        si = self.c_ideal.string_index(n).get(key)
         if si is None:
             raise ComplexError("reduction left the truncation window")
-        return self.nerve.offsets(n)[si] - si - 1
+        return self.c_ideal.offsets(n)[si] - 1
 
     # -- chain maps ------------------------------------------------------------
 
@@ -1114,13 +1106,13 @@ class ReducedMachinery:
         """Comparison map from the ideal summand onto the epimorphism
         complex: apply the epimorphism construction to the whole string."""
         if self._chi is None:
-            table, epi = self.nerve.morphisms, self.epi
+            table, epi = self.c_ideal.morphisms, self.epi
             to_epi = {table.id[f]: e for e, f in enumerate(epi.morphisms.morphisms)}
             images = {}
             for n in range(self.policy.max_degree + 2):
                 index, offs = epi.string_index(n), epi.offsets(n)
                 out = []
-                for src, ids in self.nerve.walk(n):
+                for src, ids in self.c_ideal.walk(n):
                     # the walk depends on the positions, not on the letters
                     bases = {}
                     for positions, t in self._ideal_decoding(src):
@@ -1142,7 +1134,7 @@ class ReducedMachinery:
     def inclusion(self) -> ChainMap:
         """Inclusion of the epimorphism complex into the ideal summand."""
         if self._inclusion is None:
-            table = self.nerve.morphisms
+            table = self.c_ideal.morphisms
             to_full = [table.id[f] for f in self.epi.morphisms.morphisms]
             images = {}
             for n in range(self.policy.max_degree + 2):
@@ -1165,7 +1157,7 @@ class ReducedMachinery:
             mats = {}
             for n in range(self.policy.max_degree + 1):
                 cols = []
-                for src, ids in self.nerve.walk(n):
+                for src, ids in self.c_ideal.walk(n):
                     terms = {}
                     for positions, t in self._ideal_decoding(src):
                         hit = terms.get(positions)
@@ -1260,16 +1252,16 @@ class ReducedMachinery:
         D = self.policy.max_degree
         h = {}
         for n in range(D + 1):
-            index = self.nerve.string_index(n + 1)
+            index = self.c_unit.string_index(n + 1)
             h[n] = []
-            for src, ids in self.nerve.walk(n):
+            for src, ids in self.c_unit.walk(n):
                 # the unit generator of a string has the string's position
                 row = index.get((0, (self._injection((0,), src),) + ids))
                 if row is None:
                     raise ComplexError("contraction left the truncation window")
                 h[n].append(row)
         # the section of the augmentation
-        eta_row = self.nerve.string_index(0)[0, ()]
+        eta_row = self.c_unit.string_index(0)[0, ()]
         return h, _contraction_identities(
             self.c_unit.boundary, h, eta_row, self.ring.characteristic, D)
 

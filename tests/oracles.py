@@ -1,6 +1,7 @@
 """Small oracles that only the tests use: the inverse and the elements of
 a hyperoctahedral group, dense and dict views of a sparse matrix and its
-block support, and the zero-anchored complex built string by string."""
+block support, the zero-anchored complex built string by string, and the
+splitting of a nerve by tensor index."""
 from __future__ import annotations
 
 import itertools
@@ -140,3 +141,32 @@ def zero_anchored_by_strings(policy, ring):
                                             index[0][(ident0,)], p, D)
     return {"index": index, "boundaries": boundaries,
             "dims": [len(s) for s in strings], "identities": identities}
+
+
+def split_by_tensor_index(nerve):
+    """The splitting of the nerve of an adapted full functor by its tensor
+    index, dict column by dict column: tensor index 0 of every string spans
+    the unit summand and the other indices the ideal summand.
+
+    Returns ``ci_index``, the nerve index of every ideal generator per
+    degree, and the ideal and unit blocks of each boundary, its rows and
+    columns renumbered in order within the summand (``submatrix``, which
+    drops the entries of the other summand)."""
+    ci_index, ck_index = [], []
+    for n in range(len(nerve.dims)):
+        first = 0
+        ideal, unit = [], []
+        for src, _ in nerve.walk(n):
+            dim = nerve.functor.dim(src)
+            unit.append(first)
+            ideal.extend(range(first + 1, first + dim))
+            first += dim
+        assert first == nerve.dims[n]
+        ci_index.append(ideal)
+        ck_index.append(unit)
+    ideal_blocks, unit_blocks = {}, {}
+    for n in range(1, len(nerve.dims)):
+        M = nerve.boundary(n)
+        ideal_blocks[n] = M.submatrix(ci_index[n - 1], ci_index[n])
+        unit_blocks[n] = M.submatrix(ck_index[n - 1], ck_index[n])
+    return ci_index, ideal_blocks, unit_blocks

@@ -17,7 +17,7 @@ from hyperoct.homology import (compute_homology, homology_over_field,
                                uct_check, field_rank)
 from hyperoct.matrices import SparseMatrix
 from hyperoct.slominska import slominska_complex
-from oracles import supported_in_rows
+from oracles import split_by_tensor_index, supported_in_rows
 
 
 def _report(number, ok, detail):
@@ -83,22 +83,32 @@ def test_criterion_3_chain_level_reduction_theorem():
     problems = []
     for order in (2, 3):
         A = ia.cyclic_group_algebra(order, QQ)
-        m = cx.ReducedMachinery(A, cx.TruncationPolicy(1, 2))
+        policy = cx.TruncationPolicy(1, 2)
+        m = cx.ReducedMachinery(A, policy)
+        nerve = cx.build_full_complex(m.algebra, policy)
+        ci_index, ideal, unit = split_by_tensor_index(nerve)
         tag = f"C{order}"
         # (a) exact boundary squares in every built complex
-        for label, cpx in (("nerve", m.nerve), ("C_I", m.c_ideal),
+        for label, cpx in (("nerve", nerve), ("C_I", m.c_ideal),
                            ("C_k", m.c_unit), ("epi", m.epi)):
             if not cpx.check_dsquared():
                 problems.append(f"{tag}: d^2 != 0 in {label}")
-        # (b) the splitting is a direct sum with block-diagonal boundary
+        # (b) the splitting is a direct sum with block-diagonal boundary,
+        # and the summands are the nerve's blocks
         for n in range(4):
             if m.c_ideal.dimension(n) + m.c_unit.dimension(n) != \
-                    m.nerve.dimension(n):
+                    nerve.dimension(n):
                 problems.append(f"{tag}: split dims at degree {n}")
         for n in (1, 2, 3):
-            M = m.nerve.boundary(n)
-            if not supported_in_rows(M, m.ci_index[n - 1], m.ci_index[n]):
+            M = nerve.boundary(n)
+            if not supported_in_rows(M, ci_index[n - 1], ci_index[n]):
                 problems.append(f"{tag}: off-diagonal block at degree {n}")
+            if M.nnz() != ideal[n].nnz() + unit[n].nnz():
+                problems.append(f"{tag}: off-diagonal entries at degree {n}")
+            if not (ideal[n].equals(m.c_ideal.boundary(n))
+                    and unit[n].equals(m.c_unit.boundary(n))):
+                problems.append(f"{tag}: summands differ from the nerve's "
+                                f"blocks at degree {n}")
         # (c) the unit summand carries one class, in degree zero
         hk = homology_over_field(m.c_unit)
         if hk.betti != [1, 0, 0]:

@@ -15,8 +15,8 @@ from hyperoct.homology import homology_over_field
 from hyperoct.matrices import SparseMatrix
 from hyperoct.slominska import SubsetPoset, slominska_complex
 
-from oracles import (columns, map_matrix, neg, supported_in_rows,
-                     zero_anchored_by_strings)
+from oracles import (columns, map_matrix, neg, split_by_tensor_index,
+                     supported_in_rows, zero_anchored_by_strings)
 from solvers import field_kernel_sample, solve_is_boundary
 from test_assembly import standard_epi_complex
 
@@ -162,7 +162,7 @@ def test_minimal_truncation_dimensions():
 def test_dsquared_small_instances():
     for order in (2, 3):
         m = machinery(order)
-        assert m.nerve.check_dsquared()
+        assert cx.build_full_complex(m.algebra, m.policy).check_dsquared()
         assert m.c_ideal.check_dsquared()
         assert m.c_unit.check_dsquared()
         assert m.epi.check_dsquared()
@@ -260,15 +260,22 @@ def test_degree_zero_classes_collapse():
 
 def test_split_dimensions_and_blocks():
     m = machinery(3)
-    nerve, ci, ck = m.nerve, m.c_ideal, m.c_unit
+    nerve = cx.build_full_complex(m.algebra, m.policy)
+    ci, ck = m.c_ideal, m.c_unit
+    ci_index, ideal, unit = split_by_tensor_index(nerve)
     for n in range(3):
         assert ci.dimension(n) + ck.dimension(n) == nerve.dimension(n)
     # one unit-summand generator per string
     assert ck.dims == [len(nerve.strings(n)) for n in range(len(nerve.dims))]
-    # block structure is genuinely diagonal in the nerve boundary
+    # block structure is genuinely diagonal in the nerve boundary, and the
+    # summands are its blocks, with the nerve's morphism ids
     for n in (1, 2):
         M = nerve.boundary(n)
-        assert supported_in_rows(M, m.ci_index[n - 1], m.ci_index[n])
+        assert supported_in_rows(M, ci_index[n - 1], ci_index[n])
+        assert ideal[n].equals(ci.boundary(n))
+        assert unit[n].equals(ck.boundary(n))
+    assert ci.morphisms.morphisms == ck.morphisms.morphisms \
+        == nerve.morphisms.morphisms
 
 
 def test_ideal_summand_dimension_formula():
@@ -278,7 +285,7 @@ def test_ideal_summand_dimension_formula():
     d = m.algebra.dim
     for n in range(2):
         total = 0
-        for (src, _) in m.nerve.strings(n):
+        for (src, _) in m.c_ideal.walk(n):
             by_monos = 0
             for x in range(src + 1):
                 monos = len(cc.enumerate_delta(x, src, "mono"))
@@ -513,16 +520,29 @@ def test_a_wrong_degeneracy_fails_the_zero_anchored_contraction(monkeypatch):
     assert out["ok"] is False
 
 
-def test_an_entry_across_the_summands_breaks_the_split():
-    m = machinery(2)
-    # a unit generator's boundary column gains an ideal row
-    d1 = m.nerve.boundary(1)
-    cols = columns(d1)
-    col = cols[m.nerve.offsets(1)[0]]
-    col[m.ci_index[0][0]] = QQ.one()
-    m.nerve.boundaries[1] = SparseMatrix(QQ, d1.nrows, d1.ncols, cols)
-    with pytest.raises(cx.ComplexError, match="splitting"):
-        m._split()
+def test_an_entry_across_the_summands_breaks_the_split(monkeypatch):
+    # one functor matrix that is not [[1, 0], [0, F_I(f)]] stops the build
+    # of the ideal summand
+    table = cx.MorphismTable(cx.DeltaHCategory(), [0, 1])
+    wrong = table[max(table.hom[1, 1])]
+    evaluate = BarFunctor.evaluate
+    for column, entry in ((0, {1: 1}),    # the unit column gains an ideal row
+                          (1, {0: 1}),    # an ideal column gains row 0
+                          (0, {0: 2})):   # the unit column is scaled by 2
+
+        def patched(self, f, column=column, entry=entry):
+            M = evaluate(self, f)
+            if f != wrong:
+                return M
+            cols = columns(M)
+            cols[column].update(
+                {r: QQ.from_int(v) for r, v in entry.items()})
+            return SparseMatrix(M.ring, M.nrows, M.ncols, cols)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BarFunctor, "evaluate", patched)
+            with pytest.raises(cx.ComplexError, match="splitting"):
+                machinery(2)
 
 
 def _index_map(source, target, images):
@@ -734,3 +754,16 @@ def test_twisted_involutions_in_random_bases(data):
         assert cx.relation_certificate(C.morphisms, C.functor).ok
         betti.append(homology_over_field(C).betti)
     assert betti[0] == betti[1]
+    # an augmentation with eps(x*) = eps(x) is a sign character whose
+    # square is chi, so only the plain involution has one, g -> 1; its
+    # summands in the random basis are the blocks of the adapted nerve
+    if set(chi) == {1}:
+        spec = twisted_spec(table, chi, rows)
+        spec["augmentation"] = [sum(row) for row in rows]
+        m = cx.ReducedMachinery(algebra_from_spec(spec, QQ), policy)
+        _, ideal, unit = split_by_tensor_index(
+            cx.build_full_complex(m.algebra, policy))
+        for n in (1, 2):
+            assert ideal[n].equals(m.c_ideal.boundary(n))
+            assert unit[n].equals(m.c_unit.boundary(n))
+        assert m.c_ideal.morphisms.morphisms == m.c_unit.morphisms.morphisms
