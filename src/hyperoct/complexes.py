@@ -13,11 +13,13 @@ chains are classes of (n+1)-morphism strings tensored with a coefficient at
 the string's base.  Dropping the base morphism and pushing the coefficient
 through the functor is a retraction onto a free module whose basis is the set
 of n-morphism strings tensored with coefficient basis elements, i.e. the same
-index set as the standard complex.  The retraction kills every defining
-relation exactly when the functor is functorial on composable pairs, which is
-what the relation certificate checks; with that certificate the quotient is
-the free module on these normal coordinates and the comparison isomorphism
-between the two variants is the identity matrix in them.
+index set as the standard complex.  The quotient is the free module on these
+normal coordinates, and the comparison isomorphism between the two variants
+is the identity matrix in them, exactly when the functor is functorial on
+composable pairs (the relation certificate) and sends every identity to the
+identity (``gz_nerve_iso``).  The certificate alone does not suffice: the
+direct sum F + Z, with Z(f) = 0 for every f, identities included, passes it,
+and its quotient is that of F alone.
 
 For an augmented algebra in an adapted basis the normal coordinates split by
 the tensor tuple: the all-units tuple spans one summand (a copy of the nerve
@@ -473,6 +475,16 @@ def _check_cap(label: str, projected, max_generators: int) -> None:
             raise ResourceCapExceeded(label, degree, count, max_generators)
 
 
+def _check_unital(table: MorphismTable, functor, label: str) -> None:
+    """Raise ``ComplexError`` unless ``functor`` sends every identity of
+    ``table`` to the identity matrix."""
+    for i in table.identities:
+        if not functor.matrix(table[i]).equals(SparseMatrix.identity(
+                functor.ring, functor.dim(table.source[i]))):
+            raise ComplexError(f"{label}: the functor does not send "
+                               f"{table[i]} to the identity")
+
+
 def _hom_lists(table: MorphismTable, normalized: bool = False) -> dict:
     """The nonempty hom lists ``H(a, b)`` of the truncated category, as id
     lists; ``normalized`` leaves out the identity ids."""
@@ -573,11 +585,7 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
     objects = table.objects
     fdim = {o: functor.dim(o) for o in objects}
     if normalized:
-        for i in table.identities:
-            if not functor.matrix(table[i]).equals(
-                    SparseMatrix.identity(ring, fdim[table.source[i]])):
-                raise ComplexError(f"{label}: the functor does not send "
-                                   f"{table[i]} to the identity")
+        _check_unital(table, functor, label)
     homs = _hom_lists(table, normalized)
     # position of each id in its hom list; None for an identity of a
     # normalized complex, whose faces onto degenerate strings are zero
@@ -791,7 +799,8 @@ def build_nerve_variant(category, functor, policy: TruncationPolicy,
 
     Returns (complex, certificate).  The generator index set coincides with
     the standard complex by construction (see the module docstring); what
-    makes the quotient presentation legitimate is the relation certificate.
+    makes the quotient presentation legitimate is the relation certificate,
+    checked here, together with F(id) = id, checked by ``gz_nerve_iso``.
     ``normalized`` is passed on to ``build_gz_complex``.
     """
     label = label or f"nerve[{category.name}]"
@@ -859,21 +868,19 @@ class ChainMap(namedtuple("ChainMap", "source target images label")):
         return True
 
 
-def gz_nerve_iso(nerve: TruncatedComplex, gz: TruncatedComplex) -> ChainMap:
-    """The comparison isomorphism in normal coordinates.
+def gz_nerve_iso(nerve: TruncatedComplex) -> ChainMap:
+    """The comparison isomorphism from the under-category quotient to the
+    standard complex: the identity in normal coordinates.
 
-    Sends the class of a string with identity base to the standard generator
-    with the same index, which is the identity degreewise, so it commutes
-    with the boundaries exactly when the two boundaries are equal; validity
-    rests on the certificate produced with the nerve variant."""
-    if nerve.dims != gz.dims:
-        raise ComplexError("variants disagree on generator counts")
-    D = nerve.policy.max_degree
-    for n in range(1, D + 2):
-        if not nerve.boundary(n).equals(gz.boundary(n)):
-            raise ComplexError("comparison map does not commute with "
-                               "boundaries")
-    return ChainMap(nerve, gz, {n: range(nerve.dims[n]) for n in range(D + 2)},
+    The retraction r(g; f_1..f_n; x) = (f_1..f_n; F(g) x) is well defined
+    on the quotient exactly when the relation certificate of
+    ``build_nerve_variant`` passes.  The section s(f; x) = [(id; f) x] has
+    s r = id, by the relation with alpha = g, and r s = F(id); so r is an
+    isomorphism exactly when F sends every identity to the identity, which
+    is checked here (``ComplexError`` otherwise)."""
+    _check_unital(nerve.morphisms, nerve.functor, nerve.label)
+    return ChainMap(nerve, nerve, {n: range(d) for n, d in
+                                   enumerate(nerve.dims)},
                     label="nerve-to-standard")
 
 
@@ -1237,33 +1244,25 @@ class ReducedMachinery:
     # -- contraction of the unit summand ---------------------------------------
 
     def unit_summand_contraction(self):
-        """``(h, identities)``: the degree-raising maps of the unit summand,
-        built from the canonical point-zero section, as index maps (``h[n]``
-        sends generator j of degree n to generator ``h[n][j]`` of degree
-        n + 1), and per degree whether the contraction identity holds
+        """``(h, identities)`` in degree zero: ``h[0]``, the degree-raising
+        map of the unit summand built from the canonical point-zero section,
+        as an index map (it sends generator j of degree 0 to generator
+        ``h[0][j]`` of degree 1), and ``identities[0]``, whether
+        d h0 = id - (section o augmentation) holds
         (``_contraction_identities``, with the augmentation onto one point
-        and its section).
-
-        The degree-zero identity d h0 = id - (section o augmentation) holds
-        exactly; in higher degrees the corresponding identity is a statement
+        and its section).  The contraction in higher degrees is a statement
         about the pre-quotient complex of strings anchored at the smallest
-        object (see zero_anchored_contraction) and is reported, not assumed,
-        on the quotient."""
-        D = self.policy.max_degree
-        h = {}
-        for n in range(D + 1):
-            index = self.c_unit.string_index(n + 1)
-            h[n] = []
-            for src, ids in self.c_unit.walk(n):
-                # the unit generator of a string has the string's position
-                row = index.get((0, (self._injection((0,), src),) + ids))
-                if row is None:
-                    raise ComplexError("contraction left the truncation window")
-                h[n].append(row)
+        object (``zero_anchored_contraction``)."""
+        # the unit generator of a string has the string's position
+        index = self.c_unit.string_index(1)
+        h = {0: [index.get((0, (self._injection((0,), src),)))
+                 for src, _ in self.c_unit.walk(0)]}
+        if None in h[0]:
+            raise ComplexError("contraction left the truncation window")
         # the section of the augmentation
         eta_row = self.c_unit.string_index(0)[0, ()]
         return h, _contraction_identities(
-            self.c_unit.boundary, h, eta_row, self.ring.characteristic, D)
+            self.c_unit.boundary, h, eta_row, self.ring.characteristic, 0)
 
 
 def _contraction_identities(boundary, h, eta_row: int, p: int,

@@ -1,13 +1,15 @@
 """Small oracles that only the tests use: the inverse and the elements of
 a hyperoctahedral group, dense and dict views of a sparse matrix and its
-block support, the zero-anchored complex built string by string, and the
-splitting of a nerve by tensor index."""
+block support, the zero-anchored complex built string by string, the
+splitting of a nerve by tensor index, and the under-category quotient
+ranked by its relations."""
 from __future__ import annotations
 
 import itertools
 
 from hyperoct import complexes as cx
 from hyperoct.croscat import HypElement, ifas_identity, perm_inverse
+from hyperoct.homology import field_rank
 from hyperoct.matrices import SparseMatrix
 
 
@@ -170,3 +172,42 @@ def split_by_tensor_index(nerve):
         ideal_blocks[n] = M.submatrix(ci_index[n - 1], ci_index[n])
         unit_blocks[n] = M.submatrix(ck_index[n - 1], ck_index[n])
     return ci_index, ideal_blocks, unit_blocks
+
+
+def under_category_quotient_dims(functor, N, top):
+    """The dimensions in degrees 0..top of the literal under-category
+    quotient of ``functor`` over Delta H at objects 0..N, over a field.
+
+    The ambient module in degree n has a generator per string
+    (f_0, f_1, ..., f_n) of n + 1 composable morphism ids and basis element
+    x of F at the source of f_0; the relations identify
+    (g o alpha, f_1, ..., f_n) x with (g, f_1, ..., f_n) F(alpha) x for
+    every composable (alpha, g, f_1, ..., f_n) and x.  The dimension is
+    the ambient one less the rank of the relation columns."""
+    table = cx.MorphismTable(cx.DeltaHCategory(), range(N + 1))
+    ring = functor.ring
+    matrices = [functor.matrix(f) for f in table.morphisms]
+    leaving = {a: [i for i in range(len(table)) if table.source[i] == a]
+               for a in table.objects}
+    strings = [(i,) for i in range(len(table))]
+    dims = []
+    for n in range(top + 1):
+        longer = [s + (i,) for s in strings
+                  for i in leaving[table.target[s[-1]]]]
+        index = {}
+        for s in strings:
+            for x in range(functor.dim(table.source[s[0]])):
+                index[s, x] = len(index)
+        relations = []
+        for alpha, g, *tail in longer:
+            composite = (table.compose(g, alpha), *tail)
+            for x in range(functor.dim(table.source[alpha])):
+                col = {index[composite, x]: ring.one()}
+                for y, v in matrices[alpha].column(x).items():
+                    k = index[(g, *tail), y]
+                    col[k] = ring.sub(col.get(k, ring.zero()), v)
+                relations.append(col)
+        dims.append(len(index) - field_rank(
+            SparseMatrix(ring, len(index), len(relations), relations)))
+        strings = longer
+    return dims

@@ -142,7 +142,7 @@ def test_criterion_4_variant_equivalence():
     view = cx.BarFunctorView(BarFunctor(A))
     nerve, cert = cx.build_nerve_variant(cx.DeltaHCategory(), view, policy)
     gz = cx.build_gz_complex(cx.DeltaHCategory(), view, policy)
-    iso = cx.gz_nerve_iso(nerve, gz)
+    iso = cx.gz_nerve_iso(nerve)
     bn = homology_over_field(nerve).betti
     bg = homology_over_field(gz).betti
     elapsed = time.monotonic() - t0

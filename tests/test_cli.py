@@ -142,6 +142,28 @@ def test_verify_certifies_each_dsquared_pair_once(monkeypatch):
     assert len({(id(a), id(b)) for a, b in pairs}) == 2
 
 
+def test_nerve_verify_builds_one_complex_per_truncation(monkeypatch):
+    # the comparison with the standard complex checks F(id) = id on the
+    # nerve's own morphism table, so no second complex is assembled
+    built = []
+    real = complexes.TruncatedComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["label"])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(complexes.TruncatedComplex, "__init__", counting)
+    report, code = cli.run(cli.JobSpec("c2", "q", "nerve", [0, 1], 1,
+                                       verify=True))
+    assert code == 0
+    for n in (0, 1):
+        assert report["verifications"][f"N={n}/relation_certificate"] \
+            == "pass"
+        assert report["verifications"][f"N={n}/nerve_iso_chain_map"] \
+            == "pass"
+    assert built == ["nerve", "nerve"]
+
+
 def test_integral_job_certifies_each_dsquared_pair_once(monkeypatch):
     # the integral solve certifies (d1, d2) and (d2, d3) for its bounds; the
     # report's dsquared status, the z/2 component and the coefficient check

@@ -16,7 +16,8 @@ from hyperoct.matrices import SparseMatrix
 from hyperoct.slominska import SubsetPoset, slominska_complex
 
 from oracles import (columns, map_matrix, neg, split_by_tensor_index,
-                     supported_in_rows, zero_anchored_by_strings)
+                     supported_in_rows, under_category_quotient_dims,
+                     zero_anchored_by_strings)
 from solvers import field_kernel_sample, solve_is_boundary
 from test_assembly import standard_epi_complex
 
@@ -194,9 +195,46 @@ def test_nerve_variant_certificate_and_iso():
     nerve, cert = cx.build_nerve_variant(cx.DeltaHCategory(), F, policy)
     assert cert.ok and cert.pairs_checked == 956
     gz = cx.build_gz_complex(cx.DeltaHCategory(), F, policy)
-    iso = cx.gz_nerve_iso(nerve, gz)
+    iso = cx.gz_nerve_iso(nerve)
     assert iso.commutes_with_boundaries()
     assert homology_over_field(nerve).betti == homology_over_field(gz).betti
+
+
+class WithZeroSummand(cx.BarFunctorView):
+    """F + Z: one extra basis vector at every object, which every matrix,
+    identities included, sends to 0."""
+
+    def dim(self, obj):
+        return super().dim(obj) + 1
+
+    def matrix(self, f):
+        M = super().matrix(f)
+        return SparseMatrix(M.ring, M.nrows + 1, M.ncols + 1,
+                            columns(M) + [{}])
+
+
+def test_a_functor_off_the_identity_fails_the_comparison():
+    # Z(f) = 0 for every f is functorial on every pair, so F + Z passes the
+    # relation certificate, but it does not send identities to identities
+    F = WithZeroSummand(BarFunctor(ia.cyclic_group_algebra(2, QQ)))
+    policy = cx.TruncationPolicy(1, 1)
+    nerve, cert = cx.build_nerve_variant(cx.DeltaHCategory(), F, policy)
+    assert cert.ok and cert.pairs_checked == 956
+    assert nerve.dims == [8, 178, 4500]
+    with pytest.raises(cx.ComplexError, match="to the identity"):
+        cx.gz_nerve_iso(nerve)
+
+
+def test_the_under_category_quotient_is_the_standard_complex_when_unital():
+    # the literal quotient has the standard dimensions for the bar functor,
+    # and loses the Z summand of F + Z, where the comparison must fail
+    A = ia.cyclic_group_algebra(2, QQ)
+    policy = cx.TruncationPolicy(1, 1)
+    for F, standard in ((cx.BarFunctorView(BarFunctor(A)), [6, 140]),
+                        (WithZeroSummand(BarFunctor(A)), [8, 178])):
+        C = cx.build_gz_complex(cx.DeltaHCategory(), F, policy)
+        assert C.dims[:2] == standard
+        assert under_category_quotient_dims(F, 1, 1) == [6, 140]
 
 
 def test_one_wrong_functor_entry_fails_the_relation_certificate():
