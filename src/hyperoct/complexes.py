@@ -99,14 +99,14 @@ generator, and d M = M d is checked column by column with no product
 (``ChainMap.commutes_with_boundaries``).  Composites are composites of
 index lists (chi o inclusion = id compares a list with ``range``; id -
 inclusion o chi has at most two entries per column), and only the
-homotopy, an alternating sum, is a matrix.
+homotopy, an alternating sum, is a matrix; d h + h d is summed from the
+arrays of h and the boundaries column by column, and formed as no product.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from array import array
-from bisect import bisect_right
 from collections import namedtuple
 from itertools import islice
 from math import prod
@@ -550,7 +550,8 @@ def _string_layout(lengths: tuple, m: int, faces_lead: bool) -> tuple:
 def build_gz_complex(category, functor, policy: TruncationPolicy,
                      max_generators: int = DEFAULT_MAX_GENERATORS,
                      label: str | None = None,
-                     normalized: bool = False) -> TruncatedComplex:
+                     normalized: bool = False,
+                     table: MorphismTable | None = None) -> TruncatedComplex:
     """Standard functor-homology complex over the truncated category.
 
     Degree-n generators are pairs (string of n composable morphisms, basis
@@ -559,6 +560,8 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
     adjacent morphisms, truncate the top).  ``normalized`` builds the
     quotient by the degenerate strings instead (see the module docstring);
     its ``generator_counts`` and the cap stay the standard counts.
+    ``table`` is the ``MorphismTable`` to build over, by default a new one
+    for ``category.objects(policy.max_object)``.
 
     Every face is located by arithmetic in the blocks of ``_blocks``.  Let
     stride_k = |H_{k+1}| ... |H_{n-1}|.  The string of local rank rho in
@@ -581,7 +584,8 @@ def build_gz_complex(category, functor, policy: TruncationPolicy,
 
     ring = functor.ring
     D = policy.max_degree
-    table = MorphismTable(category, category.objects(policy.max_object))
+    if table is None:
+        table = MorphismTable(category, category.objects(policy.max_object))
     objects = table.objects
     fdim = {o: functor.dim(o) for o in objects}
     if normalized:
@@ -829,13 +833,14 @@ def _moved(M: SparseMatrix, to, p: int):
         yield col
 
 
-def _id_minus(first, second, p: int, sign: int = 1) -> list:
-    """The columns of sign (id - second o first) for index maps."""
+def _id_minus(first, second, p: int, sign: int = 1):
+    """The columns of sign (id - second o first) for index maps, in
+    order, one at a time."""
     plus, minus = 1, p - 1 if p else -1
     if sign < 0:
         plus, minus = minus, plus
-    return [{} if (k := second[i]) == j else {j: plus, k: minus}
-            for j, i in enumerate(first)]
+    return ({} if (k := second[i]) == j else {j: plus, k: minus}
+            for j, i in enumerate(first))
 
 
 class ChainMap(namedtuple("ChainMap", "source target images label")):
@@ -920,10 +925,14 @@ class TensoredComplex(namedtuple("TensoredComplex", "base module components")):
 
 
 def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
+    """``complex_`` read mod ``p``: each boundary is a matrix over F_p on
+    the integer boundary's own arrays (``matrices``), and the reduction
+    reads the d^2 certificates the integer complex has found."""
     if complex_.ring != ZZ:
         raise ComplexError("mod-p reduction starts from an integer complex")
     field = GF(p)
-    boundaries = {n: _reduced_matrix(M, p, field)
+    boundaries = {n: SparseMatrix.from_arrays(field, M.nrows, M.ncols,
+                                              M.starts, M.rows, M.vals)
                   for n, M in complex_.boundaries.items()}
     reduced = TruncatedComplex(field, complex_.policy, complex_.dims,
                                boundaries, label=f"{complex_.label} mod {p}",
@@ -934,43 +943,6 @@ def reduce_mod_p(complex_: TruncatedComplex, p: int) -> TruncatedComplex:
     # read, never written: see TruncatedComplex.dsquared_vanishes
     reduced._integral_dsquared = complex_._dsquared
     return reduced
-
-
-def _reduced_matrix(M: SparseMatrix, p: int, field) -> SparseMatrix:
-    """``M`` mod ``p``.  The residues are written in one pass; only the
-    columns where one vanishes are written again, their leading row found
-    anew, and the column starts after each move down by the entries it
-    dropped."""
-    starts, rows = M.starts, M.rows
-    vals = map(p.__rmod__, M.vals)
-    vals = array("q", vals) if p < 1 << 63 else list(vals)
-    if 0 not in vals:
-        return SparseMatrix.from_arrays(field, M.nrows, M.ncols, starts,
-                                        rows, vals)
-    hit = []
-    i = vals.index(0)
-    while True:
-        j = bisect_right(starts, i) - 1
-        hit.append(j)
-        try:
-            i = vals.index(0, starts[j + 1])
-        except ValueError:
-            break
-    writer = ColumnWriter(M.nrows)
-    if type(vals) is list:
-        writer.vals = []
-    done = dropped = 0   # columns before ``done`` are written
-    for j in hit + [M.ncols]:
-        writer.flush()
-        writer.starts.extend(map(dropped.__rsub__, starts[done + 1:j + 1]))
-        writer.rows += rows[starts[done]:starts[j]]
-        writer.vals += vals[starts[done]:starts[j]]
-        if j < M.ncols:
-            a, b = starts[j], starts[j + 1]
-            writer.extend([lead_first(dict(zip(rows[a:b], vals[a:b])))])
-            dropped = b - len(writer.rows) - len(writer.buffer[0])
-            done = j + 1
-    return writer.matrix(field, M.ncols)
 
 
 def tensor_with_coefficients(complex_: TruncatedComplex,
@@ -1004,8 +976,9 @@ class ReducedMachinery:
     applies F, so the nerve splits when every F(f) is [[1, 0], [0, F_I(f)]]
     (checked by ``IdealSummandView``).  Each summand is a
     ``build_gz_complex`` complex: C_I of F_I, and C_k, one generator per
-    string, of the ground ring.  Their strings and morphism ids are the
-    nerve's, and the cap acts on the nerve's projected count, their sum.
+    string, of the ground ring, over C_I's morphism table.  Their strings
+    and morphism ids are the nerve's, and the cap acts on the nerve's
+    projected count, their sum.
     """
 
     def __init__(self, algebra: InvolutiveAlgebra, policy: TruncationPolicy,
@@ -1031,7 +1004,8 @@ class ReducedMachinery:
         self.c_unit = build_gz_complex(
             DeltaHCategory(), BarFunctorView(BarFunctor(
                 ground_ring_algebra(self.ring), FULL)),
-            policy, max_generators, label="C_k")
+            policy, max_generators, label="C_k",
+            table=self.c_ideal.morphisms)
         self.epi, _ = build_nerve_variant(
             EpiDeltaHCategory(), BarFunctorView(self.ideal_functor), policy,
             max_generators, label="epi", certificate=certificate)
@@ -1190,16 +1164,34 @@ class ReducedMachinery:
             self._homotopy = mats
         return self._homotopy
 
+    def _homotopy_sums(self, n):
+        """Column j of d_{n+1} h_n + h_{n-1} d_n (d_1 h_0 in degree 0), for
+        every degree-n generator j in order: summed over the arrays of the
+        two boundaries and of h, and reduced as ``_reduced`` does."""
+        h = self.homotopy()
+        terms = [(h[n], self.c_ideal.boundary(n + 1))]
+        if n:
+            terms.append((self.c_ideal.boundary(n), h[n - 1]))
+        p = self.ring.characteristic
+        for j in range(self.c_ideal.dimension(n)):
+            col = {}
+            for inner, outer in terms:
+                a, b = inner.starts[j], inner.starts[j + 1]
+                for k, c in zip(inner.rows[a:b], inner.vals[a:b]):
+                    s, e = outer.starts[k], outer.starts[k + 1]
+                    for r, v in zip(outer.rows[s:e], outer.vals[s:e]):
+                        col[r] = col.get(r, 0) + c * v
+            yield _reduced(col, p)
+
     def homotopy_identity_sign(self):
         """Empirical global sign: s with (d h + h d) == s (id - i chi)."""
         if self._homotopy_sign is None:
-            lhs = self.c_ideal.boundary(1).matmul(self.homotopy()[0])
-            lhs = [lhs.column(j) for j in range(lhs.ncols)]
+            lhs = list(self._homotopy_sums(0))
             p = self.ring.characteristic
             chi, inc = self.chi().images[0], self.inclusion().images[0]
-            if lhs == _id_minus(chi, inc, p):
+            if lhs == list(_id_minus(chi, inc, p)):
                 self._homotopy_sign = 1
-            elif lhs == _id_minus(chi, inc, p, -1):
+            elif lhs == list(_id_minus(chi, inc, p, -1)):
                 self._homotopy_sign = -1
             else:
                 raise ComplexError("homotopy identity fails in degree zero")
@@ -1209,8 +1201,9 @@ class ReducedMachinery:
         """Exact verification of the reduction theorem at this truncation:
         both maps are chain maps, the comparison retracts the inclusion,
         and the homotopy witnesses the other composite.  The maps are index
-        maps (see the module docstring); only d h + h d is a product."""
-        chi, inc, h = self.chi(), self.inclusion(), self.homotopy()
+        maps (see the module docstring), and d h + h d is compared column
+        by column (``_homotopy_sums``)."""
+        chi, inc = self.chi(), self.inclusion()
         sign = self.homotopy_identity_sign()
         out = {
             "chi_chain_map": chi.commutes_with_boundaries(),
@@ -1225,18 +1218,12 @@ class ReducedMachinery:
         ok_homotopy = True
         ok_on_image = True
         for n in range(D + 1):
-            up = self.c_ideal.boundary(n + 1).matmul(h[n])
-            cols = [up.column(j) for j in range(up.ncols)]
-            if n >= 1:
-                down = h[n - 1].matmul(self.c_ideal.boundary(n))
-                for j, col in enumerate(cols):
-                    for r, v in down.column(j).items():
-                        col[r] = col.get(r, 0) + v
-                    cols[j] = _reduced(col, p)
-            if cols != _id_minus(chi.images[n], inc.images[n], p, sign):
-                ok_homotopy = False
-            if any(cols[k] for k in inc.images[n]):
-                ok_on_image = False
+            image = set(inc.images[n])
+            wants = _id_minus(chi.images[n], inc.images[n], p, sign)
+            for j, col, want in zip(itertools.count(), self._homotopy_sums(n),
+                                    wants):
+                ok_homotopy &= col == want
+                ok_on_image &= not col or j not in image
         out["homotopy_identity"] = ok_homotopy
         out["homotopy_vanishes_on_epi_image"] = ok_on_image
         return out
@@ -1273,7 +1260,7 @@ def _contraction_identities(boundary, h, eta_row: int, p: int,
     ``eta_row``: column j of d h is d's column ``h[n][j]``, and column j of
     h d is d's column j with its rows moved by ``h[n - 1]``."""
     out = {0: list(map(boundary(1).column, h[0]))
-           == _id_minus([0] * len(h[0]), [eta_row], p)}
+           == list(_id_minus([0] * len(h[0]), [eta_row], p))}
     for n in range(1, top + 1):
         upper, lower = boundary(n + 1), boundary(n)
         out[n] = True

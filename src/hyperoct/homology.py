@@ -16,10 +16,11 @@ Python int with a fixed-width slot per row, so a column of the product is
 a sum of one big-integer multiple per nonzero of d_n, and a zero test (or,
 mod a small prime, a test on the sum offset to non-negative slots) reads
 every slot at once.  Ranks stream their columns echelon-first: every
-column whose leading row no earlier column has goes first, each
-independent of those before it, then the rest in their original order.
-Rank does not depend on column order; only the count of columns streamed
-before the bound stops the stream does.
+column whose first stored row no earlier column has goes first, then the
+rest in their original order; the order only saves work, as
+``_eliminate`` decides every column (``_fresh_first``).  Rank does not
+depend on column order; only the count of columns streamed before the
+bound stops the stream does.
 
 Every boundary, over every ring, is one column stream (``column_stream``:
 ``field_rank`` over a field, ``_smith_diagonal`` over Z), chained in one
@@ -143,8 +144,8 @@ class HomologyError(ValueError):
 
 def _matrix_columns(M: SparseMatrix, js, p: int):
     """The integer columns of ``M`` at ``js``, as (row, value) pairs read
-    from its arrays: mod p the stored residues, over Q and Z the values
-    ``_integers`` reads."""
+    from its arrays: mod p the stored ints, which the kernel reads mod p,
+    over Q and Z the values ``_integers`` reads."""
     starts, rows = M.starts, M.rows
     vals = M.vals if p else _integers(M, 0)[0]
     for j in js:
@@ -300,9 +301,11 @@ def _eliminate(cols, p: int = 0, bound: int | None = None,
 
 def _fresh_first(M: SparseMatrix, order: list | None = None):
     """The column indices of ``M`` in echelon-first order, each also
-    appended to ``order``: first every column whose leading row (the first
-    row it stores, ``matrices``) no earlier column has, each independent
-    of the group's earlier ones, then the rest in their original order."""
+    appended to ``order``: first every column whose first stored row (its
+    largest, ``matrices``) no earlier column has, then the rest in their
+    original order.  Unless a value there vanishes, as it may in a
+    reduction mod p, the first group is independent; either way it is
+    only an order."""
     starts, rows = M.starts, M.rows
     order = [] if order is None else order
     first = bytearray(M.ncols)

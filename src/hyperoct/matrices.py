@@ -6,9 +6,12 @@ A matrix is three arrays: ``starts``, the ncols + 1 offsets of its columns
 positions, an int64 ``array`` when every value is a machine int and a
 plain list otherwise (``Fraction`` entries over Q, ints beyond 64 bits over
 Z).  Column j is the slice ``starts[j]:starts[j + 1]`` of both.  No stored
-value is zero, and each column stores its leading (largest) row first, so
-``rows[starts[j]]`` is that row, read without building the column.  An
-entry costs 12 bytes, where a dict per column cost 70 to 90.
+value is zero, and each column stores its largest row first, so
+``rows[starts[j]]`` is that row, read without building the column.  Over
+F_p the values are integers read mod p: residues as assembled, or, in a
+reduction (``complexes.reduce_mod_p``), its integer complex's own values,
+which can vanish mod p, even at a column's first row.  An entry costs 12
+bytes, where a dict per column cost 70 to 90.
 
 The arrays are the only form: ``column(j)`` builds column j as a dict for
 a reader that needs one, and the kernels read the arrays.  The constructor

@@ -31,6 +31,12 @@ def columns(M: SparseMatrix) -> list:
     return [M.column(j) for j in range(M.ncols)]
 
 
+def columns_mod(M: SparseMatrix, p: int) -> list:
+    """Every column of ``M`` read mod ``p``, as a dict of the residues that
+    do not vanish."""
+    return [{r: v % p for r, v in col.items() if v % p} for col in columns(M)]
+
+
 def from_dense(ring, rows) -> SparseMatrix:
     """The matrix of a list of rows; ints are taken into ``ring``."""
     ncols = len(rows[0]) if rows else 0

@@ -13,7 +13,7 @@ from hyperoct import complexes as cx, homology as hom
 from hyperoct.barfun import BarFunctor
 from hyperoct.matrices import SparseMatrix
 from hyperoct.rings import GF, QQ, ZZ
-from oracles import columns
+from oracles import columns, columns_mod
 from solvers import tracked_elimination
 from test_assembly import oracle_boundaries, standard_epi_complex, typed
 from test_slominska import algebra
@@ -136,13 +136,28 @@ def test_functor_matrices_keep_fractions():
     assert kinds == {array, list}
 
 
+@st.composite
+def reducible(draw):
+    """(p, integer columns): any int values, and in some columns the entry
+    at the largest row a multiple of p, so it vanishes mod p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    _, nrows, cols = draw(dict_columns(values=INTS))
+    for col in cols:
+        if col and draw(st.booleans()):
+            col[max(col)] = p * draw(INTS)
+    return p, nrows, cols
+
+
 @settings(max_examples=200, deadline=None)
-@given(dict_columns(values=INTS), st.sampled_from([2, 3, 5]))
-def test_reduction_mod_p_rewrites_the_columns_that_lose_an_entry(data, p):
-    _, nrows, cols = data
+@given(reducible())
+def test_a_reduction_has_the_rank_of_the_reduced_matrix(data):
+    # the reduction reads the integer arrays mod p, a vanishing leading
+    # entry included, and ranks as the matrix of the residues does
+    p, nrows, cols = data
     M = SparseMatrix(ZZ, nrows, len(cols), cols)
-    R = cx._reduced_matrix(M, p, GF(p))
-    expected = [{r: v % p for r, v in col.items() if v % p} for col in cols]
-    assert columns(R) == expected
-    assert all(next(iter(col)) == max(col) for col in columns(R) if col)
-    assert type(R.vals) is array
+    policy = cx.TruncationPolicy(0, 0)
+    C = cx.TruncatedComplex(ZZ, policy, [nrows, len(cols)], {1: M})
+    R = cx.reduce_mod_p(C, p).boundary(1)
+    assert R.starts is M.starts and R.rows is M.rows and R.vals is M.vals
+    residues = SparseMatrix(GF(p), nrows, len(cols), columns_mod(M, p))
+    assert hom.field_rank(R) == hom.field_rank(residues)

@@ -12,7 +12,7 @@ from hyperoct.complexes import (TruncationPolicy, TruncatedComplex,
 from hyperoct.invalg import cyclic_group_algebra
 from hyperoct import homology as hom
 
-from oracles import from_dense
+from oracles import columns, columns_mod, from_dense
 from solvers import solve_is_boundary
 
 
@@ -89,12 +89,16 @@ def test_invariant_factors_of_diagonal():
 
 
 def test_mod_two_reduction_matches_direct_assembly():
+    # the reduction reads the integer boundary's own arrays, every value
+    # mod two; each column keeps its leading entry 2, which vanishes
     C = toy_complex(ZZ, [2, 2], {1: [[2, 1], [0, 2]]})
     tensored = tensor_with_coefficients(C, CoefficientModule(0, (2,)))
     comp = tensored.components[0][1]
     assert comp.ring == GF(2)
+    R, M = comp.boundary(1), C.boundary(1)
+    assert R.starts is M.starts and R.rows is M.rows and R.vals is M.vals
     direct = from_dense(GF(2), [[0, 1], [0, 0]])
-    assert comp.boundary(1).equals(direct)
+    assert columns_mod(R, 2) == columns(direct)
     res = hom.homology_over_field(comp)
     assert res.betti == [1, 1]
 
